@@ -32,7 +32,7 @@ from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
                      OptimizerState, ParamVector)
 from .probes import (PowerResult, Preconditioner, ProbeRecord, ProbeWarmStart,
                      compute_probe, lambda_grad, lambda_max_preconditioned,
-                     lambda_max_raw, lambda_update, power_iteration,
+                     lambda_max_raw, power_iteration,
                      precondition_hvp, sustained_predictor)
 from .rngs import stream
 from .scenarios import (PRESETS, Scenario, build_scenario, load_config_file,

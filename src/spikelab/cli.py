@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .errors import Indeterminate, PreconditionViolation, SpikelabError
-from .harness import (_fresh_dir, five_stage_payload, output_root,
+from .harness import (five_stage_payload, fresh_dir, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
@@ -292,7 +292,7 @@ def cmd_export_dataset(args) -> int:
     if args.file:
         path = args.file
     else:
-        d = _fresh_dir(output_root(args.out), sc.scenario_id, sc.seed)
+        d = fresh_dir(output_root(args.out), sc.scenario_id, sc.seed)
         path = d / "dataset.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
                        pre_spike_index, segment_stages)
 from .errors import ConfigError
-from .oracles import _theorem_recursion, five_stage_certificate, lr_decay_witness
+from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
 from .probes import ProbeRecord
 from .scenarios import Scenario, build_scenario
@@ -135,15 +135,15 @@ def _theorem_trace(sc: Scenario, cert) -> RunTrace:
     """
     eta = cert.eta
     n = cert.max_steps
-    th, v = _theorem_recursion(cert.theta0, eta, cert.beta2, n)
+    th, v = theorem_recursion(cert.theta0, eta, cert.beta2, n)
     rv = np.sqrt(v)
     thr = 2.0 / eta
     records = []
     for i in range(n):
         lam = float(1.0 / rv[i])
         probe = ProbeRecord(step=i, lambda_max_H=1.0, lambda_max_Hhat=lam,
-                            lambda_grad_Hhat=lam, lambda_update_Hhat=lam,
-                            threshold=thr, power_iters_used=0, converged=True)
+                            lambda_grad_Hhat=lam, threshold=thr,
+                            power_iters_used=0, converged=True)
         records.append(StepRecord(
             step=i, loss=float(0.5 * th[i + 1] ** 2),
             grad_norm=float(abs(th[i])),
@@ -247,7 +247,8 @@ def output_root(out=None) -> Path:
     return Path(os.environ.get("SPIKELAB_OUT", "runs"))
 
 
-def _fresh_dir(root: Path, scenario_id: str, seed: int) -> Path:
+def fresh_dir(root: Path, scenario_id: str, seed: int) -> Path:
+    """Make <root>/<scenario_id>/<UTC stamp>-<seed>, adding -1, -2, ... if taken."""
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     base = root / scenario_id / f"{stamp}-{seed}"
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -272,15 +273,15 @@ def _write_run_files(result: RunResult, d: Path) -> None:
 
 def write_run_dir(result: RunResult, out=None) -> Path:
     """Persist one result under <out>/<scenario_id>/<timestamp>-<seed>/."""
-    d = _fresh_dir(output_root(out), result.scenario.scenario_id,
-                   result.scenario.seed)
+    d = fresh_dir(output_root(out), result.scenario.scenario_id,
+                  result.scenario.seed)
     _write_run_files(result, d)
     return d
 
 
 def write_certificate_dir(certificate: dict, scenario_id: str, out=None,
                           seed: int = 0) -> Path:
-    d = _fresh_dir(output_root(out), scenario_id, seed)
+    d = fresh_dir(output_root(out), scenario_id, seed)
     write_json(_clean(certificate), d / "certificate.json")
     return d
 
@@ -401,7 +402,7 @@ def run_sweep(base_flat: dict, param: str, values, out=None,
     base_id = str(base.get("scenario", "sweep"))
     seed = int(base.get("seed", 0))
 
-    sweep_dir = _fresh_dir(output_root(out), base_id, seed)
+    sweep_dir = fresh_dir(output_root(out), base_id, seed)
     write_json(_clean(dict(base_flat, **{"sweep.param": param})),
                sweep_dir / "config.json")
 

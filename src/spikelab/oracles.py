@@ -158,7 +158,7 @@ class FiveStageCertificate:
         return min(slacks) if slacks else 0.0
 
 
-def _theorem_recursion(theta0, eta, beta2, n_steps):
+def theorem_recursion(theta0, eta, beta2, n_steps):
     """theta_{t+1} = (1 - eta/sqrt(v_t)) theta_t; v_{t+1} = b2 v_t + (1-b2) theta_t^2."""
     th = np.empty(n_steps + 1)
     v = np.empty(n_steps + 1)
@@ -196,7 +196,7 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
             simulated_boundaries={}, per_stage_inequalities=[],
             max_steps=max_steps, hypothesis_lhs=lhs, hypothesis_rhs=rhs)
 
-    th, v = _theorem_recursion(theta0, eta, beta2, max_steps)
+    th, v = theorem_recursion(theta0, eta, beta2, max_steps)
     rv = np.sqrt(v)
     half = eta / 2.0
 

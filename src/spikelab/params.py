@@ -1,6 +1,6 @@
 """Core value types: labeled parameter vectors and optimizer configuration."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,14 +139,7 @@ class OptimizerState:
     t: int
     m: np.ndarray
     v: np.ndarray
-    extra: dict = field(default_factory=dict)
 
     @staticmethod
-    def fresh(kind: str, dim: int, **extra) -> "OptimizerState":
-        return OptimizerState(
-            kind=kind,
-            t=0,
-            m=np.zeros(dim),
-            v=np.zeros(dim),
-            extra=dict(extra),
-        )
+    def fresh(kind: str, dim: int) -> "OptimizerState":
+        return OptimizerState(kind=kind, t=0, m=np.zeros(dim), v=np.zeros(dim))

@@ -3,8 +3,8 @@
 The preconditioned Hessian is D_t H_t with D_t = c_t diag(1/(sqrt(v_hat)+eps)).
 Its dominant eigenvalue is computed by power iteration on the symmetric
 similar operator D^(1/2) H D^(1/2), which shares the spectrum and keeps the
-Rayleigh estimates monotone-friendly. Directional curvatures are Euclidean
-Rayleigh quotients of D H along the gradient or update direction.
+Rayleigh estimates monotone-friendly. The directional curvature is the
+Euclidean Rayleigh quotient of D H along the gradient.
 """
 
 import math
@@ -132,15 +132,6 @@ def lambda_grad(pre, obj, theta, g) -> float:
     return float(g @ precondition_hvp(pre, obj, theta, g)) / gn2
 
 
-def lambda_update(pre, obj, theta, u) -> float:
-    """Same quotient along the update direction."""
-    u = np.asarray(u, dtype=float)
-    un2 = float(u @ u)
-    if un2 == 0.0:
-        raise ZeroGradient("lambda_update needs a nonzero direction")
-    return float(u @ precondition_hvp(pre, obj, theta, u)) / un2
-
-
 def lambda_grad_weighted(pre, obj, theta, g) -> float:
     """Quotient in the D^(-1) inner product; bounded by lambda_max exactly.
 
@@ -174,7 +165,6 @@ class ProbeRecord:
     lambda_max_H: float
     lambda_max_Hhat: float
     lambda_grad_Hhat: float  # None when the gradient vanished
-    lambda_update_Hhat: float
     threshold: float  # 2 / eta_t
     power_iters_used: int
     converged: bool
@@ -189,8 +179,7 @@ class ProbeWarmStart:
 
 
 def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
-                  max_iters=PI_MAX_ITERS, tol=PI_TOL,
-                  update_direction=None) -> ProbeRecord:
+                  max_iters=PI_MAX_ITERS, tol=PI_TOL) -> ProbeRecord:
     """Full probe at one step; mutates `warm` with the new eigenvectors."""
     probe_seed = stream(seed, "probe", step).integers(0, 2 ** 62)
     raw = lambda_max_raw(obj, theta, dim=theta.size, max_iters=max_iters,
@@ -202,15 +191,11 @@ def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
     lg = None
     if float(np.dot(g, g)) > 0.0:
         lg = lambda_grad(pre, obj, theta, g)
-    lu = None
-    if update_direction is not None and float(np.dot(update_direction, update_direction)) > 0.0:
-        lu = lambda_update(pre, obj, theta, update_direction)
     return ProbeRecord(
         step=step,
         lambda_max_H=raw.value,
         lambda_max_Hhat=prec.value,
         lambda_grad_Hhat=lg,
-        lambda_update_Hhat=lu,
         threshold=2.0 / eta_t,
         power_iters_used=prec.iters_used,
         converged=raw.converged and prec.converged,

@@ -5,7 +5,7 @@ fully explicit maps; build_scenario turns a map into runnable pieces. A run
 is a pure function of its config, including the seed.
 """
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +60,23 @@ def apply_overrides(flat: dict, pairs) -> dict:
     return out
 
 
+def _int(flat, key, default):
+    """Integer value of key; integral floats such as sweep values pass."""
+    value = flat.get(key, default)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _bool(flat, key, default):
+    value = flat.get(key, default)
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
 def _floats(value):
     if isinstance(value, str):
         return tuple(float(p) for p in value.split(",") if p.strip())
@@ -111,8 +128,8 @@ def build_scenario(flat: dict) -> Scenario:
     mode = str(flat.get("mode", "run"))
     if mode not in ("run", "five-stage", "lr-decay"):
         raise ConfigError(f"unknown mode {mode!r}")
-    seed = int(flat.get("seed", 0))
-    n_steps = int(flat.get("n_steps", 1))
+    seed = _int(flat, "seed", 0)
+    n_steps = _int(flat, "n_steps", 1)
 
     kind = str(flat.get("optimizer.kind", "adam"))
     if kind not in OPTIMIZER_KINDS:
@@ -122,7 +139,7 @@ def build_scenario(flat: dict) -> Scenario:
         beta1=float(flat.get("optimizer.beta1", 0.9)),
         beta2=float(flat.get("optimizer.beta2", 0.999)),
         epsilon=float(flat.get("optimizer.epsilon", 1e-8)),
-        bias_correction=bool(flat.get("optimizer.bias_correction", True)),
+        bias_correction=_bool(flat, "optimizer.bias_correction", True),
     )
     sched = LrSchedule(
         kind=str(flat.get("schedule.kind", "constant")),
@@ -131,22 +148,21 @@ def build_scenario(flat: dict) -> Scenario:
     )
     bump = None
     if "plan.epsilon_bump_step" in flat:
-        bump = (int(flat["plan.epsilon_bump_step"]),
+        bump = (_int(flat, "plan.epsilon_bump_step", None),
                 float(flat.get("plan.epsilon_bump_value", 0.1)))
     plan = MitigationPlan(
         epsilon_bump=bump,
         v_floor=float(flat["plan.v_floor"]) if "plan.v_floor" in flat else None,
     )
     probes = ProbePlan(
-        every=int(flat.get("probes.every", 0)),
-        update_direction=bool(flat.get("probes.update_direction", False)),
-        max_iters=int(flat.get("probes.max_iters", 100)),
+        every=_int(flat, "probes.every", 0),
+        max_iters=_int(flat, "probes.max_iters", 100),
         tol=float(flat.get("probes.tol", 1e-6)),
     )
     analysis = AnalysisPlan(
         rho=float(flat.get("analysis.rho", 3.0)),
-        window=int(flat.get("analysis.window", 50)),
-        segment=bool(flat.get("analysis.segment", False)),
+        window=_int(flat, "analysis.window", 50),
+        segment=_bool(flat, "analysis.segment", False),
     )
 
     objective = None
@@ -160,13 +176,13 @@ def build_scenario(flat: dict) -> Scenario:
             theta0 = objective.initial_point(_floats(flat.get("theta0", "1.0")))
         elif obj_kind == "fnn":
             spec = FnnTaskSpec(
-                input_dim=int(flat.get("objective.input_dim", 1)),
-                width=int(flat.get("objective.width", 20)),
-                n_samples=int(flat.get("objective.n_samples", 200)),
+                input_dim=_int(flat, "objective.input_dim", 1),
+                width=_int(flat, "objective.width", 20),
+                n_samples=_int(flat, "objective.n_samples", 200),
                 target=str(flat.get("objective.target", "sine-mix")),
                 noise_std=float(flat.get("objective.noise_std", 0.0)),
                 init_variance_scale=float(flat.get("objective.init_scale", 1.0)),
-                seed=int(flat.get("objective.seed", seed)),
+                seed=_int(flat, "objective.seed", seed),
             )
             objective = make_fnn_task(spec)
             theta0 = objective.initial_point()

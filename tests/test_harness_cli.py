@@ -12,7 +12,7 @@ from spikelab import (build_scenario, preset_config, read_trace_csv,
 from spikelab.analysis import detect_spikes_series, pre_spike_index
 from spikelab.cli import main
 from spikelab.errors import ConfigError
-from spikelab.harness import (SWEEP_COLUMNS, _fresh_dir, output_root,
+from spikelab.harness import (SWEEP_COLUMNS, fresh_dir, output_root,
                               run_sweep, summary_line)
 
 # === run directories ========================================================
@@ -48,7 +48,7 @@ def test_output_root_precedence(monkeypatch):
 
 def test_fresh_dir_suffixes_on_collision(tmp_path, monkeypatch):
     monkeypatch.setattr("spikelab.harness.time.strftime", lambda *a: "FIXED")
-    dirs = [_fresh_dir(tmp_path, "x", 7) for _ in range(3)]
+    dirs = [fresh_dir(tmp_path, "x", 7) for _ in range(3)]
     assert [d.name for d in dirs] == ["FIXED-7", "FIXED-7-1", "FIXED-7-2"]
     assert all(d.is_dir() for d in dirs)
 
@@ -189,6 +189,9 @@ def test_cli_run_config_errors(capsys):
                  "--set", "optimizer.beta2=1.5"]) == 1
     err = capsys.readouterr().err
     assert "unknown scenario" in err and "beta2" in err
+    assert main(["run", "--scenario", "fig2a", "--set", "n_steps=2.5"]) == 1
+    assert "n_steps must be an integer" in capsys.readouterr().err
+    assert not (_runs_root() / "fig2a").exists()
 
 
 def test_cli_run_config_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from spikelab import (AdamHyper, LrSchedule, MitigationPlan, OptimizerState,
                       run, step_adafactor, step_adagrad, step_adam, step_gd,
                       step_heavy_ball, step_rmsprop)
 from spikelab.errors import ConfigError, DivergedRun
-from spikelab.optimizers import OPTIMIZER_KINDS
+from spikelab.optimizers import OPTIMIZER_KINDS, _advance, _probe_preconditioner
 
 
 def quad1():
@@ -126,6 +126,58 @@ def test_schedule_decays_eta():
         thetas.append(th.values[0])
     assert etas == pytest.approx([0.2, 0.14142135623730953, 0.11547005383792515])
     assert thetas == pytest.approx([0.8, 0.6868629150101524, 0.6075508172346559])
+
+
+# === probed preconditioner ==================================================
+
+
+def _rms(x):
+    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+
+
+def _hand_scale(kind, h, t, theta):
+    c = (1.0 - h.beta1) / (1.0 + h.beta1)
+    return {"gd": 1.0, "heavy-ball": c,
+            "adam": c / (1.0 - h.beta1 ** t) if h.bias_correction else c,
+            "rmsprop": 1.0, "adagrad": 1.0,
+            "adafactor": max(1e-3, _rms(theta))}[kind]
+
+
+def _hand_step(kind, h, t, theta, g, m, denom):
+    """theta_{t+1} from theta_t, the step direction and the probed denominator."""
+    if kind == "adafactor":
+        u = g / denom
+        u = u / max(1.0, _rms(u))  # the RMS clip, which D_t leaves out
+        return theta - (h.eta * max(1e-3, _rms(theta))) * u
+    d = m if kind in ("heavy-ball", "adam") else g
+    if kind == "adam" and h.bias_correction:
+        d = d / (1.0 - h.beta1 ** t)
+    return theta - h.eta * d / denom
+
+
+PLANS = {"none": MitigationPlan(), "v_floor": MitigationPlan(v_floor=0.5),
+         "epsilon_bump": MitigationPlan(epsilon_bump=(1, 0.5))}
+CASES = [(kind, plan, True) for kind in OPTIMIZER_KINDS for plan in PLANS]
+CASES += [("adam", plan, False) for plan in PLANS]
+
+
+@pytest.mark.parametrize("kind,plan,bias_correction", CASES)
+def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 10.0)))
+    theta = np.array([1.0, -0.5, 0.25])
+    state = OptimizerState.fresh(kind, 3)
+    h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99, bias_correction=bias_correction)
+    sched = LrSchedule(eta0=h.eta)
+    for t in range(1, 4):
+        g = obj.gradient(theta)
+        theta_new, aux = _advance(theta, state, h, sched, PLANS[plan], g)
+        pre = _probe_preconditioner(h, state, aux, theta)
+        denom = np.sqrt(pre.v_hat) + pre.epsilon
+        rebuilt = _hand_step(kind, h, t, theta, g, state.m, denom)
+        assert np.array_equal(rebuilt, theta_new)
+        assert pre.t == t
+        assert pre.scale == pytest.approx(_hand_scale(kind, h, t, theta), rel=1e-15)
+        theta = theta_new
 
 
 # === guards =================================================================

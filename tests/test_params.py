@@ -137,4 +137,3 @@ def test_fresh_state_zeroed():
     assert st.kind == "adam" and st.t == 0
     assert st.m.shape == (4,) and not st.m.any()
     assert st.v.shape == (4,) and not st.v.any()
-    assert st.extra == {}

@@ -150,7 +150,6 @@ def test_compute_probe_record(quad3):
     assert rec.lambda_max_H == pytest.approx(10.0, rel=1e-4)
     assert rec.lambda_max_Hhat == pytest.approx(10.0, rel=1e-4)
     assert rec.lambda_grad_Hhat is not None
-    assert rec.lambda_update_Hhat is None
     assert rec.converged
     assert warm.raw is not None and warm.pre is not None
 

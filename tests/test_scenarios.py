@@ -48,6 +48,26 @@ def test_apply_overrides():
         apply_overrides({}, ["no-equals-sign"])
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_steps", 2.5), ("probes.every", 2.7), ("analysis.window", True),
+    ("optimizer.bias_correction", "no"), ("analysis.segment", 1),
+    ("seed", "3"), ("n_steps", float("inf")),
+])
+def test_build_rejects_lossy_int_and_bool_values(key, value):
+    cfg = preset_config("fig2a")
+    cfg[key] = value
+    with pytest.raises(ConfigError, match=key):
+        build_scenario(cfg)
+
+
+def test_build_accepts_integral_floats():
+    cfg = preset_config("fig2a")
+    cfg.update({"n_steps": 100.0, "probes.every": 2.0, "seed": np.int64(3)})
+    sc = build_scenario(cfg)
+    assert (sc.n_steps, sc.probes.every, sc.seed) == (100, 2, 3)
+    assert type(sc.n_steps) is int and type(sc.seed) is int
+
+
 def test_analysis_plan_validation():
     with pytest.raises(ConfigError):
         AnalysisPlan(rho=1.0)
