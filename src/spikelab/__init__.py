@@ -7,14 +7,13 @@ classify loss spikes, and certify the supporting theory numerically.
 
 from .analysis import (DecayFit, SpikeEvent, SpikeTaxonomy, StageSegmentation,
                        TaxonomyConfig, classify_spike, crossing_summary,
-                       detect_spikes, detect_spikes_series, fill_sustained,
-                       fit_decay, pre_spike_index, segment_stages)
+                       detect_spikes_series, fill_sustained, fit_decay,
+                       pre_spike_index, segment_stages)
 from .errors import (BoundaryUndefined, ConfigError, DivergedEvaluation,
                      DivergedRun, Indeterminate, InsufficientWindow,
                      InvalidDirection, InvalidSeries, OracleMisuse,
                      OracleSizeExceeded, PreconditionViolation, SpikelabError,
                      ZeroGradient)
-from .gradengine import HvpRequest, default_fd_step, dense_hessian, gradient, hvp
 from .harness import (RunResult, SweepResult, run_scenario, run_sweep,
                       summary_line, sweep_row, write_run_dir)
 from .objectives import (FnnObjective, FnnTaskSpec, QuadraticObjective,
@@ -24,16 +23,16 @@ from .optimizers import (OPTIMIZER_KINDS, ProbePlan, run, step_adafactor,
                          step_adagrad, step_adam, step_gd, step_heavy_ball,
                          step_rmsprop)
 from .oracles import (DescentReport, FiveStageCertificate, IffCheckResult,
-                      LrDecayReport, RealSpectrumReport, check_descent_lemma,
+                      LrDecayReport, RealSpectrumReport, central_fd_hvp,
+                      check_descent_lemma, default_fd_step, dense_hessian,
                       five_stage_certificate, lr_decay_witness,
                       momentum_boundary, momentum_stability_classify,
                       real_spectrum_check, spike_iff_check)
 from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
                      OptimizerState, ParamVector)
 from .probes import (PowerResult, Preconditioner, ProbeRecord, ProbeWarmStart,
-                     compute_probe, lambda_grad, lambda_max_preconditioned,
-                     lambda_max_raw, power_iteration,
-                     precondition_hvp, sustained_predictor)
+                     compute_probe, lambda_grad, power_iteration,
+                     sustained_predictor)
 from .rngs import stream
 from .scenarios import (PRESETS, Scenario, build_scenario, load_config_file,
                         preset_config)

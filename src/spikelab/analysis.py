@@ -69,10 +69,6 @@ def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list
     return events
 
 
-def detect_spikes(trace, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list:
-    return detect_spikes_series(trace.losses(), rho=rho, window=window)
-
-
 # === decay fit ==============================================================
 
 

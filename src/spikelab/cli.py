@@ -11,8 +11,8 @@ import sys
 import numpy as np
 
 from .errors import Indeterminate, PreconditionViolation, SpikelabError
-from .harness import (five_stage_payload, fresh_dir, output_root,
-                      run_scenario, run_sweep, summary_line,
+from .harness import (five_stage_payload, fresh_dir, lr_decay_payload,
+                      output_root, run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
 from .oracles import (check_descent_lemma, five_stage_certificate,
@@ -233,11 +233,9 @@ def _verify_lr_decay(args) -> int:
                            "verdict": "SKIPPED (hypothesis)",
                            "reason": str(exc)}, "lr-decay", args.out)
         return 0
-    verdict = "WITNESS-FOUND" if report.found else "NO-WITNESS"
-    payload = {"theorem": "lr-decay", "verdict": verdict,
-               "witness_step": report.step, "checked_steps": report.checked_steps,
-               "params": report.params}
-    print(f"lr-decay: {verdict} step={report.step} checked={report.checked_steps}")
+    payload = lr_decay_payload(report)
+    print(f"lr-decay: {payload['verdict']} step={report.step} "
+          f"checked={report.checked_steps}")
     _emit_certificate(payload, "lr-decay", args.out)
     return 0
 

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
 from .probes import ProbeRecord
-from .scenarios import Scenario, build_scenario
+from .scenarios import Scenario, _int, build_scenario
 from .trace import RunTrace, StepRecord, write_json, write_trace_csv
 
 # === results ================================================================
@@ -227,15 +227,19 @@ def _lr_decay_mode(sc: Scenario) -> RunResult:
         "witness": {"found": report.found, "step": report.step,
                     "checked_steps": report.checked_steps},
     }
-    certificate = {
+    return RunResult(scenario=sc, trace=trace, analysis=analysis,
+                     certificate=lr_decay_payload(report))
+
+
+def lr_decay_payload(report) -> dict:
+    """certificate.json body for an lr-decay witness search."""
+    return {
         "theorem": "lr-decay",
         "verdict": "WITNESS-FOUND" if report.found else "NO-WITNESS",
         "params": report.params,
         "witness_step": report.step,
         "checked_steps": report.checked_steps,
     }
-    return RunResult(scenario=sc, trace=trace, analysis=analysis,
-                     certificate=certificate)
 
 
 # === run directories ========================================================
@@ -310,22 +314,18 @@ SWEEP_COLUMNS = ("param", "value", "onset_step", "vhat_at_spike",
                  "eta_over_vhat_at_spike", "max_lambda_grad", "status")
 
 
-def sweep_row(trace: RunTrace, param: str, value) -> dict:
-    """Summary row for one child, computed from its trace alone."""
-    rho = float(trace.config.get("analysis.rho", 3.0))
-    window = int(trace.config.get("analysis.window", 50))
+def sweep_row(result: RunResult, param: str, value) -> dict:
+    """Summary row for one child, from its trace and its analysis' first spike."""
+    trace = result.trace
     row = dict.fromkeys(SWEEP_COLUMNS)
     row["param"] = param
     row["value"] = float(value)
     row["status"] = trace.status
 
-    losses = trace.losses()
-    events = []
-    if losses.size > window:
-        events = detect_spikes_series(losses, rho=rho, window=window)
-    if events:
-        onset = events[0].onset_step
-        pre = pre_spike_index(losses, onset)
+    spikes = result.analysis["spikes"]
+    if spikes:
+        onset = spikes[0]["onset_step"]
+        pre = pre_spike_index(trace.losses(), onset)
         rec = trace.records[pre]
         row["onset_step"] = onset
         row["vhat_at_spike"] = rec.vhat_norm_total
@@ -373,7 +373,7 @@ def _sweep_child(args):
         d = Path(child_dir)
         d.mkdir(parents=True, exist_ok=True)
         _write_run_files(result, d)
-        return sweep_row(result.trace, param, value)
+        return sweep_row(result, param, value)
     except Exception as exc:
         row["status"] = f"error: {exc}"
         return row
@@ -400,7 +400,7 @@ def run_sweep(base_flat: dict, param: str, values, out=None,
     if param not in base:
         raise ConfigError(f"sweep parameter {param!r} is not a config key")
     base_id = str(base.get("scenario", "sweep"))
-    seed = int(base.get("seed", 0))
+    seed = _int(base, "seed", 0)
 
     sweep_dir = fresh_dir(output_root(out), base_id, seed)
     write_json(_clean(dict(base_flat, **{"sweep.param": param})),

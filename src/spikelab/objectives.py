@@ -1,9 +1,11 @@
 """Loss surfaces: diagonal quadratics and two-layer tanh networks with MSE.
 
 Both objective kinds expose the same surface: loss, gradient,
-loss_and_gradient, and an exact Hessian-vector product. FNN derivatives are
-closed form (reverse mode for the gradient, a forward-over-reverse sweep for
-the HVP) and are cross-checked against finite differences in the test suite.
+loss_and_gradient, and an exact Hessian-vector product; callers use these
+methods directly. FNN derivatives are closed form (reverse mode for the
+gradient, a forward-over-reverse sweep for the HVP) on one shared forward
+pass, and the tests cross-check them against oracles.central_fd_hvp and
+oracles.dense_hessian.
 """
 
 import math
@@ -144,22 +146,22 @@ class FnnObjective:
         b2 = th[-1]
         return W1, b1, W2, b2
 
-    def loss(self, theta) -> float:
+    def _forward(self, theta):
+        """(W2, H, e): output weights, hidden activations, residual f - y."""
         W1, b1, W2, b2 = self._unpack(np.asarray(theta, dtype=float))
-        f = np.tanh(self.X @ W1.T + b1) @ W2 + b2
-        e = f - self.y
+        H = np.tanh(self.X @ W1.T + b1)
+        e = H @ W2 + b2 - self.y
+        return W2, H, e
+
+    def loss(self, theta) -> float:
+        _, _, e = self._forward(theta)
         val = 0.5 * float(e @ e) / e.size
         if not math.isfinite(val):
             raise DivergedEvaluation("fnn loss is non-finite")
         return val
 
     def loss_and_gradient(self, theta):
-        th = np.asarray(theta, dtype=float)
-        W1, b1, W2, b2 = self._unpack(th)
-        Z = self.X @ W1.T + b1
-        H = np.tanh(Z)
-        f = H @ W2 + b2
-        e = f - self.y
+        W2, H, e = self._forward(theta)
         n = e.size
         r = e / n
         val = 0.5 * float(e @ e) / n
@@ -177,15 +179,11 @@ class FnnObjective:
         return self.loss_and_gradient(theta)[1]
 
     def hvp(self, theta, vec) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)
-        W1, b1, W2, b2 = self._unpack(th)
+        W2, H, e = self._forward(theta)
         V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))
-        n = self.y.size
-        Z = self.X @ W1.T + b1
-        H = np.tanh(Z)
+        n = e.size
         T = 1.0 - H * H
-        f = H @ W2 + b2
-        r = (f - self.y) / n
+        r = e / n
         RZ = self.X @ V1.T + c1
         RH = T * RZ
         Rf = RH @ W2 + H @ V2 + c2
@@ -231,7 +229,7 @@ def _make_dataset(spec: FnnTaskSpec):
     return X, y
 
 
-# === constructors and functional surface ====================================
+# === constructors ===========================================================
 
 
 def make_quadratic(spec: QuadraticSpec) -> QuadraticObjective:
@@ -240,11 +238,6 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticObjective:
 
 def make_fnn_task(spec: FnnTaskSpec) -> FnnObjective:
     return FnnObjective(spec)
-
-
-def loss(obj, point) -> float:
-    vals = point.values if isinstance(point, ParamVector) else point
-    return obj.loss(vals)
 
 
 def export_dataset_rows(obj):

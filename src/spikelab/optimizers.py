@@ -211,16 +211,17 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
 
         theta_new, aux = _advance(theta, state, hyper, sched, plan, g)
         rec = _record(i, math.nan, g, aux, theta0.blocks)  # loss backfilled next step
+        trace.records.append(rec)
+        pending = rec
+        if not np.all(np.isfinite(theta_new)):
+            return _diverged(trace, rec)  # the step's D_t may be non-finite too
         if probes.every and i % probes.every == 0:
             pre = _probe_preconditioner(hyper, state, aux, theta)
             rec.probe = compute_probe(
                 obj, theta, pre, g, aux.eta_t, i, seed, warm,
                 max_iters=probes.max_iters, tol=probes.tol,
             )
-        trace.records.append(rec)
-        pending = rec
-
-        if not np.all(np.isfinite(theta_new)) or np.max(np.abs(theta_new)) > DIVERGE_LIMIT:
+        if np.max(np.abs(theta_new)) > DIVERGE_LIMIT:
             return _diverged(trace, rec)
         theta = theta_new
 

@@ -1,6 +1,8 @@
 """Numerical verifiers for the closed-form results: descent estimate,
 momentum stability interval, real spectrum, five-stage certificate, exact
-iff spike condition via the averaged Hessian, and decaying-LR instability.
+iff spike condition via the averaged Hessian, and decaying-LR instability;
+plus the derivative oracles the tests hold the objectives to: a central
+finite-difference HVP and a dense Hessian capped at small sizes.
 
 Theorem-mode recursions here use beta1=0, epsilon=0, no bias correction, and
 the delayed second moment (the step at time t uses v_t, then v updates).
@@ -13,12 +15,51 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Indeterminate, OracleMisuse, OracleSizeExceeded, PreconditionViolation, ZeroGradient
+from .errors import (DivergedEvaluation, Indeterminate, InvalidDirection, OracleMisuse,
+                     OracleSizeExceeded, PreconditionViolation, ZeroGradient)
 
 DESCENT_TOL = 1e-10
 STAGE_TOL = 1e-12
 CLASSIFY_HORIZON = 4000
 QUADRATURE_NODES = 16
+DENSE_ORACLE_CAP = 200
+
+# === derivative oracles =====================================================
+
+
+def default_fd_step(theta: np.ndarray) -> float:
+    """sqrt(machine eps) scaled by the point's magnitude."""
+    return math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(theta)))
+
+
+def central_fd_hvp(obj, theta, v, fd_step=None) -> np.ndarray:
+    """Hessian(theta) @ v by central differences of two gradients."""
+    theta = np.asarray(theta, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.any(v):
+        raise InvalidDirection("hvp direction must have a nonzero entry")
+    if fd_step is not None and not fd_step > 0:
+        raise InvalidDirection("fd_step must be > 0")
+    h = (fd_step or default_fd_step(theta)) / float(np.linalg.norm(v))
+    out = (obj.gradient(theta + h * v) - obj.gradient(theta - h * v)) / (2.0 * h)
+    if not np.all(np.isfinite(out)):
+        raise DivergedEvaluation("hvp produced a non-finite value")
+    return out
+
+
+def dense_hessian(obj, point) -> np.ndarray:
+    """Full Hessian from unit-vector HVPs, symmetrized; n <= DENSE_ORACLE_CAP."""
+    n = point.dim
+    if n > DENSE_ORACLE_CAP:
+        raise OracleSizeExceeded(f"dense hessian capped at n <= {DENSE_ORACLE_CAP}")
+    cols = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        cols[:, j] = obj.hvp(point.values, e)
+        e[j] = 0.0
+    return 0.5 * (cols + cols.T)
+
 
 # === descent estimate (GD on quadratics) ====================================
 
@@ -107,8 +148,8 @@ def real_spectrum_check(H: np.ndarray, d: np.ndarray) -> RealSpectrumReport:
     H = np.asarray(H, dtype=float)
     d = np.asarray(d, dtype=float)
     n = H.shape[0]
-    if n > 200:
-        raise OracleSizeExceeded("real-spectrum oracle capped at n <= 200")
+    if n > DENSE_ORACLE_CAP:
+        raise OracleSizeExceeded(f"real-spectrum oracle capped at n <= {DENSE_ORACLE_CAP}")
     if H.shape != (n, n) or d.shape != (n,) or np.any(d <= 0):
         raise PreconditionViolation("need square H and positive d")
     ev = np.linalg.eigvals(d[:, None] * H)

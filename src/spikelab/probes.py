@@ -57,11 +57,6 @@ class Preconditioner:
         return d
 
 
-def precondition_hvp(pre: Preconditioner, obj, theta, w) -> np.ndarray:
-    """D * (Hessian(theta) @ w), one HVP plus an elementwise scale."""
-    return pre.diag() * obj.hvp(theta, w)
-
-
 # === power iteration ========================================================
 
 
@@ -101,25 +96,6 @@ def power_iteration(apply, dim, max_iters=PI_MAX_ITERS, tol=PI_TOL, seed=0,
     return PowerResult(lam, v, False, max_iters)
 
 
-def lambda_max_preconditioned(pre, obj, theta, max_iters=PI_MAX_ITERS,
-                              tol=PI_TOL, seed=0, v0=None) -> PowerResult:
-    """lambda_max of D H via the symmetrized similar operator."""
-    sq = np.sqrt(pre.diag())
-    return power_iteration(
-        lambda w: sq * obj.hvp(theta, sq * w),
-        dim=sq.size, max_iters=max_iters, tol=tol, seed=seed, v0=v0,
-    )
-
-
-def lambda_max_raw(obj, theta, dim, max_iters=PI_MAX_ITERS, tol=PI_TOL,
-                   seed=0, v0=None) -> PowerResult:
-    """lambda_max of the raw Hessian."""
-    return power_iteration(
-        lambda w: obj.hvp(theta, w),
-        dim=dim, max_iters=max_iters, tol=tol, seed=seed, v0=v0,
-    )
-
-
 # === directional curvature ==================================================
 
 
@@ -129,7 +105,7 @@ def lambda_grad(pre, obj, theta, g) -> float:
     gn2 = float(g @ g)
     if gn2 == 0.0:
         raise ZeroGradient("lambda_grad needs a nonzero gradient")
-    return float(g @ precondition_hvp(pre, obj, theta, g)) / gn2
+    return float(g @ (pre.diag() * obj.hvp(theta, g))) / gn2
 
 
 def lambda_grad_weighted(pre, obj, theta, g) -> float:
@@ -182,11 +158,12 @@ def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
                   max_iters=PI_MAX_ITERS, tol=PI_TOL) -> ProbeRecord:
     """Full probe at one step; mutates `warm` with the new eigenvectors."""
     probe_seed = stream(seed, "probe", step).integers(0, 2 ** 62)
-    raw = lambda_max_raw(obj, theta, dim=theta.size, max_iters=max_iters,
-                         tol=tol, seed=probe_seed, v0=warm.raw)
+    raw = power_iteration(lambda w: obj.hvp(theta, w), dim=theta.size,
+                          max_iters=max_iters, tol=tol, seed=probe_seed, v0=warm.raw)
     warm.raw = raw.vector
-    prec = lambda_max_preconditioned(pre, obj, theta, max_iters=max_iters,
-                                     tol=tol, seed=probe_seed, v0=warm.pre)
+    sq = np.sqrt(pre.diag())
+    prec = power_iteration(lambda w: sq * obj.hvp(theta, sq * w), dim=sq.size,
+                           max_iters=max_iters, tol=tol, seed=probe_seed, v0=warm.pre)
     warm.pre = prec.vector
     lg = None
     if float(np.dot(g, g)) > 0.0:

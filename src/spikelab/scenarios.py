@@ -5,6 +5,7 @@ fully explicit maps; build_scenario turns a map into runnable pieces. A run
 is a pure function of its config, including the seed.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -68,6 +69,16 @@ def _int(flat, key, default):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _float(flat, key, default):
+    """Finite float value of key; booleans, inf and nan are refused."""
+    value = flat.get(key, default)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = float(value)
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _bool(flat, key, default):
@@ -135,32 +146,32 @@ def build_scenario(flat: dict) -> Scenario:
     if kind not in OPTIMIZER_KINDS:
         raise ConfigError(f"unknown optimizer kind {kind!r}")
     hyper = AdamHyper(
-        eta=float(flat.get("optimizer.eta", 0.01)),
-        beta1=float(flat.get("optimizer.beta1", 0.9)),
-        beta2=float(flat.get("optimizer.beta2", 0.999)),
-        epsilon=float(flat.get("optimizer.epsilon", 1e-8)),
+        eta=_float(flat, "optimizer.eta", 0.01),
+        beta1=_float(flat, "optimizer.beta1", 0.9),
+        beta2=_float(flat, "optimizer.beta2", 0.999),
+        epsilon=_float(flat, "optimizer.epsilon", 1e-8),
         bias_correction=_bool(flat, "optimizer.bias_correction", True),
     )
     sched = LrSchedule(
         kind=str(flat.get("schedule.kind", "constant")),
         eta0=hyper.eta,
-        alpha=float(flat.get("schedule.alpha", 0.0)),
+        alpha=_float(flat, "schedule.alpha", 0.0),
     )
     bump = None
     if "plan.epsilon_bump_step" in flat:
         bump = (_int(flat, "plan.epsilon_bump_step", None),
-                float(flat.get("plan.epsilon_bump_value", 0.1)))
+                _float(flat, "plan.epsilon_bump_value", 0.1))
     plan = MitigationPlan(
         epsilon_bump=bump,
-        v_floor=float(flat["plan.v_floor"]) if "plan.v_floor" in flat else None,
+        v_floor=_float(flat, "plan.v_floor", None) if "plan.v_floor" in flat else None,
     )
     probes = ProbePlan(
         every=_int(flat, "probes.every", 0),
         max_iters=_int(flat, "probes.max_iters", 100),
-        tol=float(flat.get("probes.tol", 1e-6)),
+        tol=_float(flat, "probes.tol", 1e-6),
     )
     analysis = AnalysisPlan(
-        rho=float(flat.get("analysis.rho", 3.0)),
+        rho=_float(flat, "analysis.rho", 3.0),
         window=_int(flat, "analysis.window", 50),
         segment=_bool(flat, "analysis.segment", False),
     )
@@ -180,8 +191,8 @@ def build_scenario(flat: dict) -> Scenario:
                 width=_int(flat, "objective.width", 20),
                 n_samples=_int(flat, "objective.n_samples", 200),
                 target=str(flat.get("objective.target", "sine-mix")),
-                noise_std=float(flat.get("objective.noise_std", 0.0)),
-                init_variance_scale=float(flat.get("objective.init_scale", 1.0)),
+                noise_std=_float(flat, "objective.noise_std", 0.0),
+                init_variance_scale=_float(flat, "objective.init_scale", 1.0),
                 seed=_int(flat, "objective.seed", seed),
             )
             objective = make_fnn_task(spec)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spikelab import (build_scenario, dense_hessian, five_stage_certificate,
-                      gradient, lr_decay_witness, momentum_boundary,
+                      lr_decay_witness, momentum_boundary,
                       momentum_stability_classify, power_iteration,
                       preset_config, real_spectrum_check, run_scenario,
                       spike_iff_check)
@@ -313,7 +313,7 @@ def test_criterion_13_hygiene(quad3, small_fnn, fnn_point):
     failures = []
     theta = fnn_point
     x = theta.values
-    g = gradient(small_fnn, theta).values
+    g = small_fnn.gradient(x)
     rng = stream(11, "acceptance")
 
     h = 1e-6

@@ -1,43 +1,32 @@
-"""Derivative entry points: gradient wrapper, HVP backends, dense oracle."""
+"""Derivatives: objective gradients and HVPs against the oracles'
+central finite-difference HVP and dense Hessian."""
 
 import numpy as np
 import pytest
 
-from spikelab import (HvpRequest, ParamVector, QuadraticSpec, default_fd_step,
-                      dense_hessian, gradient, hvp, make_quadratic)
+from spikelab import (ParamVector, QuadraticSpec, central_fd_hvp, default_fd_step,
+                      dense_hessian, make_quadratic)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
 
 
-def test_gradient_preserves_blocks(small_fnn, fnn_point):
-    g = gradient(small_fnn, fnn_point)
-    assert g.blocks == fnn_point.blocks
-    assert g.values.shape == fnn_point.values.shape
-
-
 def test_gradient_refuses_nonfinite_point(quad3):
-    bad = ParamVector(np.array([1.0, np.nan, 0.0]))
     with pytest.raises(DivergedEvaluation):
-        gradient(quad3, bad)
+        quad3.gradient(np.array([1.0, np.nan, 0.0]))
 
 
 def test_hvp_backends_agree_on_fnn(small_fnn, fnn_point):
     rng = np.random.default_rng(7)
-    d = fnn_point.with_values(rng.standard_normal(fnn_point.dim))
-    exact = hvp(small_fnn, HvpRequest(point=fnn_point, direction=d))
-    approx = hvp(small_fnn, HvpRequest(point=fnn_point, direction=d,
-                                       backend="central-fd"))
-    assert np.allclose(exact.values, approx.values, rtol=1e-4, atol=1e-6)
+    d = rng.standard_normal(fnn_point.dim)
+    exact = small_fnn.hvp(fnn_point.values, d)
+    approx = central_fd_hvp(small_fnn, fnn_point.values, d)
+    assert np.allclose(exact, approx, rtol=1e-4, atol=1e-6)
 
 
 def test_hvp_request_validation(quad3):
-    p = ParamVector(np.ones(3))
-    z = ParamVector(np.zeros(3))
     with pytest.raises(InvalidDirection):
-        HvpRequest(point=p, direction=z)
+        central_fd_hvp(quad3, np.ones(3), np.zeros(3))
     with pytest.raises(InvalidDirection):
-        HvpRequest(point=p, direction=p, backend="complex-step")
-    with pytest.raises(InvalidDirection):
-        HvpRequest(point=p, direction=p, fd_step=0.0)
+        central_fd_hvp(quad3, np.ones(3), np.ones(3), fd_step=0.0)
 
 
 def test_hvp_symmetry_and_linearity(small_fnn, fnn_point):

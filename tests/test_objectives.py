@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from spikelab import (FnnTaskSpec, ParamVector, QuadraticSpec,
-                      export_dataset_rows, make_fnn_task, make_quadratic)
+from spikelab import (FnnTaskSpec, QuadraticSpec, export_dataset_rows,
+                      make_fnn_task, make_quadratic)
 from spikelab.errors import ConfigError
-from spikelab.objectives import loss as loss_fn
 
 # === quadratic ==============================================================
 
@@ -115,12 +114,11 @@ def test_task_spec_validation():
                     noise_std=-0.1)
 
 
-# === functional surface =====================================================
+# === loss at an array point, dataset export =================================
 
 
-def test_loss_accepts_vector_or_array(quad3):
-    th = np.array([1.0, 0.0, 0.0])
-    assert loss_fn(quad3, th) == loss_fn(quad3, ParamVector(th)) == 0.5
+def test_loss_at_array_point(quad3):
+    assert quad3.loss(np.array([1.0, 0.0, 0.0])) == 0.5
 
 
 def test_export_rows_round_trip(small_fnn):

@@ -250,6 +250,20 @@ def test_run_flags_divergence():
     assert len(trace.records) < 900
 
 
+def test_run_nonfinite_step_diverges_without_probing():
+    # fig2a's adam with epsilon=0; the second coordinate starts at its
+    # minimum, so v_hat is 0 there, the first step is 0/0 and D_t is infinite
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 2.0), offset=(0.0, 1.0)))
+    h = AdamHyper(eta=0.01, beta1=0.9, beta2=0.99, epsilon=0.0)
+    for every in (1, 0):
+        trace = run(obj, obj.initial_point((1.0, 1.0)), "adam", h, n_steps=50,
+                    probes=ProbePlan(every=every))
+        assert trace.status == "diverged"
+        assert len(trace.records) == 1
+        last = trace.records[0]
+        assert last.diverged and last.loss == math.inf and last.probe is None
+
+
 def test_run_validates_inputs():
     obj = quad1()
     with pytest.raises(ConfigError):

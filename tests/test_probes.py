@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from spikelab import (ParamVector, Preconditioner, ProbeWarmStart, compute_probe,
-                      lambda_grad, lambda_max_preconditioned, lambda_max_raw,
-                      power_iteration, sustained_predictor)
+from spikelab import (Preconditioner, ProbeWarmStart, compute_probe, dense_hessian,
+                      lambda_grad, power_iteration, sustained_predictor)
 from spikelab.errors import BoundaryUndefined, ConfigError, ZeroGradient
 from spikelab.probes import lambda_grad_weighted
 
@@ -78,13 +77,15 @@ def test_preconditioned_lambda_matches_dense(quad3):
     pre = Preconditioner(0.0, 0.999, 1, (1.0 / d) ** 2, 0.0, 1.0)
     assert np.allclose(pre.diag(), d)
     th = np.ones(3)
-    res = lambda_max_preconditioned(pre, quad3, th, tol=1e-12, max_iters=500)
+    rec = compute_probe(quad3, th, pre, quad3.gradient(th), eta_t=0.1, step=0,
+                        seed=0, warm=ProbeWarmStart(), max_iters=500, tol=1e-12)
     want = float(np.max(d * np.array([1.0, 5.0, 10.0])))
-    assert res.value == pytest.approx(want, rel=1e-6)
+    assert rec.lambda_max_Hhat == pytest.approx(want, rel=1e-6)
 
 
 def test_raw_lambda_on_quadratic(quad3):
-    res = lambda_max_raw(quad3, np.ones(3), dim=3, tol=1e-12, max_iters=500)
+    res = power_iteration(lambda w: quad3.hvp(np.ones(3), w), dim=3, tol=1e-12,
+                          max_iters=500)
     assert res.value == pytest.approx(10.0, rel=1e-6)
 
 
@@ -111,11 +112,13 @@ def test_weighted_quotient_bounded_by_lambda_max(quad3):
         d = np.exp(rng.standard_normal(3))
         pre = Preconditioner(0.0, 0.999, 1, (1.0 / d) ** 2, 0.0, 1.0)
         th = rng.standard_normal(3)
-        if not np.any(quad3.gradient(th)):
+        g = quad3.gradient(th)
+        if not np.any(g):
             continue
-        lam = lambda_max_preconditioned(pre, quad3, th, tol=1e-12,
-                                        max_iters=1000).value
-        got = lambda_grad_weighted(pre, quad3, th, quad3.gradient(th))
+        lam = compute_probe(quad3, th, pre, g, eta_t=0.1, step=0, seed=0,
+                            warm=ProbeWarmStart(), max_iters=1000,
+                            tol=1e-12).lambda_max_Hhat
+        got = lambda_grad_weighted(pre, quad3, th, g)
         assert got <= lam * (1.0 + 1e-8)
 
 
@@ -160,3 +163,24 @@ def test_compute_probe_skips_grad_quotient_at_minimum(quad3):
     rec = compute_probe(quad3, th, pre, np.zeros(3), eta_t=0.1, step=0, seed=0,
                         warm=ProbeWarmStart())
     assert rec.lambda_grad_Hhat is None
+
+
+def test_compute_probe_matches_dense_on_fnn(small_fnn, fnn_point):
+    # a random positive v_hat, so D and H do not commute
+    th = fnn_point.values
+    v_hat = np.exp(np.random.default_rng(5).standard_normal(th.size))
+    pre = Preconditioner.for_adam(0.9, 0.999, 3, v_hat, 1e-8)
+    rec = compute_probe(small_fnn, th, pre, small_fnn.gradient(th), eta_t=0.01,
+                        step=0, seed=0, warm=ProbeWarmStart(), max_iters=500,
+                        tol=1e-10)
+    H = dense_hessian(small_fnn, fnn_point)
+    sq = np.sqrt(pre.diag())
+
+    def dominant(A):
+        ev = np.linalg.eigvalsh(A)
+        return float(ev[np.argmax(np.abs(ev))])
+
+    assert rec.converged
+    assert rec.lambda_max_H == pytest.approx(dominant(H), rel=1e-6)
+    assert rec.lambda_max_Hhat == pytest.approx(
+        dominant(sq[:, None] * H * sq[None, :]), rel=1e-6)

@@ -52,6 +52,9 @@ def test_apply_overrides():
     ("n_steps", 2.5), ("probes.every", 2.7), ("analysis.window", True),
     ("optimizer.bias_correction", "no"), ("analysis.segment", 1),
     ("seed", "3"), ("n_steps", float("inf")),
+    ("optimizer.eta", True), ("optimizer.eta", float("inf")),
+    ("analysis.rho", float("inf")), ("probes.tol", True),
+    ("plan.v_floor", float("nan")),
 ])
 def test_build_rejects_lossy_int_and_bool_values(key, value):
     cfg = preset_config("fig2a")
