@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InsufficientWindow, InvalidSeries
+from .probes import sustained_predictor
 
 DEFAULT_RHO = 3.0
 DEFAULT_WINDOW = 50
@@ -222,9 +223,7 @@ def fill_sustained(trace) -> None:
     """Attach min-of-3-consecutive lambda_grad to interior probe samples."""
     steps, vals = trace.probe_series("lambda_grad_Hhat")
     for j in range(1, len(steps) - 1):
-        s = int(steps[j])
-        trace.records[s].lambda_grad_sustained = float(
-            min(vals[j - 1], vals[j], vals[j + 1]))
+        trace.records[int(steps[j])].lambda_grad_sustained = sustained_predictor(vals, j)
 
 
 # === taxonomy ===============================================================

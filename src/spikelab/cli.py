@@ -10,21 +10,17 @@ import sys
 
 import numpy as np
 
-from .errors import Indeterminate, PreconditionViolation, SpikelabError
-from .harness import (five_stage_payload, fresh_dir, lr_decay_payload,
-                      output_root, run_scenario, run_sweep, summary_line,
+from .errors import Indeterminate, SpikelabError
+from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
+                      run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
-from .oracles import (check_descent_lemma, five_stage_certificate,
-                      lr_decay_witness, momentum_boundary,
+from .oracles import (check_descent_lemma, momentum_boundary,
                       momentum_stability_classify, real_spectrum_check,
                       spike_iff_check)
 from .rngs import stream
 from .scenarios import (PRESETS, apply_overrides, build_scenario,
                         load_config_file, preset_config)
-
-THEOREMS = ("descent", "momentum-boundary", "five-stage", "spike-iff",
-            "lr-decay", "real-spectrum")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,44 +100,28 @@ def cmd_sweep(args) -> int:
 # === verify =================================================================
 
 
-def _emit_certificate(payload: dict, theorem: str, out) -> None:
-    d = write_certificate_dir(payload, f"verify-{theorem}", out)
-    print(f"certificate: {d / 'certificate.json'}")
-
-
-def _verify_five_stage(args) -> int:
+def _verify_five_stage(args):
     theta0 = 10.0 if args.theta0 is None else args.theta0
-    try:
-        cert = five_stage_certificate(theta0, args.eta, args.beta2,
-                                      max_steps=args.max_steps)
-    except PreconditionViolation as exc:
-        print(f"five-stage: SKIPPED (hypothesis): {exc}")
-        _emit_certificate({"theorem": "five-stage",
-                           "verdict": "SKIPPED (hypothesis)",
-                           "reason": str(exc)}, "five-stage", args.out)
-        return 0
-    payload = five_stage_payload(cert)
-    line = f"five-stage: {payload['verdict']}"
-    if cert.hypothesis_ok:
-        b = cert.simulated_boundaries
-        bounds = " ".join(f"{k}={b[k]}" for k in ("t0", "t1", "t2", "t3", "t4", "t5"))
-        line += f" worst_slack={payload['worst_slack']:.3g} {bounds}"
-    print(line)
-    _emit_certificate(payload, "five-stage", args.out)
-    return 2 if payload["verdict"] == "FAIL" else 0
+    cert, payload = five_stage_check(theta0, args.eta, args.beta2, args.max_steps)
+    if cert is None:
+        return payload, f": {payload['reason']}"
+    if not cert.hypothesis_ok:
+        return payload, ""
+    b = cert.simulated_boundaries
+    bounds = " ".join(f"{k}={b[k]}" for k in ("t0", "t1", "t2", "t3", "t4", "t5"))
+    return payload, f" worst_slack={payload['worst_slack']:.3g} {bounds}"
 
 
-def _verify_momentum_boundary(args) -> int:
+def _verify_momentum_boundary(args):
     beta1 = 0.9 if args.beta1 is None else args.beta1
     boundary = momentum_boundary(args.eta, beta1)
     lo = boundary * (1.0 - args.margin)
     hi = boundary * (1.0 + args.margin)
     below = momentum_stability_classify(lo, args.eta, beta1)
     above = momentum_stability_classify(hi, args.eta, beta1)
-    ok = below == "stable" and above == "unstable"
     payload = {
         "theorem": "momentum-boundary",
-        "verdict": "PASS" if ok else "FAIL",
+        "verdict": "PASS" if below == "stable" and above == "unstable" else "FAIL",
         "boundary": boundary,
         "margin": args.margin,
         "bracket": {"lambda_below": lo, "classified_below": below,
@@ -154,13 +134,10 @@ def _verify_momentum_boundary(args) -> int:
             verdict = "indeterminate"
         payload["query"] = {"lambda": args.lam, "classified": verdict}
         print(f"lambda={args.lam:g}: {verdict}")
-    print(f"momentum-boundary: {payload['verdict']} boundary={boundary:g} "
-          f"bracket=({lo:g}:{below}, {hi:g}:{above})")
-    _emit_certificate(payload, "momentum-boundary", args.out)
-    return 0 if ok else 2
+    return payload, f" boundary={boundary:g} bracket=({lo:g}:{below}, {hi:g}:{above})"
 
 
-def _verify_descent(args) -> int:
+def _verify_descent(args):
     flat = {
         "scenario": "verify-descent", "mode": "run",
         "seed": 0 if args.seed is None else args.seed,
@@ -184,13 +161,11 @@ def _verify_descent(args) -> int:
         "params": {"eta": args.eta, "eigenvalues": args.eigenvalues,
                    "steps": args.steps},
     }
-    print(f"descent: {payload['verdict']} worst_slack={report.worst_slack:.3g} "
-          f"checked={report.checked_steps} skipped={report.skipped_steps}")
-    _emit_certificate(payload, "descent", args.out)
-    return 0 if report.holds else 2
+    return payload, (f" worst_slack={report.worst_slack:.3g} "
+                     f"checked={report.checked_steps} skipped={report.skipped_steps}")
 
 
-def _verify_spike_iff(args) -> int:
+def _verify_spike_iff(args):
     eig = tuple(float(x) for x in args.eigenvalues.split(","))
     obj = make_quadratic(QuadraticSpec(eigenvalues=eig))
     theta = obj.initial_point((1.0 if args.theta0 is None else args.theta0,)).values
@@ -205,10 +180,9 @@ def _verify_spike_iff(args) -> int:
             worst_margin = margin if worst_margin is None else min(worst_margin, margin)
         theta = theta - args.eta * obj.gradient(theta)
     frac = consistent / determinate if determinate else 1.0
-    ok = frac >= args.min_consistency
     payload = {
         "theorem": "spike-iff",
-        "verdict": "PASS" if ok else "FAIL",
+        "verdict": "PASS" if frac >= args.min_consistency else "FAIL",
         "consistent_fraction": frac,
         "determinate_steps": determinate,
         "total_steps": args.steps,
@@ -216,31 +190,19 @@ def _verify_spike_iff(args) -> int:
         "params": {"eta": args.eta, "eigenvalues": args.eigenvalues,
                    "quadrature_nodes": args.nodes},
     }
-    print(f"spike-iff: {payload['verdict']} consistent={consistent}/{determinate} "
-          f"determinate steps")
-    _emit_certificate(payload, "spike-iff", args.out)
-    return 0 if ok else 2
+    return payload, f" consistent={consistent}/{determinate} determinate steps"
 
 
-def _verify_lr_decay(args) -> int:
+def _verify_lr_decay(args):
     theta0 = 1.0 if args.theta0 is None else args.theta0
-    try:
-        report = lr_decay_witness(theta0, args.eta0, args.alpha, args.beta2,
-                                  max_steps=args.max_steps or 10 ** 6)
-    except PreconditionViolation as exc:
-        print(f"lr-decay: SKIPPED (hypothesis): {exc}")
-        _emit_certificate({"theorem": "lr-decay",
-                           "verdict": "SKIPPED (hypothesis)",
-                           "reason": str(exc)}, "lr-decay", args.out)
-        return 0
-    payload = lr_decay_payload(report)
-    print(f"lr-decay: {payload['verdict']} step={report.step} "
-          f"checked={report.checked_steps}")
-    _emit_certificate(payload, "lr-decay", args.out)
-    return 0
+    report, payload = lr_decay_check(theta0, args.eta0, args.alpha, args.beta2,
+                                     args.max_steps or 10 ** 6)
+    if report is None:
+        return payload, f": {payload['reason']}"
+    return payload, f" step={report.step} checked={report.checked_steps}"
 
 
-def _verify_real_spectrum(args) -> int:
+def _verify_real_spectrum(args):
     rng = stream(0 if args.seed is None else args.seed, "verify")
     a = rng.normal(size=(args.dim, args.dim))
     H = 0.5 * (a + a.T)
@@ -254,23 +216,27 @@ def _verify_real_spectrum(args) -> int:
         "spectral_radius": report.spectral_radius,
         "params": {"dim": args.dim, "seed": 0 if args.seed is None else args.seed},
     }
-    print(f"real-spectrum: {payload['verdict']} "
-          f"max_imag_ratio={report.max_imag_ratio:.3g} "
-          f"max_rel_mismatch={report.max_rel_mismatch:.3g}")
-    _emit_certificate(payload, "real-spectrum", args.out)
-    return 0 if report.holds else 2
+    return payload, (f" max_imag_ratio={report.max_imag_ratio:.3g} "
+                     f"max_rel_mismatch={report.max_rel_mismatch:.3g}")
+
+
+# Each verifier returns (certificate.json body, detail for the summary line).
+VERIFIERS = {
+    "descent": _verify_descent,
+    "momentum-boundary": _verify_momentum_boundary,
+    "five-stage": _verify_five_stage,
+    "spike-iff": _verify_spike_iff,
+    "lr-decay": _verify_lr_decay,
+    "real-spectrum": _verify_real_spectrum,
+}
 
 
 def cmd_verify(args) -> int:
-    dispatch = {
-        "five-stage": _verify_five_stage,
-        "momentum-boundary": _verify_momentum_boundary,
-        "descent": _verify_descent,
-        "spike-iff": _verify_spike_iff,
-        "lr-decay": _verify_lr_decay,
-        "real-spectrum": _verify_real_spectrum,
-    }
-    return dispatch[args.theorem](args)
+    payload, detail = VERIFIERS[args.theorem](args)
+    print(f"{args.theorem}: {payload['verdict']}{detail}")
+    d = write_certificate_dir(payload, f"verify-{args.theorem}", args.out)
+    print(f"certificate: {d / 'certificate.json'}")
+    return 2 if payload["verdict"] == "FAIL" else 0
 
 
 # === export-dataset =========================================================
@@ -320,7 +286,7 @@ def build_parser() -> _Parser:
     sweepp.set_defaults(func=cmd_sweep)
 
     verp = sub.add_parser("verify", help="check one theorem numerically")
-    verp.add_argument("theorem", choices=THEOREMS)
+    verp.add_argument("theorem", choices=VERIFIERS)
     verp.add_argument("--theta0", type=float, default=None)
     verp.add_argument("--eta", type=float, default=0.15)
     verp.add_argument("--eta0", type=float, default=0.1)

@@ -17,11 +17,11 @@ import numpy as np
 
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
                        pre_spike_index, segment_stages)
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionViolation
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
 from .probes import ProbeRecord
-from .scenarios import Scenario, _int, build_scenario
+from .scenarios import Scenario, _float, _int, build_scenario
 from .trace import RunTrace, StepRecord, write_json, write_trace_csv
 
 # === results ================================================================
@@ -157,14 +157,14 @@ def _theorem_trace(sc: Scenario, cert) -> RunTrace:
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
-    theta0 = float(sc.flat.get("theta0", 1.0))
-    max_steps = sc.n_steps if sc.n_steps > 0 else None
-    cert = five_stage_certificate(theta0, sc.hyper.eta, sc.hyper.beta2,
-                                  max_steps=max_steps)
-    trace = _theorem_trace(sc, cert) if cert.hypothesis_ok else _empty_trace(sc, theta0)
+    theta0 = _float(sc.flat, "theta0", 1.0)
+    cert, payload = five_stage_check(theta0, sc.hyper.eta, sc.hyper.beta2,
+                                     sc.n_steps or None)
+    ok = cert is not None and cert.hypothesis_ok
+    trace = _theorem_trace(sc, cert) if ok else _empty_trace(sc, theta0)
     analysis = _analyze(trace, sc)
 
-    if cert.hypothesis_ok and analysis.get("segmentation"):
+    if ok and analysis.get("segmentation"):
         segb = analysis["segmentation"]["boundaries"]
         certb = cert.simulated_boundaries
         checks = {
@@ -181,16 +181,24 @@ def _five_stage_mode(sc: Scenario) -> RunResult:
             checks, all_consistent=all(checks.values()))
 
     return RunResult(scenario=sc, trace=trace, analysis=analysis,
-                     certificate=five_stage_payload(cert))
+                     certificate=payload)
 
 
-def five_stage_payload(cert) -> dict:
-    """certificate.json body for a five-stage certificate."""
+def five_stage_check(theta0, eta, beta2, max_steps):
+    """(certificate, certificate.json body) for the five-stage theorem.
+
+    The certificate is None when the oracle refuses the input; the body then
+    gives the refusal as a SKIPPED (hypothesis) verdict and its reason.
+    """
+    try:
+        cert = five_stage_certificate(theta0, eta, beta2, max_steps=max_steps)
+    except PreconditionViolation as exc:
+        return None, _skipped("five-stage", exc)
     if not cert.hypothesis_ok:
         verdict = "SKIPPED (hypothesis)"
     else:
         verdict = "PASS" if cert.all_hold() else "FAIL"
-    return {
+    return cert, {
         "theorem": "five-stage",
         "verdict": verdict,
         "params": {"theta0": cert.theta0, "eta": cert.eta,
@@ -209,9 +217,9 @@ def five_stage_payload(cert) -> dict:
 
 
 def _lr_decay_mode(sc: Scenario) -> RunResult:
-    theta0 = float(sc.flat.get("theta0", 1.0))
-    report = lr_decay_witness(theta0, sc.hyper.eta, sc.sched.alpha,
-                              sc.hyper.beta2, max_steps=sc.n_steps)
+    theta0 = _float(sc.flat, "theta0", 1.0)
+    report, payload = lr_decay_check(theta0, sc.hyper.eta, sc.sched.alpha,
+                                     sc.hyper.beta2, sc.n_steps)
     trace = _empty_trace(sc, theta0)
     analysis = {
         "scenario_id": sc.scenario_id,
@@ -224,22 +232,35 @@ def _lr_decay_mode(sc: Scenario) -> RunResult:
         "crossings": {},
         "decay_fit": None,
         "segmentation": None,
-        "witness": {"found": report.found, "step": report.step,
-                    "checked_steps": report.checked_steps},
+        "witness": None if report is None else {
+            "found": report.found, "step": report.step,
+            "checked_steps": report.checked_steps},
     }
     return RunResult(scenario=sc, trace=trace, analysis=analysis,
-                     certificate=lr_decay_payload(report))
+                     certificate=payload)
 
 
-def lr_decay_payload(report) -> dict:
-    """certificate.json body for an lr-decay witness search."""
-    return {
+def lr_decay_check(theta0, eta0, alpha, beta2, max_steps):
+    """(report, certificate.json body) for the lr-decay witness search.
+
+    As in five_stage_check, the report is None when the oracle refuses.
+    """
+    try:
+        report = lr_decay_witness(theta0, eta0, alpha, beta2, max_steps=max_steps)
+    except PreconditionViolation as exc:
+        return None, _skipped("lr-decay", exc)
+    return report, {
         "theorem": "lr-decay",
         "verdict": "WITNESS-FOUND" if report.found else "NO-WITNESS",
         "params": report.params,
         "witness_step": report.step,
         "checked_steps": report.checked_steps,
     }
+
+
+def _skipped(theorem: str, exc: PreconditionViolation) -> dict:
+    return {"theorem": theorem, "verdict": "SKIPPED (hypothesis)",
+            "reason": str(exc)}
 
 
 # === run directories ========================================================

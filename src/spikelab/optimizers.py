@@ -174,6 +174,7 @@ class ProbePlan:
             raise ConfigError("bad probe plan")
 
 
+@np.errstate(all="ignore")  # non-finite steps are recorded as divergence, not warned
 def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         sched: LrSchedule = None, plan: MitigationPlan = NO_MITIGATION,
         n_steps: int = 1, probes: ProbePlan = ProbePlan(), seed: int = 0,

@@ -216,6 +216,8 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     """Simulate the beta1=0 scalar recursion and certify the stage structure."""
     if not (eta > 0 and 0.0 < beta2 < 1.0):
         raise PreconditionViolation("need eta > 0 and beta2 in (0, 1)")
+    if not math.isfinite(theta0):
+        raise PreconditionViolation("need a finite theta0")
     a0 = abs(theta0)
     if a0 <= eta / 2.0:
         raise PreconditionViolation("need |theta0| > eta/2 (equality refused)")
@@ -388,6 +390,8 @@ def lr_decay_witness(theta0: float, eta0: float, alpha: float, beta2: float,
         raise PreconditionViolation("need alpha in (0, 1)")
     if not 0.0 < beta2 < 1.0:
         raise PreconditionViolation("need beta2 in (0, 1)")
+    if not math.isfinite(theta0):
+        raise PreconditionViolation("need a finite theta0")
     a0 = abs(theta0)
     if a0 <= 2.0 * eta0:
         raise PreconditionViolation("need |theta0| > 2 eta0 (equality refused)")

@@ -107,7 +107,6 @@ class MitigationPlan:
 
     epsilon_bump: tuple = None  # (at_step, new_epsilon)
     v_floor: float = None
-    active: bool = True
 
     def __post_init__(self):
         if self.epsilon_bump is not None:
@@ -120,12 +119,12 @@ class MitigationPlan:
 
     def epsilon_at(self, t: int, default_epsilon: float) -> float:
         """Effective epsilon for the step taken at time t."""
-        if self.active and self.epsilon_bump is not None and t >= self.epsilon_bump[0]:
+        if self.epsilon_bump is not None and t >= self.epsilon_bump[0]:
             return self.epsilon_bump[1]
         return default_epsilon
 
     def floor_value(self):
-        return self.v_floor if self.active else None
+        return self.v_floor
 
 
 NO_MITIGATION = MitigationPlan()

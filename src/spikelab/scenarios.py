@@ -88,12 +88,14 @@ def _bool(flat, key, default):
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
-def _floats(value):
+def _floats(flat, key, default):
+    """Finite floats of key, from one number, a sequence or "a,b,c" text."""
+    value = flat.get(key, default)
     if isinstance(value, str):
-        return tuple(float(p) for p in value.split(",") if p.strip())
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    return tuple(float(v) for v in value)
+        value = [parse_scalar(p) for p in value.split(",") if p.strip()]
+    elif not isinstance(value, (list, tuple, np.ndarray)):
+        value = [value]
+    return tuple(_float({key: v}, key, None) for v in value)
 
 
 # === analysis plan ==========================================================
@@ -141,6 +143,9 @@ def build_scenario(flat: dict) -> Scenario:
         raise ConfigError(f"unknown mode {mode!r}")
     seed = _int(flat, "seed", 0)
     n_steps = _int(flat, "n_steps", 1)
+    least = 1 if mode == "run" else 0  # 0 lets the five-stage certificate choose
+    if n_steps < least:
+        raise ConfigError(f"n_steps must be >= {least}")
 
     kind = str(flat.get("optimizer.kind", "adam"))
     if kind not in OPTIMIZER_KINDS:
@@ -181,10 +186,10 @@ def build_scenario(flat: dict) -> Scenario:
     if mode == "run":
         obj_kind = str(flat.get("objective.kind", "quadratic"))
         if obj_kind == "quadratic":
-            eig = _floats(flat.get("objective.eigenvalues", "1.0"))
-            offset = _floats(flat["objective.offset"]) if "objective.offset" in flat else None
+            eig = _floats(flat, "objective.eigenvalues", "1.0")
+            offset = _floats(flat, "objective.offset", None) if "objective.offset" in flat else None
             objective = make_quadratic(QuadraticSpec(eigenvalues=eig, offset=offset))
-            theta0 = objective.initial_point(_floats(flat.get("theta0", "1.0")))
+            theta0 = objective.initial_point(_floats(flat, "theta0", "1.0"))
         elif obj_kind == "fnn":
             spec = FnnTaskSpec(
                 input_dim=_int(flat, "objective.input_dim", 1),
@@ -199,8 +204,6 @@ def build_scenario(flat: dict) -> Scenario:
             theta0 = objective.initial_point()
         else:
             raise ConfigError(f"unknown objective kind {obj_kind!r}")
-        if n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
 
     return Scenario(
         scenario_id=scenario_id, mode=mode, seed=seed, n_steps=n_steps,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_lr_decay_mode_reports_witness():
     assert result.certificate["witness_step"] == 180984
     assert result.analysis["witness"]["checked_steps"] == 180985
     assert result.trace.records == []
+
+
+def test_zero_over_zero_step_diverges_without_warning():
+    # v_hat is 0 on the second coordinate, which starts at its minimum, and
+    # epsilon is 0, so the first step divides 0 by 0
+    cfg = preset_config("fig2a")
+    cfg.update({"objective.eigenvalues": "1.0,2.0", "objective.offset": "0.0,1.0",
+                "theta0": "1.0,1.0", "optimizer.epsilon": 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(build_scenario(cfg))
+    assert result.status == "diverged"
 
 
 def test_diverged_analysis_is_strict_json():
@@ -194,6 +207,12 @@ def test_cli_run_config_errors(capsys):
     assert not (_runs_root() / "fig2a").exists()
 
 
+@pytest.mark.parametrize("value", ["true", "inf"])
+def test_cli_theorem_run_bad_theta0_exits_one(value, capsys):
+    assert main(["run", "--scenario", "thmD4", "--set", f"theta0={value}"]) == 1
+    assert "theta0 must be a finite number" in capsys.readouterr().err
+
+
 def test_cli_run_config_file(tmp_path, capsys):
     path = tmp_path / "tiny.cfg"
     path.write_text("objective.eigenvalues = 1.0\n"
@@ -239,6 +258,25 @@ def test_cli_verify_five_stage_skip(capsys):
     assert rc == 0
     assert "SKIPPED (hypothesis)" in out
     assert _cert_from(out)["verdict"] == "SKIPPED (hypothesis)"
+
+
+@pytest.mark.parametrize("run_args,verify_args", [
+    (["--scenario", "thmD4", "--set", "theta0=0.05"],
+     ["five-stage", "--theta0", "0.05"]),
+    (["--scenario", "thmD6", "--set", "theta0=0.1"],
+     ["lr-decay", "--theta0", "0.1", "--beta2", "0.9999"]),
+], ids=["thmD4", "thmD6"])
+def test_theorem_run_outside_hypothesis_skips_like_verify(run_args, verify_args,
+                                                          capsys):
+    rc = main(["run"] + run_args)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verdict=SKIPPED (hypothesis)" in out
+    run_dir = Path(out.split("dir=", 1)[1].strip())
+    cert = json.loads((run_dir / "certificate.json").read_text())
+    assert cert["verdict"] == "SKIPPED (hypothesis)"
+    assert main(["verify"] + verify_args) == 0
+    assert _cert_from(capsys.readouterr().out) == cert
 
 
 def test_cli_verify_momentum_boundary(capsys):

@@ -120,6 +120,9 @@ def test_certificate_preconditions():
         five_stage_certificate(10.0, 0.15, 1.0)
     with pytest.raises(PreconditionViolation):
         five_stage_certificate(0.05, 0.15, 0.99)
+    for theta0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PreconditionViolation, match="finite"):
+            five_stage_certificate(theta0, 0.15, 0.99)
 
 
 def test_certificate_honors_max_steps():
@@ -196,3 +199,6 @@ def test_lr_decay_preconditions():
         lr_decay_witness(1.0, 0.1, 0.5, 1.0)
     with pytest.raises(PreconditionViolation):
         lr_decay_witness(0.2, 0.1, 0.5, 0.9999)
+    for theta0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PreconditionViolation, match="finite"):
+            lr_decay_witness(theta0, 0.1, 0.5, 0.9999, max_steps=10)

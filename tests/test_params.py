@@ -103,12 +103,6 @@ def test_epsilon_bump_switches_at_step():
     assert plan.epsilon_at(6, 1e-8) == 0.1
 
 
-def test_inactive_plan_is_a_no_op():
-    plan = MitigationPlan(epsilon_bump=(0, 0.1), v_floor=0.5, active=False)
-    assert plan.epsilon_at(10, 1e-8) == 1e-8
-    assert plan.floor_value() is None
-
-
 def test_floor_value_passthrough():
     assert MitigationPlan(v_floor=0.01).floor_value() == 0.01
     assert MitigationPlan().floor_value() is None

@@ -55,6 +55,8 @@ def test_apply_overrides():
     ("optimizer.eta", True), ("optimizer.eta", float("inf")),
     ("analysis.rho", float("inf")), ("probes.tol", True),
     ("plan.v_floor", float("nan")),
+    ("theta0", True), ("objective.eigenvalues", True),
+    ("objective.offset", float("nan")), ("theta0", "1.0,abc"),
 ])
 def test_build_rejects_lossy_int_and_bool_values(key, value):
     cfg = preset_config("fig2a")
@@ -126,7 +128,6 @@ def test_sweep_preset_has_seven_log_spaced_etas():
 
 def test_mitigation_preset_builds_plan():
     sc = build_scenario(preset_config("figD8-mitigations"))
-    assert sc.plan.active
     assert sc.plan.v_floor == 0.01
     assert sc.probes.every == 0
 
@@ -150,6 +151,16 @@ def test_theorem_presets_have_no_objective():
     assert d6.sched.kind == "power-decay"
     assert d6.sched.alpha == 0.5
     assert d6.hyper.beta2 == 0.9999
+
+
+@pytest.mark.parametrize("name", ["thmD4", "thmD6"])
+def test_theorem_modes_refuse_negative_n_steps(name):
+    cfg = preset_config(name)
+    cfg["n_steps"] = -5
+    with pytest.raises(ConfigError, match="n_steps"):
+        build_scenario(cfg)
+    cfg["n_steps"] = 0  # five-stage: the certificate chooses its own length
+    assert build_scenario(cfg).n_steps == 0
 
 
 def test_gd_delay_spectrum_shape():
