@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InsufficientWindow, InvalidSeries
 from .probes import sustained_predictor
@@ -21,6 +22,7 @@ MIN_FIT_WINDOW = 10
 STAGE1_MIN_TAIL = 50  # shortest tail accepted as evidence of Stage-2 decay
 STAGE1_R2 = 0.95
 STAGE1_ALPHA_BAND = 0.05
+MEDIAN_BLOCK_ROWS = 512  # trailing windows per np.median call; bounds its copy
 
 # === spike detection ========================================================
 
@@ -48,25 +50,26 @@ def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list
         raise ConfigError("rho must be > 1")
     if n <= window:
         raise ConfigError("trace must be longer than the detection window")
+    # baseline[k] is the median of the `window` losses before step window + k
+    rows = sliding_window_view(losses[:-1], window)
+    baseline = np.concatenate([np.median(rows[i:i + MEDIAN_BLOCK_ROWS], axis=1)
+                               for i in range(0, len(rows), MEDIAN_BLOCK_ROWS)])
+    tail = losses[window:]
+    with np.errstate(over="ignore"):  # an overflowing rho * baseline is an inf threshold
+        onsets = np.flatnonzero(tail > rho * baseline) + window
+    recoveries = np.flatnonzero(tail < baseline) + window
     events = []
     t = window
-    while t < n:
-        baseline = float(np.median(losses[t - window:t]))
-        if losses[t] > rho * baseline:
-            onset = t
-            recovery = None
-            for u in range(onset + 1, n):
-                if losses[u] < np.median(losses[u - window:u]):
-                    recovery = u
-                    break
-            at_end = recovery is None
-            rec = recovery if recovery is not None else n - 1
-            peak = onset + int(np.argmax(losses[onset:rec + 1]))
-            ratio = float(losses[peak] / baseline) if baseline > 0 else math.inf
-            events.append(SpikeEvent(onset, peak, rec, ratio, at_end))
-            t = rec + 1
-        else:
-            t += 1
+    while (i := np.searchsorted(onsets, t)) < onsets.size:
+        onset = int(onsets[i])
+        j = np.searchsorted(recoveries, onset + 1)
+        at_end = j == recoveries.size
+        rec = n - 1 if at_end else int(recoveries[j])
+        peak = onset + int(np.argmax(losses[onset:rec + 1]))
+        base = baseline[onset - window]
+        ratio = float(losses[peak] / base) if base > 0 else math.inf
+        events.append(SpikeEvent(onset, peak, rec, ratio, bool(at_end)))
+        t = rec + 1
     return events
 
 
@@ -137,14 +140,10 @@ class StageSegmentation:
         return labels
 
 
-def _first_crossing(steps, values, thresholds, above=True, after=-1):
-    """First sampled step (strictly after `after`) crossing its threshold."""
-    for s, v, thr in zip(steps, values, thresholds):
-        if s <= after:
-            continue
-        if (v > thr) if above else (v < thr):
-            return int(s)
-    return None
+def _first(steps, mask, after=-1):
+    """First of `steps` strictly after `after` where `mask` holds, else None."""
+    hits = steps[mask & (steps > after)]
+    return int(hits[0]) if hits.size else None
 
 
 def segment_stages(trace, hyper) -> StageSegmentation:
@@ -155,14 +154,14 @@ def segment_stages(trace, hyper) -> StageSegmentation:
     eta = trace.eta_series()
     lm_steps, lm_vals = trace.probe_series("lambda_max_Hhat")
     lg_steps, lg_vals = trace.probe_series("lambda_grad_Hhat")
-    thr_of = lambda steps: 2.0 / eta[steps] if len(steps) else np.array([])
+    lm_thr = 2.0 / eta[lm_steps]
 
     bounds = {"t0": 0 if n else None, "t1": None, "t2": None,
               "t3": None, "t4": None, "t5": None}
     verdicts = []
 
     # t2 first (it anchors the Stage-1/2 decay scan).
-    t2 = _first_crossing(lm_steps, lm_vals, thr_of(lm_steps), above=True)
+    t2 = _first(lm_steps, lm_vals > lm_thr)
     anchor = t2 if t2 is not None else n
 
     # t1: earliest index whose whole tail up to the anchor fits the
@@ -190,22 +189,17 @@ def segment_stages(trace, hyper) -> StageSegmentation:
 
     if t1 is not None and t2 is not None:
         bounds["t2"] = t2
-        t3 = _first_crossing(lg_steps, lg_vals, thr_of(lg_steps), above=True, after=t2)
+        t3 = _first(lg_steps, lg_vals > 2.0 / eta[lg_steps], after=t2)
         bounds["t3"] = t3
         if t3 is not None:
-            t4 = None
-            for i in range(t3 + 1, n):
-                if np.isfinite(vnorm[i]) and np.isfinite(vnorm[i - 1]) and vnorm[i] > vnorm[i - 1]:
-                    t4 = i
-                    break
+            v_up = (np.isfinite(vnorm[1:]) & np.isfinite(vnorm[:-1])
+                    & (vnorm[1:] > vnorm[:-1]))
+            t4 = _first(np.arange(1, n), v_up, after=t3)
             bounds["t4"] = t4
             if t4 is not None:
-                t5 = None
-                for s, v, thr in zip(lm_steps, lm_vals, thr_of(lm_steps)):
-                    if s > t4 and v < thr and s >= 1 and losses[s] < losses[s - 1]:
-                        t5 = int(s)
-                        break
-                bounds["t5"] = t5
+                # step 0 wraps to losses[-1]; after=t4 >= 1 excludes it
+                loss_down = losses[lm_steps] < losses[lm_steps - 1]
+                bounds["t5"] = _first(lm_steps, (lm_vals < lm_thr) & loss_down, after=t4)
 
     present = [k for k in ("t0", "t1", "t2", "t3", "t4", "t5") if bounds[k] is not None]
     verdicts.append({
@@ -311,20 +305,10 @@ def crossing_summary(trace) -> dict:
     """First-crossing steps and crossing counts for the probe columns."""
     eta = trace.eta_series()
     out = {}
-    for name, key in (("lambda_max_Hhat", "lambda_max"),
-                      ("lambda_grad_Hhat", "lambda_grad")):
-        steps, vals = trace.probe_series(name)
-        thr = 2.0 / eta[steps] if len(steps) else np.array([])
-        mask = vals > thr
-        out[f"first_{key}_crossing"] = int(steps[mask][0]) if mask.any() else None
+    for key, (steps, vals) in (("lambda_max", trace.probe_series("lambda_max_Hhat")),
+                               ("lambda_grad", trace.probe_series("lambda_grad_Hhat")),
+                               ("sustained", trace.sustained_series())):
+        mask = vals > 2.0 / eta[steps]
+        out[f"first_{key}_crossing"] = _first(steps, mask)
         out[f"{key}_crossing_steps"] = int(mask.sum())
-    s_steps, s_vals = trace.sustained_series()
-    if len(s_steps):
-        thr = 2.0 / eta[s_steps]
-        mask = s_vals > thr
-        out["first_sustained_crossing"] = int(s_steps[mask][0]) if mask.any() else None
-        out["sustained_crossing_steps"] = int(mask.sum())
-    else:
-        out["first_sustained_crossing"] = None
-        out["sustained_crossing_steps"] = 0
     return out

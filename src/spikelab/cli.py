@@ -5,12 +5,13 @@ or config error, 2 diverged run or FAIL verdict.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 
 import numpy as np
 
-from .errors import Indeterminate, SpikelabError
+from .errors import ConfigError, Indeterminate, SpikelabError
 from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
@@ -232,6 +233,8 @@ VERIFIERS = {
 
 
 def cmd_verify(args) -> int:
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ConfigError("--max-steps must be >= 1")
     payload, detail = VERIFIERS[args.theorem](args)
     print(f"{args.theorem}: {payload['verdict']}{detail}")
     d = write_certificate_dir(payload, f"verify-{args.theorem}", args.out)
@@ -249,20 +252,15 @@ def cmd_export_dataset(args) -> int:
         raise SpikelabError("scenario has no dataset; use an fnn objective")
     rows = export_dataset_rows(sc.objective)
     if args.file == "-":
-        w = csv.writer(sys.stdout)
-        for row in rows:
-            w.writerow(row)
-        return 0
-    if args.file:
-        path = args.file
+        path, sink = None, contextlib.nullcontext(sys.stdout)
     else:
-        d = fresh_dir(output_root(args.out), sc.scenario_id, sc.seed)
-        path = d / "dataset.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in rows:
-            w.writerow(row)
-    print(f"dataset: {path}")
+        path = args.file or (fresh_dir(output_root(args.out), sc.scenario_id,
+                                       sc.seed) / "dataset.csv")
+        sink = open(path, "w", newline="")
+    with sink as fh:
+        csv.writer(fh).writerows(rows)
+    if path is not None:
+        print(f"dataset: {path}")
     return 0
 
 

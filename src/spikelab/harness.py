@@ -22,7 +22,7 @@ from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
 from .probes import ProbeRecord
 from .scenarios import Scenario, _float, _int, build_scenario
-from .trace import RunTrace, StepRecord, write_json, write_trace_csv
+from .trace import RunTrace, StepRecord, write_csv, write_json, write_trace_csv
 
 # === results ================================================================
 
@@ -358,24 +358,8 @@ def sweep_row(result: RunResult, param: str, value) -> dict:
     return row
 
 
-def _sweep_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
-
-
 def write_sweep_summary(rows, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            w.writerow([_sweep_cell(row[c]) for c in SWEEP_COLUMNS])
+    write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))
 
 
 def _child_id(param: str, value) -> str:
@@ -415,6 +399,8 @@ def run_sweep(base_flat: dict, param: str, values, out=None,
     values = list(values)
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
+    if jobs < 1:
+        raise ConfigError("sweep needs jobs >= 1")
     base = dict(base_flat)
     base.pop("sweep.param", None)
     base.pop("sweep.values", None)
@@ -436,7 +422,7 @@ def run_sweep(base_flat: dict, param: str, values, out=None,
                       param, value))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
             rows = list(pool.map(_sweep_child, tasks))
     else:
         rows = [_sweep_child(t) for t in tasks]

@@ -134,6 +134,7 @@ def _record(step, loss, g, aux, blocks) -> StepRecord:
                       vhat_norm_total=total, vhat_norm_blocks=per, eta_t=aux.eta_t)
 
 
+@np.errstate(all="ignore")  # a non-finite step raises DivergedRun below, unwarned
 def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
                  plan=NO_MITIGATION):
     """One step of `kind`; returns (theta', state', StepRecord)."""

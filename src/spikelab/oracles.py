@@ -392,6 +392,8 @@ def lr_decay_witness(theta0: float, eta0: float, alpha: float, beta2: float,
         raise PreconditionViolation("need beta2 in (0, 1)")
     if not math.isfinite(theta0):
         raise PreconditionViolation("need a finite theta0")
+    if not (eta0 > 0 and math.isfinite(eta0)):
+        raise PreconditionViolation("need a positive finite eta0")
     a0 = abs(theta0)
     if a0 <= 2.0 * eta0:
         raise PreconditionViolation("need |theta0| > 2 eta0 (equality refused)")

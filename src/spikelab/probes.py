@@ -51,6 +51,8 @@ class Preconditioner:
         return Preconditioner(beta1, beta2, t, v_hat, epsilon, c)
 
     def diag(self) -> np.ndarray:
+        if np.any(self.v_hat < 0):
+            raise ConfigError("preconditioner v_hat must be non-negative")
         d = self.scale / (np.sqrt(self.v_hat) + self.epsilon)
         if not np.all(np.isfinite(d)) or not np.all(d > 0):
             raise ConfigError("preconditioner diagonal must be positive finite")

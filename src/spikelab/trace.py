@@ -93,10 +93,13 @@ class RunTrace:
 
 
 def _cell(x) -> str:
+    """One CSV cell: empty for None, text as is, exact ints, float reprs."""
     if x is None:
         return ""
-    if isinstance(x, float) and not np.isfinite(x):
-        return repr(x)
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x)
     return repr(float(x))
 
 
@@ -108,25 +111,24 @@ def trace_columns(block_names) -> list:
     return cols
 
 
-def write_trace_csv(trace: RunTrace, path):
+def write_csv(path, header, rows):
+    """Header row, then one row per sequence of values, each cell by _cell."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(trace_columns(trace.block_names))
-        for r in trace.records:
-            row = [str(r.step), _cell(r.loss), _cell(r.grad_norm),
-                   _cell(r.vhat_norm_total)]
-            if r.vhat_norm_blocks:
-                row += [_cell(v) for v in r.vhat_norm_blocks]
-            else:
-                row += ["" for _ in trace.block_names]
-            row.append(_cell(r.eta_t))
-            p = r.probe
-            row += [_cell(p.lambda_max_H) if p else "",
-                    _cell(p.lambda_max_Hhat) if p else "",
-                    _cell(p.lambda_grad_Hhat) if p else ""]
-            row.append(_cell(r.lambda_grad_sustained))
-            row.append(r.stage if r.stage is not None else "")
-            w.writerow(row)
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
+
+
+def write_trace_csv(trace: RunTrace, path):
+    no_blocks = (None,) * len(trace.block_names)
+    no_probe = (None, None, None)
+    write_csv(path, trace_columns(trace.block_names), (
+        (r.step, r.loss, r.grad_norm, r.vhat_norm_total,
+         *(r.vhat_norm_blocks or no_blocks), r.eta_t,
+         *((r.probe.lambda_max_H, r.probe.lambda_max_Hhat,
+            r.probe.lambda_grad_Hhat) if r.probe else no_probe),
+         r.lambda_grad_sustained, r.stage)
+        for r in trace.records))
 
 
 def read_trace_csv(path) -> dict:

@@ -11,6 +11,7 @@ import pytest
 from spikelab import (build_scenario, preset_config, read_trace_csv,
                       run_scenario, write_run_dir, write_trace_csv)
 from spikelab.analysis import detect_spikes_series, pre_spike_index
+from spikelab import harness
 from spikelab.cli import main
 from spikelab.errors import ConfigError
 from spikelab.harness import (SWEEP_COLUMNS, fresh_dir, output_root,
@@ -166,6 +167,37 @@ def test_run_sweep_parallel_rows_match():
     assert par.rows == seq.rows
 
 
+def test_run_sweep_pool_is_bounded_by_values(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    flat = preset_config("fig2a")
+    flat["n_steps"] = 60
+    res = run_sweep(flat, "optimizer.eta", [0.1, 0.2], jobs=64)
+    assert sizes == [2]
+    assert res.all_completed()
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_sweep(flat, "optimizer.eta", [0.1], jobs=jobs)
+    assert main(["sweep", "--scenario", "fig2a", "--param", "optimizer.eta",
+                 "--values", "0.1", "--jobs", "0"]) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert sizes == [2]
+
+
 def test_run_sweep_validation():
     with pytest.raises(ConfigError):
         run_sweep(preset_config("fig2a"), "optimizer.eta", [])
@@ -307,6 +339,24 @@ def test_cli_verify_lr_decay(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "WITNESS-FOUND step=180984" in out
+
+
+@pytest.mark.parametrize("eta0", ["-0.1", "0", "nan"])
+def test_cli_verify_lr_decay_refuses_bad_eta0(eta0, capsys):
+    rc = main(["verify", "lr-decay", "--eta0", eta0])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("lr-decay: SKIPPED (hypothesis): need a positive finite eta0")
+    assert _cert_from(out)["verdict"] == "SKIPPED (hypothesis)"
+
+
+@pytest.mark.parametrize("theorem", ["lr-decay", "five-stage"])
+@pytest.mark.parametrize("max_steps", ["-5", "0"])
+def test_cli_verify_refuses_max_steps_below_one(theorem, max_steps, capsys):
+    assert main(["verify", theorem, "--max-steps", max_steps]) == 1
+    captured = capsys.readouterr()
+    assert "--max-steps must be >= 1" in captured.err
+    assert "certificate:" not in captured.out
 
 
 def test_cli_verify_real_spectrum(capsys):

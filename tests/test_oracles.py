@@ -202,3 +202,6 @@ def test_lr_decay_preconditions():
     for theta0 in (math.inf, -math.inf, math.nan):
         with pytest.raises(PreconditionViolation, match="finite"):
             lr_decay_witness(theta0, 0.1, 0.5, 0.9999, max_steps=10)
+    for eta0 in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(PreconditionViolation, match="positive finite eta0"):
+            lr_decay_witness(1.0, eta0, 0.5, 0.9999, max_steps=10)
