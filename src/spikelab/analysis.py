@@ -14,7 +14,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InsufficientWindow, InvalidSeries
-from .probes import sustained_predictor
 
 DEFAULT_RHO = 3.0
 DEFAULT_WINDOW = 50
@@ -128,15 +127,12 @@ class StageSegmentation:
     def stage_labels(self, n: int) -> list:
         """Per-step labels '1'..'5'; empty outside detected stages."""
         labels = [None] * n
-        b = self.boundaries
-        keys = ["t0", "t1", "t2", "t3", "t4", "t5"]
+        b = [self.boundaries.get(k) for k in ("t0", "t1", "t2", "t3", "t4", "t5")]
         for k in range(5):
-            lo, hi = b.get(keys[k]), b.get(keys[k + 1])
-            if lo is None:
+            if b[k] is None:
                 break
-            stop = hi if hi is not None else n
-            for i in range(lo, min(stop, n)):
-                labels[i] = str(k + 1)
+            stop = n if b[k + 1] is None else min(b[k + 1], n)
+            labels[b[k]:stop] = [str(k + 1)] * (stop - b[k])
         return labels
 
 
@@ -148,7 +144,7 @@ def _first(steps, mask, after=-1):
 
 def segment_stages(trace, hyper) -> StageSegmentation:
     """Assign t0..t5 from probe crossings, v-norm decay, and loss movement."""
-    n = len(trace.records)
+    n = len(trace)
     losses = trace.losses()
     vnorm = trace.vhat_norms()
     eta = trace.eta_series()
@@ -214,10 +210,9 @@ def segment_stages(trace, hyper) -> StageSegmentation:
 
 
 def fill_sustained(trace) -> None:
-    """Attach min-of-3-consecutive lambda_grad to interior probe samples."""
+    """Sustained column: min of each interior lambda_grad sample and its neighbours."""
     steps, vals = trace.probe_series("lambda_grad_Hhat")
-    for j in range(1, len(steps) - 1):
-        trace.records[int(steps[j])].lambda_grad_sustained = sustained_predictor(vals, j)
+    trace.sustained = steps[1:-1], np.minimum.reduce([vals[:-2], vals[1:-1], vals[2:]])
 
 
 # === taxonomy ===============================================================

@@ -1,7 +1,8 @@
 """Command-line front end: runs, sweeps, theorem checks, dataset export.
 
 Exit codes: 0 success (including SKIPPED and no-witness verdicts), 1 usage
-or config error, 2 diverged run or FAIL verdict.
+or config error (a sweep also exits 1 when a child failed with one, after
+writing its summary), 2 diverged run or FAIL verdict.
 """
 
 import argparse
@@ -95,10 +96,18 @@ def cmd_sweep(args) -> int:
             bits.append(f"eta_over_vhat={row['eta_over_vhat_at_spike']:.4g}")
         print("  " + " ".join(bits))
     print(f"sweep_summary: {result.sweep_dir / 'sweep_summary.csv'}")
-    return 0
+    failed = sum(str(row["status"]).startswith("error") for row in result.rows)
+    if failed:
+        print(f"error: {failed} of {len(result.rows)} sweep children failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # === verify =================================================================
+
+
+def _verdict(evidence: int, holds: bool) -> str:
+    """PASS or FAIL over `evidence` checked steps; with none, no verdict."""
+    return ("PASS" if holds else "FAIL") if evidence else "SKIPPED (no evidence)"
 
 
 def _verify_five_stage(args):
@@ -154,7 +163,7 @@ def _verify_descent(args):
     report = check_descent_lemma(result.trace, sc.objective)
     payload = {
         "theorem": "descent",
-        "verdict": "PASS" if report.holds else "FAIL",
+        "verdict": _verdict(report.checked_steps, report.holds),
         "worst_slack": report.worst_slack,
         "checked_steps": report.checked_steps,
         "skipped_steps": report.skipped_steps,
@@ -180,10 +189,10 @@ def _verify_spike_iff(args):
             margin = abs(res.estimate - res.threshold)
             worst_margin = margin if worst_margin is None else min(worst_margin, margin)
         theta = theta - args.eta * obj.gradient(theta)
-    frac = consistent / determinate if determinate else 1.0
+    frac = consistent / determinate if determinate else None
     payload = {
         "theorem": "spike-iff",
-        "verdict": "PASS" if frac >= args.min_consistency else "FAIL",
+        "verdict": _verdict(determinate, frac is not None and frac >= args.min_consistency),
         "consistent_fraction": frac,
         "determinate_steps": determinate,
         "total_steps": args.steps,
@@ -233,8 +242,13 @@ VERIFIERS = {
 
 
 def cmd_verify(args) -> int:
-    if args.max_steps is not None and args.max_steps < 1:
-        raise ConfigError("--max-steps must be >= 1")
+    for flag, ok, domain in (
+            ("--max-steps", args.max_steps is None or args.max_steps >= 1, ">= 1"),
+            ("--steps", args.steps >= 1, ">= 1"),
+            ("--dim", args.dim >= 1, ">= 1"),
+            ("--margin", 0.0 < args.margin < 1.0, "in (0, 1)")):
+        if not ok:
+            raise ConfigError(f"{flag} must be {domain}")
     payload, detail = VERIFIERS[args.theorem](args)
     print(f"{args.theorem}: {payload['verdict']}{detail}")
     d = write_certificate_dir(payload, f"verify-{args.theorem}", args.out)

@@ -17,12 +17,11 @@ import numpy as np
 
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
                        pre_spike_index, segment_stages)
-from .errors import ConfigError, PreconditionViolation
+from .errors import ConfigError, PreconditionViolation, SpikelabError
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
-from .probes import ProbeRecord
 from .scenarios import Scenario, _float, _int, build_scenario
-from .trace import RunTrace, StepRecord, write_csv, write_json, write_trace_csv
+from .trace import PROBE_DTYPE, RunTrace, write_csv, write_json, write_trace_csv
 
 # === results ================================================================
 
@@ -62,27 +61,22 @@ def _clean(x):
 
 def _analyze(trace: RunTrace, sc: Scenario) -> dict:
     fill_sustained(trace)
-    n = len(trace.records)
-    losses = trace.losses()
+    n = len(trace)
 
     spikes = []
     if n > sc.analysis.window:
-        spikes = detect_spikes_series(losses, rho=sc.analysis.rho,
+        spikes = detect_spikes_series(trace.losses(), rho=sc.analysis.rho,
                                       window=sc.analysis.window)
 
-    seg_block = None
-    fit_block = None
+    seg_block = fit_block = None
     if sc.analysis.segment and n:
         seg = segment_stages(trace, sc.hyper)
-        for rec, label in zip(trace.records, seg.stage_labels(n)):
-            rec.stage = label
+        trace.stage = seg.stage_labels(n)
         seg_block = {"boundaries": seg.boundaries, "verdicts": seg.verdicts,
                      "ordered": seg.ordered()}
-        for v in seg.verdicts:
-            if v["name"] == "stage2-decay-fit" and v.get("detail"):
-                fit_block = v["detail"]
+        fit_block = seg.verdicts[0]["detail"]  # stage2-decay-fit
 
-    final_loss = trace.records[-1].loss if n else trace.initial_loss
+    final_loss = float(trace.loss[-1]) if n else trace.initial_loss
     return {
         "scenario_id": sc.scenario_id,
         "seed": sc.seed,
@@ -122,8 +116,7 @@ def _run_mode(sc: Scenario) -> RunResult:
 
 def _empty_trace(sc: Scenario, theta0: float) -> RunTrace:
     return RunTrace(config=dict(sc.flat), seed=sc.seed, status="completed",
-                    block_names=("theta",), initial_loss=0.5 * theta0 * theta0,
-                    records=[])
+                    block_names=("theta",), initial_loss=0.5 * theta0 * theta0)
 
 
 def _theorem_trace(sc: Scenario, cert) -> RunTrace:
@@ -137,23 +130,18 @@ def _theorem_trace(sc: Scenario, cert) -> RunTrace:
     n = cert.max_steps
     th, v = theorem_recursion(cert.theta0, eta, cert.beta2, n)
     rv = np.sqrt(v)
-    thr = 2.0 / eta
-    records = []
-    for i in range(n):
-        lam = float(1.0 / rv[i])
-        probe = ProbeRecord(step=i, lambda_max_H=1.0, lambda_max_Hhat=lam,
-                            lambda_grad_Hhat=lam, threshold=thr,
-                            power_iters_used=0, converged=True)
-        records.append(StepRecord(
-            step=i, loss=float(0.5 * th[i + 1] ** 2),
-            grad_norm=float(abs(th[i])),
-            vhat_norm_total=float(rv[i + 1]),
-            vhat_norm_blocks=(float(rv[i + 1]),),
-            eta_t=eta, probe=probe))
+    lam, yes = 1.0 / rv[:n], np.ones(n, bool)
+    probes = np.rec.fromarrays([np.arange(n), np.ones(n), lam, lam, np.full(n, 2.0 / eta),
+                                np.zeros(n), yes, yes], dtype=PROBE_DTYPE)
+    # the loss squares through pow() one float at a time: numpy's vector
+    # square rounds a few of thmD4's losses differently, moving trace.csv
     return RunTrace(config=dict(sc.flat), seed=sc.seed, status="completed",
                     block_names=("theta",),
                     initial_loss=float(0.5 * th[0] ** 2),
-                    records=records).validate()
+                    loss=0.5 * np.array([x ** 2 for x in th[1:].tolist()]),
+                    grad_norm=np.abs(th[:n]),
+                    eta_t=np.full(n, eta), vhat=np.column_stack([rv[1:], rv[1:]]),
+                    probes=probes)
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
@@ -221,21 +209,9 @@ def _lr_decay_mode(sc: Scenario) -> RunResult:
     report, payload = lr_decay_check(theta0, sc.hyper.eta, sc.sched.alpha,
                                      sc.hyper.beta2, sc.n_steps)
     trace = _empty_trace(sc, theta0)
-    analysis = {
-        "scenario_id": sc.scenario_id,
-        "seed": sc.seed,
-        "status": "completed",
-        "n_steps": 0,
-        "initial_loss": trace.initial_loss,
-        "final_loss": trace.initial_loss,
-        "spikes": [],
-        "crossings": {},
-        "decay_fit": None,
-        "segmentation": None,
-        "witness": None if report is None else {
-            "found": report.found, "step": report.step,
-            "checked_steps": report.checked_steps},
-    }
+    witness = None if report is None else {
+        "found": report.found, "step": report.step, "checked_steps": report.checked_steps}
+    analysis = dict(_analyze(trace, sc), crossings={}, witness=witness)
     return RunResult(scenario=sc, trace=trace, analysis=analysis,
                      certificate=payload)
 
@@ -338,20 +314,17 @@ SWEEP_COLUMNS = ("param", "value", "onset_step", "vhat_at_spike",
 def sweep_row(result: RunResult, param: str, value) -> dict:
     """Summary row for one child, from its trace and its analysis' first spike."""
     trace = result.trace
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row["param"] = param
-    row["value"] = float(value)
-    row["status"] = trace.status
-
+    row = dict(dict.fromkeys(SWEEP_COLUMNS), param=param, value=float(value),
+               status=trace.status)
     spikes = result.analysis["spikes"]
     if spikes:
         onset = spikes[0]["onset_step"]
         pre = pre_spike_index(trace.losses(), onset)
-        rec = trace.records[pre]
         row["onset_step"] = onset
-        row["vhat_at_spike"] = rec.vhat_norm_total
-        if rec.vhat_norm_total:
-            row["eta_over_vhat_at_spike"] = rec.eta_t / rec.vhat_norm_total
+        if trace.vhat is not None:
+            vhat = row["vhat_at_spike"] = float(trace.vhat[pre, 0])
+            if vhat:
+                row["eta_over_vhat_at_spike"] = float(trace.eta_t[pre]) / vhat
     _, lg_vals = trace.probe_series("lambda_grad_Hhat")
     if lg_vals.size:
         row["max_lambda_grad"] = float(lg_vals.max())
@@ -367,21 +340,16 @@ def _child_id(param: str, value) -> str:
 
 
 def _sweep_child(args):
-    """Run one sweep child and write its files; failures become row text."""
+    """Run one sweep child and write its files; a SpikelabError becomes row text."""
     flat, child_dir, param, value = args
-    row = dict.fromkeys(SWEEP_COLUMNS)
-    row["param"] = param
-    row["value"] = float(value)
     try:
-        sc = build_scenario(flat)
-        result = run_scenario(sc)
-        d = Path(child_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        _write_run_files(result, d)
-        return sweep_row(result, param, value)
-    except Exception as exc:
-        row["status"] = f"error: {exc}"
-        return row
+        result = run_scenario(build_scenario(flat))
+    except SpikelabError as exc:
+        return dict(dict.fromkeys(SWEEP_COLUMNS), param=param, value=float(value),
+                    status=f"error: {exc}")
+    Path(child_dir).mkdir(parents=True, exist_ok=True)
+    _write_run_files(result, Path(child_dir))
+    return sweep_row(result, param, value)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DivergedEvaluation, DivergedRun
 from .params import NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan, OptimizerState, ParamVector
 from .probes import Preconditioner, ProbeWarmStart, compute_probe
-from .trace import RunTrace, StepRecord
+from .trace import PROBE_DTYPE, RunTrace, StepRecord
 
 DIVERGE_LIMIT = 1e150
 
@@ -123,15 +123,11 @@ def _probe_preconditioner(hyper, state, aux, theta) -> Preconditioner:
                                    rule.bias_correction and hyper.bias_correction)
 
 
-def _record(step, loss, g, aux, blocks) -> StepRecord:
-    total, per = None, ()
-    if aux.vhat is not None:
-        root = np.sqrt(aux.vhat)
-        total = float(np.linalg.norm(root))
-        per = tuple(float(np.linalg.norm(root[off:off + length]))
-                    for _, off, length in blocks)
-    return StepRecord(step=step, loss=loss, grad_norm=float(np.linalg.norm(g)),
-                      vhat_norm_total=total, vhat_norm_blocks=per, eta_t=aux.eta_t)
+def _vhat_norms(vhat, blocks) -> list:
+    """Norm of sqrt(vhat), then its norm over each block."""
+    root = np.sqrt(vhat)
+    return [np.linalg.norm(root)] + [np.linalg.norm(root[off:off + length])
+                                     for _, off, length in blocks]
 
 
 @np.errstate(all="ignore")  # a non-finite step raises DivergedRun below, unwarned
@@ -147,8 +143,10 @@ def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
     theta_new, aux = _advance(theta.values, state, hyper, sched, plan, g)
     if not np.all(np.isfinite(theta_new)):
         raise DivergedRun(f"non-finite parameter after step {step_index}")
-    record = _record(step_index, obj.loss(theta_new), g, aux, theta.blocks)
-    return theta.with_values(theta_new), state, record
+    norms = () if aux.vhat is None else tuple(map(float, _vhat_norms(aux.vhat, theta.blocks)))
+    return theta.with_values(theta_new), state, StepRecord(
+        step_index, obj.loss(theta_new), float(np.linalg.norm(g)),
+        norms[0] if norms else None, norms[1:], aux.eta_t)
 
 
 step_gd = partial(_step_public, "gd")
@@ -183,8 +181,8 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     """Run n_steps of the chosen optimizer, probing on the configured cadence.
 
     Divergence (non-finite or enormous parameters, or an evaluation overflow)
-    is recorded as status=diverged with the last record flagged; it is never
-    raised past the trace.
+    is recorded as status=diverged, the trace ending at the diverged step
+    with loss inf; it is never raised past the trace.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -199,45 +197,40 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     config = dict(config_echo or {})
     config.setdefault("optimizer.kind", kind)
     config.setdefault("objective.kind", obj.kind)
-    trace = RunTrace(config=config, seed=seed, status="completed",
-                     block_names=tuple(name for name, _, _ in theta0.blocks),
-                     initial_loss=obj.loss(theta), records=[])
-    pending = None
+    # columns written by index; a loss left at inf marks the step that diverged
+    trace = RunTrace(
+        config, seed, "completed", tuple(name for name, _, _ in theta0.blocks),
+        obj.loss(theta), loss=np.full(n_steps, np.inf), grad_norm=np.empty(n_steps),
+        eta_t=np.empty(n_steps),
+        vhat=np.empty((n_steps, 1 + len(theta0.blocks))) if RULES[kind].v != "none" else None,
+        probes=np.empty(len(range(0, n_steps, probes.every)) if probes.every else 0, PROBE_DTYPE))
+    n_probes = 0
+    try:
+        _, g = obj.loss_and_gradient(theta)
+    except DivergedEvaluation:
+        return trace.end(0, 0, "diverged")
     for i in range(n_steps):
-        try:
-            loss_here, g = obj.loss_and_gradient(theta)
-        except DivergedEvaluation:
-            return _diverged(trace, pending)
-        if pending is not None:
-            pending.loss = loss_here
-
         theta_new, aux = _advance(theta, state, hyper, sched, plan, g)
-        rec = _record(i, math.nan, g, aux, theta0.blocks)  # loss backfilled next step
-        trace.records.append(rec)
-        pending = rec
+        trace.grad_norm[i], trace.eta_t[i] = np.linalg.norm(g), aux.eta_t
+        if aux.vhat is not None:
+            trace.vhat[i] = _vhat_norms(aux.vhat, theta0.blocks)
         if not np.all(np.isfinite(theta_new)):
-            return _diverged(trace, rec)  # the step's D_t may be non-finite too
+            return trace.end(i + 1, n_probes, "diverged")  # D_t may be non-finite too
         if probes.every and i % probes.every == 0:
             pre = _probe_preconditioner(hyper, state, aux, theta)
-            rec.probe = compute_probe(
+            trace.put_probe(n_probes, compute_probe(
                 obj, theta, pre, g, aux.eta_t, i, seed, warm,
                 max_iters=probes.max_iters, tol=probes.tol,
-            )
+            ))
+            n_probes += 1
         if np.max(np.abs(theta_new)) > DIVERGE_LIMIT:
-            return _diverged(trace, rec)
+            return trace.end(i + 1, n_probes, "diverged")
         theta = theta_new
-
-    try:
-        pending.loss = obj.loss(theta)
-    except DivergedEvaluation:
-        return _diverged(trace, pending)
-    return trace.validate()
-
-
-def _diverged(trace, last):
-    """Flag the last record (if any) as diverged and close the trace."""
-    if last is not None:
-        last.loss = math.inf
-        last.diverged = True
-    trace.status = "diverged"
-    return trace.validate()
+        try:
+            if i + 1 < n_steps:
+                trace.loss[i], g = obj.loss_and_gradient(theta)
+            else:
+                trace.loss[i] = obj.loss(theta)
+        except DivergedEvaluation:
+            return trace.end(i + 1, n_probes, "diverged")
+    return trace.end(n_steps, n_probes, "completed")

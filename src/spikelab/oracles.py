@@ -80,25 +80,14 @@ def check_descent_lemma(trace, obj) -> DescentReport:
     if trace.config.get("optimizer.kind") != "gd":
         raise OracleMisuse("descent check requires a GD trace")
     lam = obj.lambda_max()
-    worst = math.inf
-    checked = skipped = violations = 0
-    prev_loss = trace.initial_loss
-    for rec in trace.records:
-        if rec.eta_t < 2.0 / lam:
-            bound = prev_loss - rec.eta_t * (1.0 - rec.eta_t * lam / 2.0) * rec.grad_norm ** 2
-            slack = bound + DESCENT_TOL * abs(prev_loss) - rec.loss
-            worst = min(worst, slack)
-            checked += 1
-            if slack < 0:
-                violations += 1
-        else:
-            skipped += 1
-        prev_loss = rec.loss
-    if checked == 0:
-        worst = 0.0
-    return DescentReport(holds=violations == 0, worst_slack=worst,
-                         checked_steps=checked, skipped_steps=skipped,
-                         violations=violations)
+    eta, loss = trace.eta_series(), trace.losses()
+    prev = np.concatenate(([trace.initial_loss], loss[:-1]))
+    checked = eta < 2.0 / lam
+    bound = prev - eta * (1.0 - eta * lam / 2.0) * trace.grad_norm ** 2
+    slack = (bound + DESCENT_TOL * np.abs(prev) - loss)[checked]
+    violations = int((slack < 0).sum())
+    return DescentReport(violations == 0, float(slack.min()) if slack.size else 0.0,
+                         slack.size, len(trace) - slack.size, violations)
 
 
 # === momentum stability (heavy-ball three-term recursion) ===================

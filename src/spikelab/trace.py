@@ -1,4 +1,4 @@
-"""Run traces: per-step records, CSV serialization, and JSON helpers.
+"""Run traces: the per-step column table, CSV serialization, JSON helpers.
 
 trace.csv layout is fixed: step,loss,grad_norm,vhat_norm_total,
 vhat_norm_block_<name>...,eta_t,lambda_max_H,lambda_max_Hhat,
@@ -8,13 +8,20 @@ the header is always present. Identical configs reproduce identical bytes.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError
+from .probes import ProbeRecord
 
 SCHEMA_VERSION = 1
+
+# One row per probe: the ProbeRecord fields, then whether its lambda_grad_Hhat
+# is present (it is missing where the gradient vanished).
+PROBE_DTYPE = np.dtype([(f.name, f.type) for f in fields(ProbeRecord)]
+                       + [("has_lambda_grad", bool)])
 
 
 @dataclass(slots=True)
@@ -23,6 +30,7 @@ class StepRecord:
 
     loss is L(theta_{i+1}); grad_norm is |g(theta_i)|; the v-hat norms are
     taken after the step's moment update, matching what the update used.
+    Returned by the step functions, and built from columns by RunTrace.records.
     """
 
     step: int
@@ -34,59 +42,93 @@ class StepRecord:
     probe: object = None
     lambda_grad_sustained: float = None
     stage: str = None
-    diverged: bool = False
 
 
 @dataclass
 class RunTrace:
-    """Full record of one run: config echo, status, and per-step records."""
+    """One run: config echo, status, and one column per trace.csv column.
+
+    Row i is StepRecord i. vhat holds the total v-hat norm, then one per
+    block, or is None without a second moment. probes holds PROBE_DTYPE rows
+    at the sampled steps, sustained is (steps, values), and stage is None
+    until segmented. A missing cell is absent from an index or masked, never
+    NaN. A diverged run ends at the step that diverged, whose loss is inf.
+    """
 
     config: dict
     seed: int
     status: str  # completed | diverged
     block_names: tuple
     initial_loss: float
-    records: list = field(default_factory=list)
+    loss: np.ndarray = field(default_factory=lambda: np.empty(0))
+    grad_norm: np.ndarray = field(default_factory=lambda: np.empty(0))
+    eta_t: np.ndarray = field(default_factory=lambda: np.empty(0))
+    vhat: np.ndarray = None
+    probes: np.ndarray = field(default_factory=lambda: np.empty(0, PROBE_DTYPE))
+    sustained: tuple = field(default_factory=lambda: (np.empty(0, int), np.empty(0)))
+    stage: list = None
 
-    def validate(self):
-        for i, rec in enumerate(self.records):
-            if rec.step != i:
-                raise ConfigError("trace steps must be contiguous from 0")
-        if self.status == "diverged" and self.records and not self.records[-1].diverged:
-            raise ConfigError("diverged trace must flag its last record")
+    def put_probe(self, j, rec: ProbeRecord) -> None:
+        lg = rec.lambda_grad_Hhat  # a None is stored as 0.0 and masked out
+        self.probes[j] = astuple(replace(rec, lambda_grad_Hhat=lg or 0.0)) + (lg is not None,)
+
+    def end(self, n_steps, n_probes, status):
+        """Keep the first n_steps rows and n_probes probes; set the status."""
+        self.loss, self.grad_norm, self.eta_t = (
+            c[:n_steps] for c in (self.loss, self.grad_norm, self.eta_t))
+        self.vhat = None if self.vhat is None else self.vhat[:n_steps]
+        self.probes, self.status = self.probes[:n_probes], status
         return self
+
+    def __len__(self) -> int:
+        return len(self.loss)
+
+    @property
+    def records(self):
+        """Read-only StepRecord rows, each built from the columns on access."""
+        return _Rows(self)
 
     # --- column extraction -------------------------------------------------
 
     def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records], dtype=float)
+        return self.loss
 
     def vhat_norms(self) -> np.ndarray:
-        return np.array(
-            [np.nan if r.vhat_norm_total is None else r.vhat_norm_total
-             for r in self.records], dtype=float)
+        """Total v-hat norm per step; NaN throughout without a second moment."""
+        return np.full(len(self), np.nan) if self.vhat is None else self.vhat[:, 0]
 
     def eta_series(self) -> np.ndarray:
-        return np.array([r.eta_t for r in self.records], dtype=float)
+        return self.eta_t
 
     def probe_series(self, name: str):
         """(steps, values) for one ProbeRecord field over sampled steps."""
-        steps, vals = [], []
-        for r in self.records:
-            if r.probe is not None:
-                v = getattr(r.probe, name)
-                if v is not None:
-                    steps.append(r.step)
-                    vals.append(v)
-        return np.array(steps, dtype=int), np.array(vals, dtype=float)
+        p = self.probes  # lambda_grad_Hhat only where it is present
+        p = p[p["has_lambda_grad"]] if name == "lambda_grad_Hhat" else p
+        return p["step"], p[name].astype(float)
 
     def sustained_series(self):
-        steps, vals = [], []
-        for r in self.records:
-            if r.lambda_grad_sustained is not None:
-                steps.append(r.step)
-                vals.append(r.lambda_grad_sustained)
-        return np.array(steps, dtype=int), np.array(vals, dtype=float)
+        return self.sustained
+
+
+class _Rows(Sequence):
+    def __init__(self, trace):
+        self._trace = trace
+
+    def __len__(self):
+        return len(self._trace)
+
+    def __getitem__(self, i):
+        t, i = self._trace, range(len(self))[i]
+        v = () if t.vhat is None else tuple(t.vhat[i].tolist())
+        hit, probe = t.probes[t.probes["step"] == i], None
+        if hit.size:
+            *p, has_lg = hit[0].item()
+            probe = ProbeRecord(*p[:3], p[3] if has_lg else None, *p[4:])
+        sustained = t.sustained[1][t.sustained[0] == i].tolist()
+        return StepRecord(i, float(t.loss[i]), float(t.grad_norm[i]),
+                          v[0] if v else None, v[1:], float(t.eta_t[i]), probe,
+                          sustained[0] if sustained else None,
+                          None if t.stage is None else t.stage[i])
 
 
 # === CSV ====================================================================
@@ -119,35 +161,33 @@ def write_csv(path, header, rows):
         w.writerows([_cell(x) for x in row] for row in rows)
 
 
+def _cells(n, steps, values):
+    """A sparse series as n cells: its values at its steps, None elsewhere."""
+    cells = np.full(n, None, dtype=object)
+    cells[steps] = values
+    return cells
+
+
 def write_trace_csv(trace: RunTrace, path):
-    no_blocks = (None,) * len(trace.block_names)
-    no_probe = (None, None, None)
-    write_csv(path, trace_columns(trace.block_names), (
-        (r.step, r.loss, r.grad_norm, r.vhat_norm_total,
-         *(r.vhat_norm_blocks or no_blocks), r.eta_t,
-         *((r.probe.lambda_max_H, r.probe.lambda_max_Hhat,
-            r.probe.lambda_grad_Hhat) if r.probe else no_probe),
-         r.lambda_grad_sustained, r.stage)
-        for r in trace.records))
+    """Rows zipped lazily from the columns; a memoryview yields Python floats."""
+    n = len(trace)
+    vhat = ([repeat(None)] * (1 + len(trace.block_names)) if trace.vhat is None
+            else map(memoryview, trace.vhat.T))
+    probes = (_cells(n, *trace.probe_series(name))
+              for name in ("lambda_max_H", "lambda_max_Hhat", "lambda_grad_Hhat"))
+    write_csv(path, trace_columns(trace.block_names), zip(
+        range(n), *map(memoryview, (trace.loss, trace.grad_norm)), *vhat,
+        memoryview(trace.eta_t), *probes, _cells(n, *trace.sustained),
+        trace.stage or repeat(None)))
 
 
 def read_trace_csv(path) -> dict:
     """Columns as lists; numeric cells parsed to float, empty cells to None."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    out = {name: [] for name in header}
-    for row in body:
-        for name, cell in zip(header, row):
-            if name == "stage":
-                out[name].append(cell or None)
-            elif cell == "":
-                out[name].append(None)
-            elif name == "step":
-                out[name].append(int(cell))
-            else:
-                out[name].append(float(cell))
-    return out
+        header, *body = csv.reader(fh)
+    parse = {"step": int, "stage": str}
+    return {name: [parse.get(name, float)(c) if c else None for c in col]
+            for name, col in zip(header, zip(*body) if body else [()] * len(header))}
 
 
 # === JSON ===================================================================

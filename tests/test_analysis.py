@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab import (AdamHyper, ProbeRecord, RunTrace, SpikeEvent,
-                      StageSegmentation, StepRecord, TaxonomyConfig,
+from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
+                      SpikeEvent, StageSegmentation, TaxonomyConfig,
                       classify_spike, crossing_summary, detect_spikes_series,
-                      fit_decay, pre_spike_index, segment_stages)
+                      fill_sustained, fit_decay, make_quadratic,
+                      pre_spike_index, run, segment_stages,
+                      sustained_predictor)
 from spikelab.errors import ConfigError, InsufficientWindow, InvalidSeries
+from spikelab.trace import PROBE_DTYPE
 
 # === detection ==============================================================
 
@@ -273,19 +276,40 @@ def _hand_trace(probes=True):
     sustained = {40: 4.0, 63: 4.5, 64: 4.5}
     losses = np.ones(N_HAND)
     losses[[70, 72, 74]] = 0.5
-    records = []
-    for i in range(N_HAND):
-        v = 0.99 ** (i / 2) * (2.0 if i >= 70 else 1.0)
-        probe = ProbeRecord(step=i, lambda_max_H=1.0,
-                            lambda_max_Hhat=lm.get(i, 1.0),
-                            lambda_grad_Hhat=lg.get(i, 1.0), threshold=2 / ETA,
-                            power_iters_used=1, converged=True)
-        records.append(StepRecord(
-            step=i, loss=float(losses[i]), grad_norm=1.0, vhat_norm_total=v,
-            vhat_norm_blocks=(v,), eta_t=ETA, probe=probe if probes else None,
-            lambda_grad_sustained=sustained.get(i) if probes else None))
-    return RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
-                    initial_loss=1.0, records=records).validate()
+    steps = np.arange(N_HAND)
+    v = np.array([0.99 ** (i / 2) * (2.0 if i >= 70 else 1.0) for i in range(N_HAND)])
+    trace = RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
+                     initial_loss=1.0, loss=losses, grad_norm=np.ones(N_HAND),
+                     eta_t=np.full(N_HAND, ETA), vhat=np.column_stack([v, v]))
+    if probes:
+        table = np.zeros(N_HAND, PROBE_DTYPE)
+        table["step"] = steps
+        table["lambda_max_H"] = 1.0
+        table["lambda_max_Hhat"] = [lm.get(i, 1.0) for i in steps]
+        table["lambda_grad_Hhat"] = [lg.get(i, 1.0) or 0.0 for i in steps]
+        table["has_lambda_grad"] = [lg.get(i, 1.0) is not None for i in steps]
+        table["threshold"] = 2 / ETA
+        table["power_iters_used"] = 1
+        table["converged"] = True
+        trace.probes = table
+        trace.sustained = (np.array(list(sustained)), np.array(list(sustained.values())))
+    return trace
+
+
+def test_sustained_column_matches_per_sample_reference():
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 9.0)))
+    trace = run(obj, obj.initial_point(1.0), "adam", AdamHyper(eta=0.3),
+                n_steps=60, probes=ProbePlan(every=2))
+    steps, vals = trace.probe_series("lambda_grad_Hhat")
+    fill_sustained(trace)
+    s_steps, s_vals = trace.sustained_series()
+    assert s_steps.tolist() == steps[1:-1].tolist()
+    assert s_vals.tolist() == [sustained_predictor(vals, j)
+                               for j in range(1, len(vals) - 1)]
+    # fewer than three samples leave no interior sample
+    trace.probes = trace.probes[:2]
+    fill_sustained(trace)
+    assert [a.size for a in trace.sustained_series()] == [0, 0]
 
 
 def test_first_crossings_on_hand_built_trace():

@@ -79,7 +79,7 @@ def test_lr_decay_mode_reports_witness():
     assert result.certificate["verdict"] == "WITNESS-FOUND"
     assert result.certificate["witness_step"] == 180984
     assert result.analysis["witness"]["checked_steps"] == 180985
-    assert result.trace.records == []
+    assert len(result.trace) == 0 and len(result.trace.records) == 0
 
 
 def test_zero_over_zero_step_diverges_without_warning():
@@ -196,6 +196,30 @@ def test_run_sweep_pool_is_bounded_by_values(monkeypatch, capsys):
                  "--values", "0.1", "--jobs", "0"]) == 1
     assert "jobs" in capsys.readouterr().err
     assert sizes == [2]
+
+
+def test_cli_sweep_exits_one_when_a_child_fails(capsys):
+    rc = main(["sweep", "--scenario", "fig2a", "--set", "n_steps=60",
+               "--param", "optimizer.beta2", "--values", "0.99,1.5"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "status=completed" in captured.out
+    assert "status=error: " in captured.out
+    assert "error: 1 of 2 sweep children failed" in captured.err
+    summary = next(l for l in captured.out.splitlines()
+                   if l.startswith("sweep_summary:"))
+    rows = Path(summary.split(": ", 1)[1]).read_text().splitlines()
+    assert len(rows) == 3
+
+
+def test_sweep_child_bug_is_raised(monkeypatch):
+    def broken(sc):
+        raise RuntimeError("bug in a child")
+
+    monkeypatch.setattr(harness, "run_scenario", broken)
+    flat = preset_config("fig2a")
+    with pytest.raises(RuntimeError, match="bug in a child"):
+        run_sweep(flat, "optimizer.eta", [0.1])
 
 
 def test_run_sweep_validation():
@@ -357,6 +381,45 @@ def test_cli_verify_refuses_max_steps_below_one(theorem, max_steps, capsys):
     captured = capsys.readouterr()
     assert "--max-steps must be >= 1" in captured.err
     assert "certificate:" not in captured.out
+
+
+@pytest.mark.parametrize("theorem", ["descent", "spike-iff"])
+@pytest.mark.parametrize("steps", ["-5", "0"])
+def test_cli_verify_refuses_steps_below_one(theorem, steps, capsys):
+    assert main(["verify", theorem, "--steps", steps]) == 1
+    captured = capsys.readouterr()
+    assert "--steps must be >= 1" in captured.err
+    assert "certificate:" not in captured.out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["momentum-boundary", "--margin", "-0.5"], "--margin must be in (0, 1)"),
+    (["momentum-boundary", "--margin", "0"], "--margin must be in (0, 1)"),
+    (["momentum-boundary", "--margin", "1"], "--margin must be in (0, 1)"),
+    (["momentum-boundary", "--margin", "nan"], "--margin must be in (0, 1)"),
+    (["real-spectrum", "--dim", "0"], "--dim must be >= 1"),
+    (["real-spectrum", "--dim", "-3"], "--dim must be >= 1"),
+])
+def test_cli_verify_refuses_flags_outside_their_domain(argv, message, capsys):
+    assert main(["verify"] + argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "certificate:" not in captured.out
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["descent", "--eta", "2.5", "--eigenvalues", "1.0", "--steps", "5"],
+     " worst_slack=0 checked=0 skipped=5"),
+    # lambda = 2/eta: theta flips sign on the threshold, never determinate
+    (["spike-iff", "--eta", "1.0", "--eigenvalues", "2.0", "--steps", "3",
+      "--nodes", "2"],
+     " consistent=0/0 determinate steps"),
+], ids=["descent", "spike-iff"])
+def test_cli_verify_without_evidence_is_skipped(argv, detail, capsys):
+    assert main(["verify"] + argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{argv[0]}: SKIPPED (no evidence){detail}\n")
+    assert _cert_from(out)["verdict"] == "SKIPPED (no evidence)"
 
 
 def test_cli_verify_real_spectrum(capsys):

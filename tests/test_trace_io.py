@@ -3,13 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
-                      StepRecord, make_quadratic, read_trace_csv, run,
+from spikelab import (AdamHyper, ProbePlan, ProbeRecord, QuadraticSpec,
+                      RunTrace, make_quadratic, read_trace_csv, run,
                       trace_columns, write_trace_csv)
-from spikelab.errors import ConfigError
-from spikelab.trace import write_json
+from spikelab.trace import PROBE_DTYPE, write_json
 
 # === columns ================================================================
 
@@ -63,35 +63,56 @@ def test_csv_preserves_float_precision(tmp_path):
 
 def test_csv_nonfinite_cells(tmp_path):
     trace = RunTrace(config={}, seed=0, status="diverged", block_names=("all",),
-                     initial_loss=1.0)
-    trace.records.append(StepRecord(
-        step=0, loss=math.inf, grad_norm=2.0, vhat_norm_total=None,
-        vhat_norm_blocks=(), eta_t=0.1, diverged=True))
+                     initial_loss=1.0, loss=np.array([math.inf]),
+                     grad_norm=np.array([2.0]), eta_t=np.array([0.1]))
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace.validate(), path)
+    write_trace_csv(trace, path)
     cols = read_trace_csv(path)
     assert cols["loss"] == [math.inf]
     assert cols["vhat_norm_total"] == [None]
 
 
-def test_validate_rejects_gaps():
-    trace = RunTrace(config={}, seed=0, status="completed",
-                     block_names=("all",), initial_loss=1.0)
-    trace.records.append(StepRecord(
-        step=1, loss=0.5, grad_norm=1.0, vhat_norm_total=None,
-        vhat_norm_blocks=(), eta_t=0.1))
-    with pytest.raises(ConfigError):
-        trace.validate()
+def test_missing_cells_stay_distinct_from_nan(tmp_path):
+    trace = RunTrace(config={}, seed=0, status="completed", block_names=("all",),
+                     initial_loss=1.0, loss=np.array([0.5, np.nan, 0.25]),
+                     grad_norm=np.ones(3), eta_t=np.full(3, 0.1),
+                     vhat=np.array([[np.nan, np.nan], [1.0, 1.0], [2.0, 2.0]]),
+                     probes=np.empty(3, PROBE_DTYPE))
+    trace.put_probe(0, ProbeRecord(0, 1.0, 2.0, None, 20.0, 3, True))
+    trace.put_probe(1, ProbeRecord(2, 1.0, np.nan, np.nan, 20.0, 4, False))
+    trace.end(3, 2, "completed")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    rows = path.read_text().splitlines()
+    assert rows[1:] == ["0,0.5,1.0,nan,nan,0.1,1.0,2.0,,,",
+                        "1,nan,1.0,1.0,1.0,0.1,,,,,",
+                        "2,0.25,1.0,2.0,2.0,0.1,1.0,nan,nan,,"]
+    steps, _ = trace.probe_series("lambda_grad_Hhat")
+    assert steps.tolist() == [2]
+    first, _, last = trace.records
+    assert first.probe.lambda_grad_Hhat is None and first.probe.converged
+    assert math.isnan(last.probe.lambda_grad_Hhat) and not last.probe.converged
+    assert last.probe.power_iters_used == 4
 
 
-def test_validate_rejects_unflagged_divergence():
-    trace = RunTrace(config={}, seed=0, status="diverged",
-                     block_names=("all",), initial_loss=1.0)
-    trace.records.append(StepRecord(
-        step=0, loss=0.5, grad_norm=1.0, vhat_norm_total=None,
-        vhat_norm_blocks=(), eta_t=0.1))
-    with pytest.raises(ConfigError):
-        trace.validate()
+def test_records_view_matches_columns():
+    trace = _small_trace()
+    trace.stage = [None] * 8 + ["1"]
+    trace.sustained = (np.array([3]), np.array([7.5]))
+    rows = trace.records
+    assert len(rows) == 9 and rows[-1].step == 8 and rows[-1].stage == "1"
+    for i, rec in enumerate(rows):
+        assert rec.step == i and type(rec.step) is int
+        assert rec.loss == trace.loss[i] and rec.eta_t == trace.eta_t[i]
+        assert (rec.vhat_norm_total,) + rec.vhat_norm_blocks == tuple(trace.vhat[i])
+        assert (rec.probe is not None) == (i % 3 == 0)
+        assert rec.lambda_grad_sustained == (7.5 if i == 3 else None)
+    steps, vals = trace.probe_series("lambda_max_Hhat")
+    assert [rows[i].probe.lambda_max_Hhat for i in steps] == vals.tolist()
+    with pytest.raises(IndexError):
+        rows[9]
+    with pytest.raises(AttributeError):
+        rows.append(rows[0])
 
 
 def test_series_helpers():
