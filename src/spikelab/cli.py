@@ -8,6 +8,7 @@ writing its summary), 2 diverged run or FAIL verdict.
 import argparse
 import contextlib
 import csv
+import math
 import sys
 
 import numpy as np
@@ -17,11 +18,11 @@ from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
-from .oracles import (check_descent_lemma, momentum_boundary,
+from .oracles import (DENSE_ORACLE_CAP, check_descent_lemma, momentum_boundary,
                       momentum_stability_classify, real_spectrum_check,
                       spike_iff_check)
 from .rngs import stream
-from .scenarios import (PRESETS, apply_overrides, build_scenario,
+from .scenarios import (PRESETS, _floats, apply_overrides, build_scenario,
                         load_config_file, preset_config)
 
 
@@ -81,10 +82,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     flat = _resolve_config(args)
     param = args.param or flat.get("sweep.param")
-    raw_values = args.values if args.values is not None else flat.get("sweep.values", "")
     if not param:
         raise SpikelabError("sweep needs --param (or a sweep.param config key)")
-    values = [float(tok) for tok in str(raw_values).split(",") if tok.strip()]
+    values = (_floats(flat, "sweep.values", "") if args.values is None
+              else _floats({}, "--values", args.values))
     if not values:
         raise SpikelabError("sweep needs a non-empty --values list")
     result = run_sweep(flat, param, values, out=args.out, jobs=args.jobs)
@@ -110,9 +111,8 @@ def _verdict(evidence: int, holds: bool) -> str:
     return ("PASS" if holds else "FAIL") if evidence else "SKIPPED (no evidence)"
 
 
-def _verify_five_stage(args):
-    theta0 = 10.0 if args.theta0 is None else args.theta0
-    cert, payload = five_stage_check(theta0, args.eta, args.beta2, args.max_steps)
+def _verify_five_stage(theta0, eta, beta2, max_steps):
+    cert, payload = five_stage_check(theta0, eta, beta2, max_steps)
     if cert is None:
         return payload, f": {payload['reason']}"
     if not cert.hypothesis_ok:
@@ -122,40 +122,35 @@ def _verify_five_stage(args):
     return payload, f" worst_slack={payload['worst_slack']:.3g} {bounds}"
 
 
-def _verify_momentum_boundary(args):
-    beta1 = 0.9 if args.beta1 is None else args.beta1
-    boundary = momentum_boundary(args.eta, beta1)
-    lo = boundary * (1.0 - args.margin)
-    hi = boundary * (1.0 + args.margin)
-    below = momentum_stability_classify(lo, args.eta, beta1)
-    above = momentum_stability_classify(hi, args.eta, beta1)
+def _verify_momentum_boundary(eta, beta1, margin, lam):
+    boundary = momentum_boundary(eta, beta1)
+    lo, hi = boundary * (1.0 - margin), boundary * (1.0 + margin)
+    below, above = (momentum_stability_classify(x, eta, beta1) for x in (lo, hi))
     payload = {
         "theorem": "momentum-boundary",
         "verdict": "PASS" if below == "stable" and above == "unstable" else "FAIL",
         "boundary": boundary,
-        "margin": args.margin,
+        "margin": margin,
         "bracket": {"lambda_below": lo, "classified_below": below,
                     "lambda_above": hi, "classified_above": above},
     }
-    if args.lam is not None:
+    if lam is not None:
         try:
-            verdict = momentum_stability_classify(args.lam, args.eta, beta1)
+            verdict = momentum_stability_classify(lam, eta, beta1)
         except Indeterminate:
             verdict = "indeterminate"
-        payload["query"] = {"lambda": args.lam, "classified": verdict}
-        print(f"lambda={args.lam:g}: {verdict}")
+        payload["query"] = {"lambda": lam, "classified": verdict}
+        print(f"lambda={lam:g}: {verdict}")
     return payload, f" boundary={boundary:g} bracket=({lo:g}:{below}, {hi:g}:{above})"
 
 
-def _verify_descent(args):
+def _verify_descent(eta, eigenvalues, steps, theta0):
     flat = {
-        "scenario": "verify-descent", "mode": "run",
-        "seed": 0 if args.seed is None else args.seed,
-        "n_steps": args.steps,
-        "theta0": 1.0 if args.theta0 is None else args.theta0,
+        "scenario": "verify-descent", "mode": "run", "seed": 0,
+        "n_steps": steps, "theta0": theta0,
         "objective.kind": "quadratic",
-        "objective.eigenvalues": args.eigenvalues,
-        "optimizer.kind": "gd", "optimizer.eta": args.eta,
+        "objective.eigenvalues": _floats({}, "--eigenvalues", eigenvalues),
+        "optimizer.kind": "gd", "optimizer.eta": eta,
         "probes.every": 0,
     }
     sc = build_scenario(flat)
@@ -168,55 +163,52 @@ def _verify_descent(args):
         "checked_steps": report.checked_steps,
         "skipped_steps": report.skipped_steps,
         "violations": report.violations,
-        "params": {"eta": args.eta, "eigenvalues": args.eigenvalues,
-                   "steps": args.steps},
+        "params": {"eta": eta, "eigenvalues": eigenvalues, "steps": steps},
     }
     return payload, (f" worst_slack={report.worst_slack:.3g} "
                      f"checked={report.checked_steps} skipped={report.skipped_steps}")
 
 
-def _verify_spike_iff(args):
-    eig = tuple(float(x) for x in args.eigenvalues.split(","))
+@np.errstate(all="ignore")  # a diverging iterate raises DivergedEvaluation, unwarned
+def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
+    eig = _floats({}, "--eigenvalues", eigenvalues)
     obj = make_quadratic(QuadraticSpec(eigenvalues=eig))
-    theta = obj.initial_point((1.0 if args.theta0 is None else args.theta0,)).values
+    theta = obj.initial_point((theta0,)).values
     determinate = consistent = 0
     worst_margin = None
-    for _ in range(args.steps):
-        res = spike_iff_check(obj, theta, args.eta, quadrature_nodes=args.nodes)
+    for _ in range(steps):
+        res = spike_iff_check(obj, theta, eta, quadrature_nodes=nodes)
         if res.determinate:
             determinate += 1
             consistent += res.consistent()
             margin = abs(res.estimate - res.threshold)
             worst_margin = margin if worst_margin is None else min(worst_margin, margin)
-        theta = theta - args.eta * obj.gradient(theta)
+        theta = theta - eta * obj.gradient(theta)
     frac = consistent / determinate if determinate else None
     payload = {
         "theorem": "spike-iff",
-        "verdict": _verdict(determinate, frac is not None and frac >= args.min_consistency),
+        "verdict": _verdict(determinate, frac is not None and frac >= min_consistency),
         "consistent_fraction": frac,
         "determinate_steps": determinate,
-        "total_steps": args.steps,
+        "total_steps": steps,
         "worst_margin": worst_margin,
-        "params": {"eta": args.eta, "eigenvalues": args.eigenvalues,
-                   "quadrature_nodes": args.nodes},
+        "params": {"eta": eta, "eigenvalues": eigenvalues, "quadrature_nodes": nodes},
     }
     return payload, f" consistent={consistent}/{determinate} determinate steps"
 
 
-def _verify_lr_decay(args):
-    theta0 = 1.0 if args.theta0 is None else args.theta0
-    report, payload = lr_decay_check(theta0, args.eta0, args.alpha, args.beta2,
-                                     args.max_steps or 10 ** 6)
+def _verify_lr_decay(theta0, eta0, alpha, beta2, max_steps):
+    report, payload = lr_decay_check(theta0, eta0, alpha, beta2, max_steps)
     if report is None:
         return payload, f": {payload['reason']}"
     return payload, f" step={report.step} checked={report.checked_steps}"
 
 
-def _verify_real_spectrum(args):
-    rng = stream(0 if args.seed is None else args.seed, "verify")
-    a = rng.normal(size=(args.dim, args.dim))
+def _verify_real_spectrum(dim, seed):
+    rng = stream(seed, "verify")
+    a = rng.normal(size=(dim, dim))
     H = 0.5 * (a + a.T)
-    d = np.exp(rng.normal(size=args.dim))
+    d = np.exp(rng.normal(size=dim))
     report = real_spectrum_check(H, d)
     payload = {
         "theorem": "real-spectrum",
@@ -224,32 +216,54 @@ def _verify_real_spectrum(args):
         "max_imag_ratio": report.max_imag_ratio,
         "max_rel_mismatch": report.max_rel_mismatch,
         "spectral_radius": report.spectral_radius,
-        "params": {"dim": args.dim, "seed": 0 if args.seed is None else args.seed},
+        "params": {"dim": dim, "seed": seed},
     }
     return payload, (f" max_imag_ratio={report.max_imag_ratio:.3g} "
                      f"max_rel_mismatch={report.max_rel_mismatch:.3g}")
 
 
-# Each verifier returns (certificate.json body, detail for the summary line).
+# A domain is (what a value must be, its test); None admits any value.
+AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
+POSITIVE = ("a positive finite number", lambda x: 0.0 < x < math.inf)
+ETA, STEPS = (float, 0.15, POSITIVE), (int, 100, AT_LEAST_ONE)
+THETA0 = (float, 1.0, ("a finite number", math.isfinite))
+EIGENVALUES = (str, "1.0,5.0,10.0", None)  # read by _floats in the verifier
+
+# theorem -> (verifier, {flag: (type, default, domain)}): a theorem accepts
+# only its own flags (plus --out), which its verifier takes as keywords, and
+# returns (certificate.json body, detail for the summary line). five-stage and
+# lr-decay hand their real values to the oracle, whose refusal is a verdict.
 VERIFIERS = {
-    "descent": _verify_descent,
-    "momentum-boundary": _verify_momentum_boundary,
-    "five-stage": _verify_five_stage,
-    "spike-iff": _verify_spike_iff,
-    "lr-decay": _verify_lr_decay,
-    "real-spectrum": _verify_real_spectrum,
+    "descent": (_verify_descent, dict(
+        eta=ETA, eigenvalues=EIGENVALUES, steps=STEPS, theta0=THETA0)),
+    "momentum-boundary": (_verify_momentum_boundary, dict(
+        eta=ETA, beta1=(float, 0.9, ("in [0, 1)", lambda x: 0.0 <= x < 1.0)),
+        margin=(float, 0.02, ("in (0, 1)", lambda x: 0.0 < x < 1.0)),
+        lam=(float, None, POSITIVE))),
+    "five-stage": (_verify_five_stage, dict(
+        theta0=(float, 10.0, None), eta=(float, 0.15, None),
+        beta2=(float, 0.99, None), max_steps=(int, None, AT_LEAST_ONE))),
+    "spike-iff": (_verify_spike_iff, dict(
+        eigenvalues=EIGENVALUES, theta0=THETA0, steps=STEPS, eta=ETA,
+        nodes=(int, 16, AT_LEAST_ONE),
+        min_consistency=(float, 1.0, ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)))),
+    "lr-decay": (_verify_lr_decay, dict(
+        theta0=(float, 1.0, None), eta0=(float, 0.1, None), alpha=(float, 0.5, None),
+        beta2=(float, 0.99, None), max_steps=(int, 10 ** 6, AT_LEAST_ONE))),
+    "real-spectrum": (_verify_real_spectrum, dict(
+        dim=(int, 40, (f">= 1 and <= {DENSE_ORACLE_CAP}",
+                       lambda n: 1 <= n <= DENSE_ORACLE_CAP)),
+        seed=(int, 0, (">= 0", lambda n: n >= 0)))),
 }
 
 
 def cmd_verify(args) -> int:
-    for flag, ok, domain in (
-            ("--max-steps", args.max_steps is None or args.max_steps >= 1, ">= 1"),
-            ("--steps", args.steps >= 1, ">= 1"),
-            ("--dim", args.dim >= 1, ">= 1"),
-            ("--margin", 0.0 < args.margin < 1.0, "in (0, 1)")):
-        if not ok:
-            raise ConfigError(f"{flag} must be {domain}")
-    payload, detail = VERIFIERS[args.theorem](args)
+    verifier, flags = VERIFIERS[args.theorem]
+    kwargs = {name: getattr(args, name) for name in flags}
+    for name, (_, _, domain) in flags.items():
+        if domain is not None and kwargs[name] is not None and not domain[1](kwargs[name]):
+            raise ConfigError(f"--{name.replace('_', '-')} must be {domain[0]}")
+    payload, detail = verifier(**kwargs)
     print(f"{args.theorem}: {payload['verdict']}{detail}")
     d = write_certificate_dir(payload, f"verify-{args.theorem}", args.out)
     print(f"certificate: {d / 'certificate.json'}")
@@ -298,25 +312,12 @@ def build_parser() -> _Parser:
     sweepp.set_defaults(func=cmd_sweep)
 
     verp = sub.add_parser("verify", help="check one theorem numerically")
-    verp.add_argument("theorem", choices=VERIFIERS)
-    verp.add_argument("--theta0", type=float, default=None)
-    verp.add_argument("--eta", type=float, default=0.15)
-    verp.add_argument("--eta0", type=float, default=0.1)
-    verp.add_argument("--beta1", type=float, default=None)
-    verp.add_argument("--beta2", type=float, default=0.99)
-    verp.add_argument("--alpha", type=float, default=0.5)
-    verp.add_argument("--lam", type=float, default=None,
-                      help="momentum-boundary: classify this eigenvalue")
-    verp.add_argument("--margin", type=float, default=0.02,
-                      help="momentum-boundary: bracket width around the threshold")
-    verp.add_argument("--eigenvalues", default="1.0,5.0,10.0")
-    verp.add_argument("--steps", type=int, default=100)
-    verp.add_argument("--max-steps", type=int, default=None)
-    verp.add_argument("--nodes", type=int, default=16)
-    verp.add_argument("--min-consistency", type=float, default=1.0)
-    verp.add_argument("--dim", type=int, default=40)
-    verp.add_argument("--seed", type=int, default=None)
-    verp.add_argument("--out", default=None)
+    theorems = verp.add_subparsers(dest="theorem", required=True)
+    for theorem, (_, flags) in VERIFIERS.items():
+        tp = theorems.add_parser(theorem, allow_abbrev=False)
+        for name, (kind, default, _) in flags.items():
+            tp.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
+        tp.add_argument("--out", default=None)
     verp.set_defaults(func=cmd_verify)
 
     exp = sub.add_parser("export-dataset", help="write a scenario's dataset CSV")
@@ -331,10 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpikelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SpikelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

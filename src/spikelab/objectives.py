@@ -58,6 +58,8 @@ class FnnTaskSpec:
             raise ConfigError("width, n_samples, input_dim must all be >= 1")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.target not in ("sine-mix", "linear-plus-diag-quadratic"):
             raise ConfigError(f"unknown target {self.target!r}")
 

@@ -23,6 +23,7 @@ STAGE_TOL = 1e-12
 CLASSIFY_HORIZON = 4000
 QUADRATURE_NODES = 16
 DENSE_ORACLE_CAP = 200
+FIVE_STAGE_HORIZON_CAP = 10 ** 6  # steps; theorem_recursion holds two arrays this long
 
 # === derivative oracles =====================================================
 
@@ -61,6 +62,19 @@ def dense_hessian(obj, point) -> np.ndarray:
     return 0.5 * (cols + cols.T)
 
 
+def lambda_grad_weighted(pre, obj, theta, g) -> float:
+    """Gradient quotient in the D^(-1) inner product; bounded by lambda_max.
+
+    Validates the symmetrized geometry of the probes, whose trace column
+    carries the Euclidean form (probes.lambda_grad).
+    """
+    g = np.asarray(g, dtype=float)
+    denom = float(np.sum(g * g / pre.diag()))
+    if denom == 0.0:
+        raise ZeroGradient("lambda_grad needs a nonzero gradient")
+    return float(g @ obj.hvp(theta, g)) / denom
+
+
 # === descent estimate (GD on quadratics) ====================================
 
 
@@ -80,11 +94,14 @@ def check_descent_lemma(trace, obj) -> DescentReport:
     if trace.config.get("optimizer.kind") != "gd":
         raise OracleMisuse("descent check requires a GD trace")
     lam = obj.lambda_max()
+    if not lam > 0:
+        raise PreconditionViolation("descent check needs lambda_max > 0")
     eta, loss = trace.eta_series(), trace.losses()
     prev = np.concatenate(([trace.initial_loss], loss[:-1]))
     checked = eta < 2.0 / lam
-    bound = prev - eta * (1.0 - eta * lam / 2.0) * trace.grad_norm ** 2
-    slack = (bound + DESCENT_TOL * np.abs(prev) - loss)[checked]
+    eta, prev, loss = eta[checked], prev[checked], loss[checked]
+    bound = prev - eta * (1.0 - eta * lam / 2.0) * trace.grad_norm[checked] ** 2
+    slack = bound + DESCENT_TOL * np.abs(prev) - loss
     violations = int((slack < 0).sum())
     return DescentReport(violations == 0, float(slack.min()) if slack.size else 0.0,
                          slack.size, len(trace) - slack.size, violations)
@@ -205,8 +222,8 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     """Simulate the beta1=0 scalar recursion and certify the stage structure."""
     if not (eta > 0 and 0.0 < beta2 < 1.0):
         raise PreconditionViolation("need eta > 0 and beta2 in (0, 1)")
-    if not math.isfinite(theta0):
-        raise PreconditionViolation("need a finite theta0")
+    if not math.isfinite(theta0 * theta0):
+        raise PreconditionViolation("need a finite theta0 with a finite square")
     a0 = abs(theta0)
     if a0 <= eta / 2.0:
         raise PreconditionViolation("need |theta0| > eta/2 (equality refused)")
@@ -215,11 +232,16 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     rhs = 1.0 / math.log(2.0 * a0 / eta) + 1.0 / math.log(2.0)
     hypothesis_ok = lhs > rhs
     t1_formula = 2.0 * math.log(a0 / eta + 0.5) / math.log(1.0 / beta2)
+    horizon = 10.0 * max(t1_formula, 1.0) if max_steps is None else max_steps
+    if not (horizon <= FIVE_STAGE_HORIZON_CAP and t1_formula < math.inf):
+        raise PreconditionViolation(
+            f"need a finite t1 and a horizon of at most {FIVE_STAGE_HORIZON_CAP} "
+            f"steps, got t1={t1_formula:.4g} and {horizon:.4g} steps")
     s = max(eta / (2.0 * a0), abs(1.0 - eta / a0))
     t1 = int(math.floor(t1_formula))
     delta = s ** t1 * a0
     if max_steps is None:
-        max_steps = max(1000, int(math.ceil(10.0 * max(t1_formula, 1.0))))
+        max_steps = max(1000, int(math.ceil(horizon)))
 
     if not hypothesis_ok:
         return FiveStageCertificate(

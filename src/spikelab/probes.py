@@ -110,20 +110,6 @@ def lambda_grad(pre, obj, theta, g) -> float:
     return float(g @ (pre.diag() * obj.hvp(theta, g))) / gn2
 
 
-def lambda_grad_weighted(pre, obj, theta, g) -> float:
-    """Quotient in the D^(-1) inner product; bounded by lambda_max exactly.
-
-    Used by the oracle suites to validate the symmetrized geometry; the
-    trace column carries the Euclidean form above.
-    """
-    g = np.asarray(g, dtype=float)
-    d = pre.diag()
-    denom = float(np.sum(g * g / d))
-    if denom == 0.0:
-        raise ZeroGradient("lambda_grad needs a nonzero gradient")
-    return float(g @ obj.hvp(theta, g)) / denom
-
-
 def sustained_predictor(series, index: int) -> float:
     """Minimum of three consecutive values, centered at index."""
     n = len(series)

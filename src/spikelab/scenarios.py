@@ -37,17 +37,21 @@ def parse_scalar(text: str):
 
 
 def load_config_file(path) -> dict:
-    """Flat dotted-key config: 'key = value' lines, '#' comments."""
+    """Flat dotted-key config: 'key = value' lines of UTF-8, '#' comments."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     flat = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = body.partition("=")
-            flat[key.strip()] = parse_scalar(value)
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = body.partition("=")
+        flat[key.strip()] = parse_scalar(value)
     return flat
 
 
@@ -115,6 +119,22 @@ class AnalysisPlan:
 # === built scenario =========================================================
 
 
+class _Reads(dict):
+    """A config map that records each key looked up through get or in."""
+
+    def __init__(self, flat):
+        super().__init__(flat)
+        self.read = {"sweep.param", "sweep.values"}  # read by sweep, not here
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 @dataclass
 class Scenario:
     """Runnable pieces of one configuration, plus the flat echo."""
@@ -135,13 +155,19 @@ class Scenario:
 
 
 def build_scenario(flat: dict) -> Scenario:
-    """Validate a flat config and construct the runnable scenario."""
-    flat = dict(flat)
+    """Validate a flat config and construct the runnable scenario.
+
+    A key that no reader looked at for the config's mode and objective is
+    refused, so a misspelt or inapplicable key never runs at its default.
+    """
+    flat = _Reads(flat)
     scenario_id = str(flat.get("scenario", "custom"))
     mode = str(flat.get("mode", "run"))
     if mode not in ("run", "five-stage", "lr-decay"):
         raise ConfigError(f"unknown mode {mode!r}")
     seed = _int(flat, "seed", 0)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     n_steps = _int(flat, "n_steps", 1)
     least = 1 if mode == "run" else 0  # 0 lets the five-stage certificate choose
     if n_steps < least:
@@ -204,11 +230,17 @@ def build_scenario(flat: dict) -> Scenario:
             theta0 = objective.initial_point()
         else:
             raise ConfigError(f"unknown objective kind {obj_kind!r}")
+    else:
+        _float(flat, "theta0", 1.0)  # read again by the theorem mode
 
+    unread = sorted(set(flat) - flat.read)
+    if unread:
+        raise ConfigError("config keys unused by this mode and objective: "
+                          + ", ".join(unread))
     return Scenario(
         scenario_id=scenario_id, mode=mode, seed=seed, n_steps=n_steps,
         objective=objective, theta0=theta0, kind=kind, hyper=hyper,
-        sched=sched, plan=plan, probes=probes, analysis=analysis, flat=flat,
+        sched=sched, plan=plan, probes=probes, analysis=analysis, flat=dict(flat),
     )
 
 

@@ -399,6 +399,18 @@ def test_cli_verify_refuses_steps_below_one(theorem, steps, capsys):
     (["momentum-boundary", "--margin", "nan"], "--margin must be in (0, 1)"),
     (["real-spectrum", "--dim", "0"], "--dim must be >= 1"),
     (["real-spectrum", "--dim", "-3"], "--dim must be >= 1"),
+    (["spike-iff", "--eta", "0"], "--eta must be a positive finite number"),
+    (["spike-iff", "--eta", "-1", "--steps", "2"], "--eta must be a positive finite number"),
+    (["momentum-boundary", "--eta", "0"], "--eta must be a positive finite number"),
+    (["momentum-boundary", "--beta1", "1"], "--beta1 must be in [0, 1)"),
+    (["momentum-boundary", "--lam", "nan"], "--lam must be a positive finite number"),
+    (["spike-iff", "--min-consistency", "2"], "--min-consistency must be in [0, 1]"),
+    (["spike-iff", "--nodes", "0"], "--nodes must be >= 1"),
+    (["spike-iff", "--eigenvalues", "abc"], "--eigenvalues must be a finite number, got 'abc'"),
+    (["descent", "--eigenvalues", "1.0,abc"], "--eigenvalues must be a finite number"),
+    (["real-spectrum", "--dim", "201"], "--dim must be >= 1 and <= 200"),
+    (["real-spectrum", "--seed", "-1"], "--seed must be >= 0"),
+    (["descent", "--eigenvalues", "-0"], "descent check needs lambda_max > 0"),
 ])
 def test_cli_verify_refuses_flags_outside_their_domain(argv, message, capsys):
     assert main(["verify"] + argv) == 1
@@ -470,3 +482,89 @@ def test_cli_export_to_file(tmp_path, capsys):
 def test_cli_export_needs_dataset(capsys):
     assert main(["export-dataset", "--scenario", "fig2a", "--file", "-"]) == 1
     assert "no dataset" in capsys.readouterr().err
+
+
+# === strict input path ======================================================
+
+
+@pytest.mark.parametrize("argv", [
+    ["descent", "--seed", "3"],
+    ["descent", "--nodes", "4"],
+    ["momentum-boundary", "--steps", "5"],
+    ["five-stage", "--alpha", "0.5"],
+    ["spike-iff", "--beta2", "0.9"],
+    ["lr-decay", "--eta", "5"],
+    ["real-spectrum", "--eta", "5"],
+], ids=lambda argv: argv[0])
+def test_cli_verify_refuses_another_theorems_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_cli_verify_descent_huge_eta_is_skipped(capsys):
+    # the run diverges at once and no step lies below 2/lambda_max
+    assert main(["verify", "descent", "--eta", "1e308", "--steps", "3"]) == 0
+    assert capsys.readouterr().out.startswith("descent: SKIPPED (no evidence)")
+
+
+def test_cli_verify_spike_iff_diverging_iterate_is_an_error(capsys):
+    assert main(["verify", "spike-iff", "--eta", "10"]) == 1
+    assert "error: quadratic" in capsys.readouterr().err
+
+
+def test_cli_verify_five_stage_refuses_long_horizon(capsys):
+    assert main(["verify", "five-stage", "--beta2", "0.99999"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("five-stage: SKIPPED (hypothesis): need a finite t1 "
+                          "and a horizon of at most 1000000 steps")
+    assert _cert_from(out)["verdict"] == "SKIPPED (hypothesis)"
+
+
+def test_theorem_preset_refuses_long_horizon(capsys):
+    assert main(["run", "--scenario", "thmD4", "--set", "n_steps=1000001"]) == 0
+    assert "verdict=SKIPPED (hypothesis)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["optimizer.etaa", "theta0"])
+def test_cli_run_refuses_unread_key(key, capsys):
+    scenario = "fig2a" if key == "optimizer.etaa" else "fig5-gd"
+    assert main(["run", "--scenario", scenario, "--set", f"{key}=0.5"]) == 1
+    assert f"error: config keys unused by this mode and objective: {key}" in (
+        capsys.readouterr().err)
+    assert not (_runs_root() / scenario).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["run", "--set", "objective.seed=-1"],
+])
+def test_cli_run_refuses_negative_seed(argv, capsys):
+    assert main(argv[:1] + ["--scenario", "fig5-gd"] + argv[1:]) == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_sweep_names_a_bad_value(capsys):
+    assert main(["sweep", "--scenario", "fig2a", "--param", "optimizer.eta",
+                 "--values", "0.1,abc"]) == 1
+    assert "error: --values must be a finite number, got 'abc'" in capsys.readouterr().err
+
+
+def test_cli_bad_paths_exit_one(tmp_path, capsys):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("n_steps = 5\n")
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"objective.target = caf\xe9\n")
+    for argv in (["run", "--config", str(tmp_path / "missing.cfg")],
+                 ["run", "--config", str(tmp_path)],
+                 ["run", "--config", str(latin1)],
+                 ["run", "--scenario", "fig2a", "--set", "n_steps=5",
+                  "--out", str(a_file)],
+                 ["export-dataset", "--scenario", "fig5-gd",
+                  "--file", str(tmp_path / "no-dir" / "x.csv")]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+    assert main(["run", "--config", str(latin1)]) == 1
+    assert f"error: {latin1}: not UTF-8 text" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from spikelab import (AdamHyper, QuadraticSpec, check_descent_lemma,
                       real_spectrum_check, run, spike_iff_check)
 from spikelab.errors import (Indeterminate, OracleMisuse, OracleSizeExceeded,
                              PreconditionViolation, ZeroGradient)
+from spikelab.oracles import FIVE_STAGE_HORIZON_CAP
 
 # === descent lemma ==========================================================
 
@@ -205,3 +206,19 @@ def test_lr_decay_preconditions():
     for eta0 in (-0.1, 0.0, math.nan, math.inf):
         with pytest.raises(PreconditionViolation, match="positive finite eta0"):
             lr_decay_witness(1.0, eta0, 0.5, 0.9999, max_steps=10)
+
+
+def test_certificate_refuses_a_horizon_above_the_cap():
+    # beta2 = 0.99999 implies 8.4e6 steps, which used to take 12 s to simulate
+    with pytest.raises(PreconditionViolation, match="horizon of at most 1000000"):
+        five_stage_certificate(10.0, 0.15, 0.99999)
+    with pytest.raises(PreconditionViolation, match="horizon"):
+        five_stage_certificate(10.0, 0.15, 0.99, max_steps=FIVE_STAGE_HORIZON_CAP + 1)
+    # |theta0|/eta overflows, so t1 is infinite even with a short horizon
+    with pytest.raises(PreconditionViolation, match="finite t1"):
+        five_stage_certificate(1e150, 1e-200, 0.99, max_steps=100)
+
+
+def test_certificate_refuses_theta0_whose_square_overflows():
+    with pytest.raises(PreconditionViolation, match="finite square"):
+        five_stage_certificate(1e200, 1.0, 0.9)

@@ -6,7 +6,7 @@ import pytest
 from spikelab import (Preconditioner, ProbeWarmStart, compute_probe, dense_hessian,
                       lambda_grad, power_iteration, sustained_predictor)
 from spikelab.errors import BoundaryUndefined, ConfigError, ZeroGradient
-from spikelab.probes import lambda_grad_weighted
+from spikelab.oracles import lambda_grad_weighted
 
 # === power iteration ========================================================
 

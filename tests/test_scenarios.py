@@ -197,3 +197,36 @@ def test_flat_echo_round_trip():
     sc = build_scenario(cfg)
     assert sc.flat["optimizer.eta"] == 0.15
     assert sc.flat is not cfg  # defensive copy
+
+
+def test_build_refuses_every_unread_key():
+    cfg = preset_config("fig2a")
+    cfg.update({"optimizer.etaa": 0.5, "objective.width": 4})
+    with pytest.raises(ConfigError, match="objective.width, optimizer.etaa"):
+        build_scenario(cfg)
+    fnn = preset_config("fig5-gd")
+    fnn["theta0"] = 3.0
+    with pytest.raises(ConfigError, match="unused by this mode and objective: theta0"):
+        build_scenario(fnn)
+    d4 = preset_config("thmD4")
+    d4["objective.eigenvalues"] = "1.0"
+    with pytest.raises(ConfigError, match="objective.eigenvalues"):
+        build_scenario(d4)
+
+
+def test_build_allows_sweep_keys_and_reads_theorem_theta0():
+    cfg = preset_config("fig2a")
+    cfg.update({"sweep.param": "optimizer.eta", "sweep.values": "0.1,0.2"})
+    assert build_scenario(cfg).flat["sweep.values"] == "0.1,0.2"
+    for name in ("thmD4", "thmD6"):
+        cfg = preset_config(name)
+        cfg["theta0"] = "abc"
+        with pytest.raises(ConfigError, match="theta0 must be a finite number"):
+            build_scenario(cfg)
+
+
+def test_load_config_file_refuses_non_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"objective.target = caf\xe9\n")
+    with pytest.raises(ConfigError, match="latin1.cfg: not UTF-8 text"):
+        load_config_file(path)
