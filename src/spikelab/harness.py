@@ -20,7 +20,7 @@ from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
 from .errors import ConfigError, PreconditionViolation, SpikelabError
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
-from .scenarios import Scenario, _float, _int, build_scenario
+from .scenarios import Scenario, _float, _int, _seed, build_scenario
 from .trace import PROBE_DTYPE, RunTrace, write_csv, write_json, write_trace_csv
 
 # === results ================================================================
@@ -375,7 +375,7 @@ def run_sweep(base_flat: dict, param: str, values, out=None,
     if param not in base:
         raise ConfigError(f"sweep parameter {param!r} is not a config key")
     base_id = str(base.get("scenario", "sweep"))
-    seed = _int(base, "seed", 0)
+    seed = _seed(base)
 
     sweep_dir = fresh_dir(output_root(out), base_id, seed)
     write_json(_clean(dict(base_flat, **{"sweep.param": param})),

@@ -2,7 +2,11 @@
 
 Both objective kinds expose the same surface: loss, gradient,
 loss_and_gradient, and an exact Hessian-vector product; callers use these
-methods directly. FNN derivatives are closed form (reverse mode for the
+methods directly. hvp_at(theta) returns an HVP closure at one point, and
+hvp(theta, vec) is that closure called once. The FNN closure reuses the
+factors and work buffers that depend only on theta, so many products at one
+point (a probe's power iterations, a dense Hessian's columns) pay for one
+forward pass. FNN derivatives are closed form (reverse mode for the
 gradient, a forward-over-reverse sweep for the HVP) on one shared forward
 pass, and the tests cross-check them against oracles.central_fd_hvp and
 oracles.dense_hessian.
@@ -16,6 +20,8 @@ import numpy as np
 from .errors import ConfigError, DivergedEvaluation
 from .params import ParamVector
 from .rngs import stream
+
+FNN_MAX_ENTRIES = 10 ** 8  # per float64 array, 800 MB
 
 # === specs ==================================================================
 
@@ -56,8 +62,14 @@ class FnnTaskSpec:
     def __post_init__(self):
         if self.width < 1 or self.n_samples < 1 or self.input_dim < 1:
             raise ConfigError("width, n_samples, input_dim must all be >= 1")
+        n, m, d = self.n_samples, self.width, self.input_dim
+        if max(n * d, n * m, m * d) > FNN_MAX_ENTRIES:
+            raise ConfigError(f"n_samples, width and input_dim make an array (X, H or W1) "
+                              f"above {FNN_MAX_ENTRIES} entries")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
+        if self.init_variance_scale < 0:
+            raise ConfigError("init_variance_scale (objective.init_scale) must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.target not in ("sine-mix", "linear-plus-diag-quadratic"):
@@ -102,7 +114,14 @@ class QuadraticObjective:
         return val, g
 
     def hvp(self, theta, vec) -> np.ndarray:
-        return self.lam * np.asarray(vec, dtype=float)
+        return self.hvp_at(theta)(vec)
+
+    def hvp_at(self, theta):
+        """Closure vec -> Hessian @ vec; the Hessian is diag(lambda) everywhere."""
+        if not np.all(np.isfinite(theta)):
+            raise DivergedEvaluation("quadratic hvp point is non-finite")
+        lam = self.lam
+        return lambda vec: lam * np.asarray(vec, dtype=float)
 
     def lambda_max(self) -> float:
         return float(self.lam.max())
@@ -181,25 +200,48 @@ class FnnObjective:
         return self.loss_and_gradient(theta)[1]
 
     def hvp(self, theta, vec) -> np.ndarray:
+        return self.hvp_at(theta)(vec)
+
+    def hvp_at(self, theta):
+        """Closure vec -> Hessian(theta) @ vec, by a forward-over-reverse sweep.
+
+        The forward pass, 1 - H^2, the scaled residual r and the curvature
+        factor 2 (r W2) H depend only on theta and are computed once here.
+        Each call fills three n x m work buffers in place and returns a
+        fresh vector.
+        """
         W2, H, e = self._forward(theta)
-        V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))
-        n = e.size
+        W2 = W2.copy()  # a view into theta; the closure must not follow later edits
+        X = self.X
+        n, m = H.shape
+        md = m * X.shape[1]
         T = 1.0 - H * H
         r = e / n
-        RZ = self.X @ V1.T + c1
-        RH = T * RZ
-        Rf = RH @ W2 + H @ V2 + c2
-        Rr = Rf / n
-        RdW2 = H.T @ Rr + RH.T @ r
-        Rdb2 = Rr.sum()
-        RdZ = (Rr[:, None] * W2[None, :] + r[:, None] * V2[None, :]) * T \
-            - 2.0 * (r[:, None] * W2[None, :]) * H * RH
-        RdW1 = RdZ.T @ self.X
-        Rdb1 = RdZ.sum(axis=0)
-        out = np.concatenate([RdW1.ravel(), Rdb1, RdW2, [Rdb2]])
-        if not np.all(np.isfinite(out)):
-            raise DivergedEvaluation("fnn hvp is non-finite")
-        return out
+        A2 = 2.0 * (r[:, None] * W2[None, :]) * H
+        RH, RdZ, tmp = (np.empty((n, m)) for _ in range(3))
+
+        def hvp(vec):
+            V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))
+            np.matmul(X, V1.T, out=RH)
+            np.add(RH, c1, out=RH)
+            np.multiply(T, RH, out=RH)
+            Rr = (RH @ W2 + H @ V2 + c2) / n
+            out = np.empty(self.param_dim)
+            out[md + m : md + 2 * m] = H.T @ Rr + RH.T @ r
+            out[-1] = Rr.sum()
+            np.multiply(Rr[:, None], W2[None, :], out=RdZ)
+            np.multiply(r[:, None], V2[None, :], out=tmp)
+            np.add(RdZ, tmp, out=RdZ)
+            np.multiply(RdZ, T, out=RdZ)
+            np.multiply(A2, RH, out=tmp)
+            np.subtract(RdZ, tmp, out=RdZ)
+            np.matmul(RdZ.T, X, out=out[:md].reshape(m, -1))
+            np.sum(RdZ, axis=0, out=out[md : md + m])
+            if not np.all(np.isfinite(out)):
+                raise DivergedEvaluation("fnn hvp is non-finite")
+            return out
+
+        return hvp
 
     def initial_point(self, theta0=None) -> ParamVector:
         """Gaussian init, every block N(0, scale/width)."""
@@ -227,7 +269,10 @@ def _make_dataset(spec: FnnTaskSpec):
         vstar = rng.standard_normal(spec.input_dim)
         y = X @ wstar + (X * X) @ vstar
     if spec.noise_std > 0:
-        y = y + spec.noise_std * rng.standard_normal(spec.n_samples)
+        with np.errstate(over="ignore"):
+            y = y + spec.noise_std * rng.standard_normal(spec.n_samples)
+        if not np.all(np.isfinite(y)):
+            raise ConfigError("noise_std overflows the regression targets")
     return X, y
 
 

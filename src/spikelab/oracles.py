@@ -53,11 +53,12 @@ def dense_hessian(obj, point) -> np.ndarray:
     n = point.dim
     if n > DENSE_ORACLE_CAP:
         raise OracleSizeExceeded(f"dense hessian capped at n <= {DENSE_ORACLE_CAP}")
+    hvp = obj.hvp_at(point.values)
     cols = np.empty((n, n))
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
-        cols[:, j] = obj.hvp(point.values, e)
+        cols[:, j] = hvp(e)
         e[j] = 0.0
     return 0.5 * (cols + cols.T)
 

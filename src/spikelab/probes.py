@@ -70,6 +70,11 @@ class PowerResult:
     iters_used: int
 
 
+def _usable(v0) -> bool:
+    """Whether power iteration starts from v0 rather than a seeded draw."""
+    return v0 is not None and np.linalg.norm(v0) > 0
+
+
 def power_iteration(apply, dim, max_iters=PI_MAX_ITERS, tol=PI_TOL, seed=0,
                     v0=None) -> PowerResult:
     """Dominant eigenvalue of a linear operator via normalized iteration.
@@ -79,7 +84,7 @@ def power_iteration(apply, dim, max_iters=PI_MAX_ITERS, tol=PI_TOL, seed=0,
     """
     if dim < 1:
         raise ConfigError("power iteration needs dim >= 1")
-    if v0 is not None and np.linalg.norm(v0) > 0:
+    if _usable(v0):
         v = np.asarray(v0, dtype=float) / np.linalg.norm(v0)
     else:
         v = stream(seed, "power-iteration").standard_normal(dim)
@@ -101,13 +106,13 @@ def power_iteration(apply, dim, max_iters=PI_MAX_ITERS, tol=PI_TOL, seed=0,
 # === directional curvature ==================================================
 
 
-def lambda_grad(pre, obj, theta, g) -> float:
-    """Rayleigh quotient of the preconditioned Hessian along the gradient."""
+def lambda_grad(d, hvp, g) -> float:
+    """Rayleigh quotient of diag(d) H along the gradient; hvp(v) = H v."""
     g = np.asarray(g, dtype=float)
     gn2 = float(g @ g)
     if gn2 == 0.0:
         raise ZeroGradient("lambda_grad needs a nonzero gradient")
-    return float(g @ (pre.diag() * obj.hvp(theta, g))) / gn2
+    return float(g @ (d * hvp(g))) / gn2
 
 
 def sustained_predictor(series, index: int) -> float:
@@ -144,18 +149,26 @@ class ProbeWarmStart:
 
 def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
                   max_iters=PI_MAX_ITERS, tol=PI_TOL) -> ProbeRecord:
-    """Full probe at one step; mutates `warm` with the new eigenvectors."""
-    probe_seed = stream(seed, "probe", step).integers(0, 2 ** 62)
-    raw = power_iteration(lambda w: obj.hvp(theta, w), dim=theta.size,
-                          max_iters=max_iters, tol=tol, seed=probe_seed, v0=warm.raw)
+    """Full probe at one step; mutates `warm` with the new eigenvectors.
+
+    Every HVP of the probe goes through one obj.hvp_at(theta) closure, and
+    the probe seed is drawn only when a warm start is missing.
+    """
+    hvp = obj.hvp_at(theta)
+    probe_seed = None
+    if not (_usable(warm.raw) and _usable(warm.pre)):
+        probe_seed = stream(seed, "probe", step).integers(0, 2 ** 62)
+    raw = power_iteration(hvp, dim=theta.size, max_iters=max_iters, tol=tol,
+                          seed=probe_seed, v0=warm.raw)
     warm.raw = raw.vector
-    sq = np.sqrt(pre.diag())
-    prec = power_iteration(lambda w: sq * obj.hvp(theta, sq * w), dim=sq.size,
+    d = pre.diag()
+    sq = np.sqrt(d)
+    prec = power_iteration(lambda w: sq * hvp(sq * w), dim=sq.size,
                            max_iters=max_iters, tol=tol, seed=probe_seed, v0=warm.pre)
     warm.pre = prec.vector
     lg = None
     if float(np.dot(g, g)) > 0.0:
-        lg = lambda_grad(pre, obj, theta, g)
+        lg = lambda_grad(d, hvp, g)
     return ProbeRecord(
         step=step,
         lambda_max_H=raw.value,

@@ -16,6 +16,9 @@ from .objectives import FnnTaskSpec, QuadraticSpec, make_fnn_task, make_quadrati
 from .optimizers import OPTIMIZER_KINDS, ProbePlan
 from .params import AdamHyper, LrSchedule, MitigationPlan
 
+MAX_STEPS = 10 ** 7  # 100x the longest preset; run preallocates its columns
+MAX_SEED = 2 ** 64 - 1  # the seed is part of the run directory's name
+
 # === flat-key parsing =======================================================
 
 
@@ -83,6 +86,13 @@ def _float(flat, key, default):
         if math.isfinite(value):
             return value
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
+
+
+def _seed(flat):
+    seed = _int(flat, "seed", 0)
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must be >= 0 and <= {MAX_SEED}")
+    return seed
 
 
 def _bool(flat, key, default):
@@ -165,13 +175,11 @@ def build_scenario(flat: dict) -> Scenario:
     mode = str(flat.get("mode", "run"))
     if mode not in ("run", "five-stage", "lr-decay"):
         raise ConfigError(f"unknown mode {mode!r}")
-    seed = _int(flat, "seed", 0)
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    seed = _seed(flat)
     n_steps = _int(flat, "n_steps", 1)
     least = 1 if mode == "run" else 0  # 0 lets the five-stage certificate choose
-    if n_steps < least:
-        raise ConfigError(f"n_steps must be >= {least}")
+    if not least <= n_steps <= MAX_STEPS:
+        raise ConfigError(f"n_steps must be in [{least}, {MAX_STEPS}]")
 
     kind = str(flat.get("optimizer.kind", "adam"))
     if kind not in OPTIMIZER_KINDS:

@@ -41,6 +41,28 @@ def test_hvp_symmetry_and_linearity(small_fnn, fnn_point):
     assert np.allclose(combo, 2.0 * hv1 - 3.0 * hv2, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["quad3", "small_fnn"])
+def test_hvp_closure_matches_fresh_hvp_bit_for_bit(name, request):
+    obj = request.getfixturevalue(name)
+    rng = np.random.default_rng(9)
+    th = rng.standard_normal(obj.param_dim)
+    v1, v2 = rng.standard_normal((2, obj.param_dim))
+    point = th.copy()
+    hvp = obj.hvp_at(point)
+    point[:] = 0.0  # the closure does not follow later edits of its point
+    got, kept = [], []
+    for v in (v1, v2, v1):
+        got.append(hvp(v))
+        kept.append(got[-1].copy())
+    for v, r, k in zip((v1, v2, v1), got, kept):
+        assert np.array_equal(r, obj.hvp(th, v))
+        assert np.array_equal(r, k)  # later calls leave earlier results alone
+    bad = th.copy()
+    bad[0] = np.nan
+    with pytest.raises(DivergedEvaluation):
+        obj.hvp_at(bad)(v1)
+
+
 def test_dense_hessian_of_quadratic_is_exact(quad3):
     H = dense_hessian(quad3, ParamVector(np.ones(3)))
     assert np.allclose(H, np.diag([1.0, 5.0, 10.0]))

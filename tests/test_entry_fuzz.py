@@ -14,7 +14,7 @@ import json
 import math
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spikelab import build_scenario, run_scenario, write_run_dir
@@ -144,6 +144,11 @@ def flat_configs(draw):
 
 @FUZZ
 @given(flat=flat_configs())
+@example(flat={"mode": "run", "n_steps": 1e308})
+@example(flat={"mode": "five-stage", "n_steps": 1, "seed": 1e308})
+@example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.n_samples": 1e308})
+@example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.noise_std": 1e308})
+@example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.init_scale": -1})
 def test_flat_config_fuzz(flat, tmp_path):
     try:
         result = run_scenario(build_scenario(flat))

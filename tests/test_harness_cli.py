@@ -263,6 +263,13 @@ def test_cli_run_config_errors(capsys):
     assert not (_runs_root() / "fig2a").exists()
 
 
+def test_cli_run_refuses_n_steps_above_cap(capsys):
+    assert main(["run", "--scenario", "fig2a", "--set", "n_steps=1e20"]) == 1
+    err = capsys.readouterr().err
+    assert any(l.startswith("error: n_steps must be in") for l in err.splitlines())
+    assert not (_runs_root() / "fig2a").exists()
+
+
 @pytest.mark.parametrize("value", ["true", "inf"])
 def test_cli_theorem_run_bad_theta0_exits_one(value, capsys):
     assert main(["run", "--scenario", "thmD4", "--set", f"theta0={value}"]) == 1
@@ -543,6 +550,18 @@ def test_cli_run_refuses_unread_key(key, capsys):
 def test_cli_run_refuses_negative_seed(argv, capsys):
     assert main(argv[:1] + ["--scenario", "fig5-gd"] + argv[1:]) == 1
     assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "fig5-gd", "--seed", str(2 ** 64)],
+    ["run", "--scenario", "fig5-gd", "--set", "seed=1e308"],
+    ["sweep", "--scenario", "fig5-gd", "--param", "optimizer.eta", "--values", "0.1",
+     "--set", "seed=1e308"],
+])
+def test_cli_refuses_seed_too_long_for_a_directory_name(argv, capsys):
+    assert main(argv) == 1
+    assert "error: seed must be >= 0 and <= 18446744073709551615" in capsys.readouterr().err
+    assert not (_runs_root() / "fig5-gd").exists()
 
 
 def test_cli_sweep_names_a_bad_value(capsys):

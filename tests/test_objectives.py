@@ -114,6 +114,16 @@ def test_task_spec_validation():
                     noise_std=-0.1)
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_samples": 10 ** 308}, {"width": 10 ** 308}, {"input_dim": 10 ** 5, "width": 10 ** 4},
+    {"init_variance_scale": -1.0}, {"noise_std": 1e308},
+])
+def test_task_spec_refuses_what_it_cannot_build(fields):
+    spec = dict(input_dim=1, width=4, n_samples=10, target="linear-plus-diag-quadratic")
+    with pytest.raises(ConfigError):
+        make_fnn_task(FnnTaskSpec(**dict(spec, **fields)))
+
+
 # === loss at an array point, dataset export =================================
 
 

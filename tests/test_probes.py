@@ -94,7 +94,7 @@ def test_lambda_grad_quotient(quad3):
     pre = Preconditioner(0.0, 0.999, 1, (1.0 / d) ** 2, 0.0, 1.0)
     th = np.array([1.0, 1.0, 1.0])
     g = quad3.gradient(th)
-    got = lambda_grad(pre, quad3, th, g)
+    got = lambda_grad(pre.diag(), quad3.hvp_at(th), g)
     want = float(g @ (d * quad3.hvp(th, g))) / float(g @ g)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -102,7 +102,7 @@ def test_lambda_grad_quotient(quad3):
 def test_lambda_grad_zero_gradient(quad3):
     pre = Preconditioner(0.0, 0.999, 1, np.ones(3), 0.0, 1.0)
     with pytest.raises(ZeroGradient):
-        lambda_grad(pre, quad3, np.zeros(3), np.zeros(3))
+        lambda_grad(pre.diag(), quad3.hvp_at(np.zeros(3)), np.zeros(3))
 
 
 def test_weighted_quotient_bounded_by_lambda_max(quad3):

@@ -2,7 +2,8 @@
 
 These presets cover every trace column shape: probes at every step, the
 stage and sustained columns, v-hat columns left empty under GD, a trace
-synthesized from the theorem recursion, and an empty trace.
+synthesized from the theorem recursion, and an empty trace. fig5-gd also
+pins the FNN probe path: its warm-started power iterations on HVP closures.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference_dige
 FILES = ("trace.csv", "analysis.json", "certificate.json")
 
 
-@pytest.mark.parametrize("name", ["fig3-spike", "figD11-adafactor",
+@pytest.mark.parametrize("name", ["fig3-spike", "fig5-gd", "figD11-adafactor",
                                   "figD12-gd-delay", "thmD4", "thmD6"])
 def test_run_dir_matches_reference_digests(name, tmp_path):
     reference = json.loads(REFERENCE.read_text())["preset-mix"]

@@ -5,7 +5,7 @@ import pytest
 
 from spikelab import PRESETS, build_scenario, load_config_file, preset_config
 from spikelab.errors import ConfigError
-from spikelab.scenarios import AnalysisPlan, apply_overrides, parse_scalar
+from spikelab.scenarios import MAX_STEPS, AnalysisPlan, apply_overrides, parse_scalar
 
 # === scalar and file parsing ================================================
 
@@ -151,6 +151,17 @@ def test_theorem_presets_have_no_objective():
     assert d6.sched.kind == "power-decay"
     assert d6.sched.alpha == 0.5
     assert d6.hyper.beta2 == 0.9999
+
+
+@pytest.mark.parametrize("name", ["fig2a", "thmD4", "thmD6"])
+def test_n_steps_is_capped(name):
+    cfg = preset_config(name)
+    cfg["n_steps"] = MAX_STEPS
+    assert build_scenario(cfg).n_steps == MAX_STEPS
+    for value in (MAX_STEPS + 1, 1e308):
+        cfg["n_steps"] = value
+        with pytest.raises(ConfigError, match="n_steps"):
+            build_scenario(cfg)
 
 
 @pytest.mark.parametrize("name", ["thmD4", "thmD6"])
