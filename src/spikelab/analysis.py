@@ -147,7 +147,7 @@ def segment_stages(trace, hyper) -> StageSegmentation:
     n = len(trace)
     losses = trace.losses()
     vnorm = trace.vhat_norms()
-    eta = trace.eta_series()
+    eta = trace.eta_t
     lm_steps, lm_vals = trace.probe_series("lambda_max_Hhat")
     lg_steps, lg_vals = trace.probe_series("lambda_grad_Hhat")
     lm_thr = 2.0 / eta[lm_steps]
@@ -298,11 +298,11 @@ def pre_spike_index(losses, onset_step: int) -> int:
 
 def crossing_summary(trace) -> dict:
     """First-crossing steps and crossing counts for the probe columns."""
-    eta = trace.eta_series()
+    eta = trace.eta_t
     out = {}
     for key, (steps, vals) in (("lambda_max", trace.probe_series("lambda_max_Hhat")),
                                ("lambda_grad", trace.probe_series("lambda_grad_Hhat")),
-                               ("sustained", trace.sustained_series())):
+                               ("sustained", trace.sustained)):
         mask = vals > 2.0 / eta[steps]
         out[f"first_{key}_crossing"] = _first(steps, mask)
         out[f"{key}_crossing_steps"] = int(mask.sum())

@@ -22,8 +22,8 @@ from .oracles import (DENSE_ORACLE_CAP, check_descent_lemma, momentum_boundary,
                       momentum_stability_classify, real_spectrum_check,
                       spike_iff_check)
 from .rngs import stream
-from .scenarios import (PRESETS, _floats, apply_overrides, build_scenario,
-                        load_config_file, preset_config)
+from .scenarios import (PRESETS, apply_overrides, build_scenario, load_config_file,
+                        preset_config, read_floats)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,11 +84,11 @@ def cmd_sweep(args) -> int:
     param = args.param or flat.get("sweep.param")
     if not param:
         raise SpikelabError("sweep needs --param (or a sweep.param config key)")
-    values = (_floats(flat, "sweep.values", "") if args.values is None
-              else _floats({}, "--values", args.values))
+    values = (read_floats(flat, "sweep.values", "") if args.values is None
+              else read_floats({}, "--values", args.values))
     if not values:
         raise SpikelabError("sweep needs a non-empty --values list")
-    result = run_sweep(flat, param, values, out=args.out, jobs=args.jobs)
+    result = run_sweep(flat, param, values, out=args.out)
     for row in result.rows:
         bits = [f"{row['param']}={row['value']:.6g}", f"status={row['status']}"]
         if row["onset_step"] is not None:
@@ -149,7 +149,7 @@ def _verify_descent(eta, eigenvalues, steps, theta0):
         "scenario": "verify-descent", "mode": "run", "seed": 0,
         "n_steps": steps, "theta0": theta0,
         "objective.kind": "quadratic",
-        "objective.eigenvalues": _floats({}, "--eigenvalues", eigenvalues),
+        "objective.eigenvalues": read_floats({}, "--eigenvalues", eigenvalues),
         "optimizer.kind": "gd", "optimizer.eta": eta,
         "probes.every": 0,
     }
@@ -171,7 +171,7 @@ def _verify_descent(eta, eigenvalues, steps, theta0):
 
 @np.errstate(all="ignore")  # a diverging iterate raises DivergedEvaluation, unwarned
 def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
-    eig = _floats({}, "--eigenvalues", eigenvalues)
+    eig = read_floats({}, "--eigenvalues", eigenvalues)
     obj = make_quadratic(QuadraticSpec(eigenvalues=eig))
     theta = obj.initial_point((theta0,)).values
     determinate = consistent = 0
@@ -227,7 +227,7 @@ AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
 POSITIVE = ("a positive finite number", lambda x: 0.0 < x < math.inf)
 ETA, STEPS = (float, 0.15, POSITIVE), (int, 100, AT_LEAST_ONE)
 THETA0 = (float, 1.0, ("a finite number", math.isfinite))
-EIGENVALUES = (str, "1.0,5.0,10.0", None)  # read by _floats in the verifier
+EIGENVALUES = (str, "1.0,5.0,10.0", None)  # read by read_floats in the verifier
 
 # theorem -> (verifier, {flag: (type, default, domain)}): a theorem accepts
 # only its own flags (plus --out), which its verifier takes as keywords, and
@@ -308,7 +308,6 @@ def build_parser() -> _Parser:
     _add_config_args(sweepp)
     sweepp.add_argument("--param", help="dotted config key to sweep")
     sweepp.add_argument("--values", help="comma-separated numeric values")
-    sweepp.add_argument("--jobs", type=int, default=1)
     sweepp.set_defaults(func=cmd_sweep)
 
     verp = sub.add_parser("verify", help="check one theorem numerically")

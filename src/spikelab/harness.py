@@ -7,6 +7,7 @@ trace alone.
 """
 
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
 from .errors import ConfigError, PreconditionViolation, SpikelabError
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
-from .scenarios import Scenario, _float, _int, _seed, build_scenario
+from .scenarios import Scenario, build_scenario
 from .trace import PROBE_DTYPE, RunTrace, write_csv, write_json, write_trace_csv
 
 # === results ================================================================
@@ -114,9 +115,9 @@ def _run_mode(sc: Scenario) -> RunResult:
     return RunResult(scenario=sc, trace=trace, analysis=_analyze(trace, sc))
 
 
-def _empty_trace(sc: Scenario, theta0: float) -> RunTrace:
+def _empty_trace(sc: Scenario) -> RunTrace:
     return RunTrace(config=dict(sc.flat), seed=sc.seed, status="completed",
-                    block_names=("theta",), initial_loss=0.5 * theta0 * theta0)
+                    block_names=("theta",), initial_loss=0.5 * sc.theta0 * sc.theta0)
 
 
 def _theorem_trace(sc: Scenario, cert) -> RunTrace:
@@ -145,11 +146,10 @@ def _theorem_trace(sc: Scenario, cert) -> RunTrace:
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
-    theta0 = _float(sc.flat, "theta0", 1.0)
-    cert, payload = five_stage_check(theta0, sc.hyper.eta, sc.hyper.beta2,
+    cert, payload = five_stage_check(sc.theta0, sc.hyper.eta, sc.hyper.beta2,
                                      sc.n_steps or None)
     ok = cert is not None and cert.hypothesis_ok
-    trace = _theorem_trace(sc, cert) if ok else _empty_trace(sc, theta0)
+    trace = _theorem_trace(sc, cert) if ok else _empty_trace(sc)
     analysis = _analyze(trace, sc)
 
     if ok and analysis.get("segmentation"):
@@ -205,10 +205,9 @@ def five_stage_check(theta0, eta, beta2, max_steps):
 
 
 def _lr_decay_mode(sc: Scenario) -> RunResult:
-    theta0 = _float(sc.flat, "theta0", 1.0)
-    report, payload = lr_decay_check(theta0, sc.hyper.eta, sc.sched.alpha,
+    report, payload = lr_decay_check(sc.theta0, sc.hyper.eta, sc.sched.alpha,
                                      sc.hyper.beta2, sc.n_steps)
-    trace = _empty_trace(sc, theta0)
+    trace = _empty_trace(sc)
     witness = None if report is None else {
         "found": report.found, "step": report.step, "checked_steps": report.checked_steps}
     analysis = dict(_analyze(trace, sc), crossings={}, witness=witness)
@@ -361,39 +360,35 @@ class SweepResult:
         return all(r["status"] == "completed" for r in self.rows)
 
 
-def run_sweep(base_flat: dict, param: str, values, out=None,
-              jobs: int = 1) -> SweepResult:
-    """One child run per value; children land inside the sweep directory."""
+def run_sweep(base_flat: dict, param: str, values, out=None) -> SweepResult:
+    """One child run per value; children land inside the sweep directory.
+
+    Children run in a process pool, one worker per value up to the CPU count.
+    Each child is a pure function of its config, so its files do not depend
+    on the worker that ran it, and rows keep the order of the values. Workers
+    are spawned, not forked, because numpy's BLAS threads make fork unsafe; a
+    script that calls run_sweep does so under `if __name__ == "__main__":`.
+    """
     values = list(values)
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
-    if jobs < 1:
-        raise ConfigError("sweep needs jobs >= 1")
-    base = dict(base_flat)
-    base.pop("sweep.param", None)
-    base.pop("sweep.values", None)
-    if param not in base:
-        raise ConfigError(f"sweep parameter {param!r} is not a config key")
-    base_id = str(base.get("scenario", "sweep"))
-    seed = _seed(base)
+    base = {k: v for k, v in base_flat.items()
+            if k not in ("sweep.param", "sweep.values", param)}
+    seed = build_scenario(dict(base, **{"sweep.param": param})).seed
+    ids = [_child_id(param, value) for value in values]
+    clashes = [f"{float(v)!r} -> {cid}" for v, cid in zip(values, ids) if ids.count(cid) > 1]
+    if clashes:
+        raise ConfigError("sweep values share a child directory: " + ", ".join(clashes))
 
-    sweep_dir = fresh_dir(output_root(out), base_id, seed)
+    sweep_dir = fresh_dir(output_root(out), str(base.get("scenario", "sweep")), seed)
     write_json(_clean(dict(base_flat, **{"sweep.param": param})),
                sweep_dir / "config.json")
 
-    tasks = []
-    for value in values:
-        flat = dict(base)
-        flat[param] = value
-        flat["scenario"] = _child_id(param, value)
-        tasks.append((flat, str(sweep_dir / _child_id(param, value)),
-                      param, value))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
-            rows = list(pool.map(_sweep_child, tasks))
-    else:
-        rows = [_sweep_child(t) for t in tasks]
+    tasks = [(dict(base, **{param: value, "scenario": cid}), str(sweep_dir / cid),
+              param, value) for value, cid in zip(values, ids)]
+    with ProcessPoolExecutor(max_workers=min(len(values), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        rows = list(pool.map(_sweep_child, tasks))
 
     write_sweep_summary(rows, sweep_dir / "sweep_summary.csv")
     return SweepResult(sweep_dir=sweep_dir, rows=rows)

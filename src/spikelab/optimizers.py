@@ -84,7 +84,7 @@ def _advance(theta, state, hyper, sched, plan, g):
             state.v = state.v + g * g
         else:
             state.v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g
-        floor = plan.floor_value()
+        floor = plan.v_floor
         if floor is not None:
             state.v = np.maximum(state.v, floor)
         vhat = state.v

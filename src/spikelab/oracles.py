@@ -97,7 +97,7 @@ def check_descent_lemma(trace, obj) -> DescentReport:
     lam = obj.lambda_max()
     if not lam > 0:
         raise PreconditionViolation("descent check needs lambda_max > 0")
-    eta, loss = trace.eta_series(), trace.losses()
+    eta, loss = trace.eta_t, trace.losses()
     prev = np.concatenate(([trace.initial_loss], loss[:-1]))
     checked = eta < 2.0 / lam
     eta, prev, loss = eta[checked], prev[checked], loss[checked]

@@ -42,15 +42,6 @@ class ParamVector:
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    def block_norms(self) -> dict:
-        out = {}
-        for name, off, length in self.blocks:
-            out[name] = float(np.linalg.norm(self.values[off : off + length]))
-        return out
-
     def with_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values=values, blocks=self.blocks)
 
@@ -122,9 +113,6 @@ class MitigationPlan:
         if self.epsilon_bump is not None and t >= self.epsilon_bump[0]:
             return self.epsilon_bump[1]
         return default_epsilon
-
-    def floor_value(self):
-        return self.v_floor
 
 
 NO_MITIGATION = MitigationPlan()

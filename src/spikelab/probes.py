@@ -9,6 +9,7 @@ Euclidean Rayleigh quotient of D H along the gradient.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +127,7 @@ def sustained_predictor(series, index: int) -> float:
 # === probe records ==========================================================
 
 
-@dataclass
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     """Spectral measurements at one step."""
 
     step: int

@@ -102,7 +102,7 @@ def _bool(flat, key, default):
     raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
-def _floats(flat, key, default):
+def read_floats(flat, key, default):
     """Finite floats of key, from one number, a sequence or "a,b,c" text."""
     value = flat.get(key, default)
     if isinstance(value, str):
@@ -154,7 +154,7 @@ class Scenario:
     seed: int
     n_steps: int
     objective: object
-    theta0: object  # ParamVector, None in theorem modes without a trace
+    theta0: object  # ParamVector in run mode, the scalar theta0 in theorem modes
     kind: str
     hyper: AdamHyper
     sched: LrSchedule
@@ -168,7 +168,8 @@ def build_scenario(flat: dict) -> Scenario:
     """Validate a flat config and construct the runnable scenario.
 
     A key that no reader looked at for the config's mode and objective is
-    refused, so a misspelt or inapplicable key never runs at its default.
+    refused, so a misspelt or inapplicable key never runs at its default;
+    so is a sweep.param naming such a key.
     """
     flat = _Reads(flat)
     scenario_id = str(flat.get("scenario", "custom"))
@@ -220,10 +221,10 @@ def build_scenario(flat: dict) -> Scenario:
     if mode == "run":
         obj_kind = str(flat.get("objective.kind", "quadratic"))
         if obj_kind == "quadratic":
-            eig = _floats(flat, "objective.eigenvalues", "1.0")
-            offset = _floats(flat, "objective.offset", None) if "objective.offset" in flat else None
+            eig = read_floats(flat, "objective.eigenvalues", "1.0")
+            offset = read_floats(flat, "objective.offset", None) if "objective.offset" in flat else None
             objective = make_quadratic(QuadraticSpec(eigenvalues=eig, offset=offset))
-            theta0 = objective.initial_point(_floats(flat, "theta0", "1.0"))
+            theta0 = objective.initial_point(read_floats(flat, "theta0", "1.0"))
         elif obj_kind == "fnn":
             spec = FnnTaskSpec(
                 input_dim=_int(flat, "objective.input_dim", 1),
@@ -239,12 +240,16 @@ def build_scenario(flat: dict) -> Scenario:
         else:
             raise ConfigError(f"unknown objective kind {obj_kind!r}")
     else:
-        _float(flat, "theta0", 1.0)  # read again by the theorem mode
+        theta0 = _float(flat, "theta0", 1.0)
 
     unread = sorted(set(flat) - flat.read)
     if unread:
         raise ConfigError("config keys unused by this mode and objective: "
                           + ", ".join(unread))
+    param = flat.get("sweep.param")
+    if param is not None and param not in flat.read - {"sweep.param", "sweep.values"}:
+        raise ConfigError(f"sweep parameter {param!r} is not a config key "
+                          "of this mode and objective")
     return Scenario(
         scenario_id=scenario_id, mode=mode, seed=seed, n_steps=n_steps,
         objective=objective, theta0=theta0, kind=kind, hyper=hyper,

@@ -9,7 +9,7 @@ the header is always present. Identical configs reproduce identical bytes.
 import csv
 import json
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -20,7 +20,7 @@ SCHEMA_VERSION = 1
 
 # One row per probe: the ProbeRecord fields, then whether its lambda_grad_Hhat
 # is present (it is missing where the gradient vanished).
-PROBE_DTYPE = np.dtype([(f.name, f.type) for f in fields(ProbeRecord)]
+PROBE_DTYPE = np.dtype(list(ProbeRecord.__annotations__.items())
                        + [("has_lambda_grad", bool)])
 
 
@@ -70,7 +70,7 @@ class RunTrace:
 
     def put_probe(self, j, rec: ProbeRecord) -> None:
         lg = rec.lambda_grad_Hhat  # a None is stored as 0.0 and masked out
-        self.probes[j] = astuple(replace(rec, lambda_grad_Hhat=lg or 0.0)) + (lg is not None,)
+        self.probes[j] = (*rec[:3], lg or 0.0, *rec[4:], lg is not None)
 
     def end(self, n_steps, n_probes, status):
         """Keep the first n_steps rows and n_probes probes; set the status."""
@@ -97,17 +97,11 @@ class RunTrace:
         """Total v-hat norm per step; NaN throughout without a second moment."""
         return np.full(len(self), np.nan) if self.vhat is None else self.vhat[:, 0]
 
-    def eta_series(self) -> np.ndarray:
-        return self.eta_t
-
     def probe_series(self, name: str):
         """(steps, values) for one ProbeRecord field over sampled steps."""
         p = self.probes  # lambda_grad_Hhat only where it is present
         p = p[p["has_lambda_grad"]] if name == "lambda_grad_Hhat" else p
         return p["step"], p[name].astype(float)
-
-    def sustained_series(self):
-        return self.sustained
 
 
 class _Rows(Sequence):

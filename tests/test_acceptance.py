@@ -218,8 +218,8 @@ def test_criterion_09_sustained_crossings_live_inside_spikes(fig6_run):
     wide = [e for e in events
             if e["recovery_step"] - e["onset_step"] >= 2 * every]
 
-    eta = trace.eta_series()
-    s_steps, s_vals = trace.sustained_series()
+    eta = trace.eta_t
+    s_steps, s_vals = trace.sustained
     sus_steps = s_steps[s_vals > 2.0 / eta[s_steps]]
     raw_total = result.analysis["crossings"]["lambda_grad_crossing_steps"]
 

@@ -302,14 +302,14 @@ def test_sustained_column_matches_per_sample_reference():
                 n_steps=60, probes=ProbePlan(every=2))
     steps, vals = trace.probe_series("lambda_grad_Hhat")
     fill_sustained(trace)
-    s_steps, s_vals = trace.sustained_series()
+    s_steps, s_vals = trace.sustained
     assert s_steps.tolist() == steps[1:-1].tolist()
     assert s_vals.tolist() == [sustained_predictor(vals, j)
                                for j in range(1, len(vals) - 1)]
     # fewer than three samples leave no interior sample
     trace.probes = trace.probes[:2]
     fill_sustained(trace)
-    assert [a.size for a in trace.sustained_series()] == [0, 0]
+    assert [a.size for a in trace.sustained] == [0, 0]
 
 
 def test_first_crossings_on_hand_built_trace():

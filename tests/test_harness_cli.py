@@ -159,19 +159,34 @@ def test_run_sweep_layout_and_recompute():
     assert int(cells[2]) == onset
 
 
-def test_run_sweep_parallel_rows_match():
+def test_run_sweep_parallel_rows_match(tmp_path):
     flat = preset_config("fig2a")
     flat["n_steps"] = 1200
-    seq = run_sweep(flat, "optimizer.eta", [0.1])
-    par = run_sweep(flat, "optimizer.eta", [0.1], jobs=2)
-    assert par.rows == seq.rows
+    values = [0.1, 0.05]
+    res = run_sweep(flat, "optimizer.eta", values, out=tmp_path / "pool")
+    assert [row["value"] for row in res.rows] == values
+    for value in values:
+        child_id = f"optimizer.eta={value:.6g}"
+        child_flat = dict(flat, **{"optimizer.eta": value, "scenario": child_id})
+        alone = write_run_dir(run_scenario(build_scenario(child_flat)),
+                              out=tmp_path / "alone")
+        for name in ("trace.csv", "analysis.json"):
+            assert ((res.sweep_dir / child_id / name).read_bytes()
+                    == (alone / name).read_bytes())
 
 
-def test_run_sweep_pool_is_bounded_by_values(monkeypatch, capsys):
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Run sweep children in process, recording each pool's size.
+
+    A monkeypatch does not reach spawned pool workers, so a test that patches
+    harness internals runs its children here instead.
+    """
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -184,18 +199,45 @@ def test_run_sweep_pool_is_bounded_by_values(monkeypatch, capsys):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_run_sweep_pool_is_bounded_by_values(recording_pool, monkeypatch):
     flat = preset_config("fig2a")
     flat["n_steps"] = 60
-    res = run_sweep(flat, "optimizer.eta", [0.1, 0.2], jobs=64)
-    assert sizes == [2]
+    for cpus, n_values, size in ((3, 2, 2), (3, 4, 3), (None, 4, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        values = [0.1 * (k + 1) for k in range(n_values)]
+        assert run_sweep(flat, "optimizer.eta", values).all_completed()
+        assert recording_pool[-1] == size
+    assert len(recording_pool) == 3
+
+
+def test_run_sweep_refuses_values_sharing_a_child_dir(tmp_path):
+    flat = preset_config("fig2a")
+    for values in ([0.01000001, 0.01000002], [0.01, 0.2, 0.01]):
+        with pytest.raises(ConfigError, match="share a child directory") as err:
+            run_sweep(flat, "optimizer.eta", values, out=tmp_path)
+        assert f"{values[0]!r} -> optimizer.eta=0.01" in str(err.value)
+        assert f"{values[-1]!r} -> optimizer.eta=0.01" in str(err.value)
+        assert "0.2" not in str(err.value)
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_sweep_takes_every_key_the_scenario_reads(tmp_path):
+    flat = preset_config("fig2a")
+    flat["n_steps"] = 60
+    assert "probes.tol" not in flat
+    res = run_sweep(flat, "probes.tol", [1e-6, 1e-8], out=tmp_path)
     assert res.all_completed()
-    for jobs in (0, -3):
-        with pytest.raises(ConfigError, match="jobs"):
-            run_sweep(flat, "optimizer.eta", [0.1], jobs=jobs)
-    assert main(["sweep", "--scenario", "fig2a", "--param", "optimizer.eta",
-                 "--values", "0.1", "--jobs", "0"]) == 1
-    assert "jobs" in capsys.readouterr().err
-    assert sizes == [2]
+    fnn = preset_config("fig6-fnn50d")
+    fnn.update({"n_steps": 2, "probes.every": 0})
+    res = run_sweep(fnn, "plan.v_floor", [0.01], out=tmp_path)
+    assert res.all_completed()
+    for param in ("optimizer.etaa", "sweep.values", "objective.width"):
+        with pytest.raises(ConfigError, match=f"sweep parameter '{param}'"):
+            run_sweep(flat, param, [0.1], out=tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_cli_sweep_exits_one_when_a_child_fails(capsys):
@@ -212,7 +254,7 @@ def test_cli_sweep_exits_one_when_a_child_fails(capsys):
     assert len(rows) == 3
 
 
-def test_sweep_child_bug_is_raised(monkeypatch):
+def test_sweep_child_bug_is_raised(recording_pool, monkeypatch):
     def broken(sc):
         raise RuntimeError("bug in a child")
 
@@ -465,6 +507,12 @@ def test_cli_sweep_usage(capsys):
     assert main(["sweep", "--scenario", "fig2a", "--param", "optimizer.eta",
                  "--values", ""]) == 1
     assert main(["sweep", "--scenario", "fig2a", "--values", "0.1"]) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", "fig2a", "--param", "optimizer.eta",
+              "--values", "0.1", "--jobs", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 # === cli: export-dataset ====================================================

@@ -13,15 +13,6 @@ def test_default_block_covers_vector():
     p = ParamVector(np.array([1.0, -2.0, 2.0]))
     assert p.blocks == (("theta", 0, 3),)
     assert p.dim == 3
-    assert p.norm() == pytest.approx(3.0)
-
-
-def test_block_norms_split_by_range():
-    p = ParamVector(np.array([3.0, 4.0, 12.0]),
-                    blocks=(("a", 0, 2), ("b", 2, 1)))
-    norms = p.block_norms()
-    assert norms["a"] == pytest.approx(5.0)
-    assert norms["b"] == pytest.approx(12.0)
 
 
 def test_blocks_must_tile_the_vector():
@@ -101,11 +92,6 @@ def test_epsilon_bump_switches_at_step():
     assert plan.epsilon_at(4, 1e-8) == 1e-8
     assert plan.epsilon_at(5, 1e-8) == 0.1
     assert plan.epsilon_at(6, 1e-8) == 0.1
-
-
-def test_floor_value_passthrough():
-    assert MitigationPlan(v_floor=0.01).floor_value() == 0.01
-    assert MitigationPlan().floor_value() is None
 
 
 def test_plan_rejects_bad_values():

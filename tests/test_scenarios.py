@@ -144,13 +144,14 @@ def test_epsilon_bump_defaults_to_point_one():
 def test_theorem_presets_have_no_objective():
     d4 = build_scenario(preset_config("thmD4"))
     assert d4.mode == "five-stage"
-    assert d4.objective is None and d4.theta0 is None
+    assert d4.objective is None and d4.theta0 == 10.0
     assert d4.hyper.beta2 == 0.99
     d6 = build_scenario(preset_config("thmD6"))
     assert d6.mode == "lr-decay"
     assert d6.sched.kind == "power-decay"
     assert d6.sched.alpha == 0.5
     assert d6.hyper.beta2 == 0.9999
+    assert d6.theta0 == 1.0
 
 
 @pytest.mark.parametrize("name", ["fig2a", "thmD4", "thmD6"])

@@ -121,7 +121,7 @@ def test_series_helpers():
     steps, vals = trace.probe_series("lambda_max_Hhat")
     assert steps.tolist() == [0, 3, 6]
     assert all(v > 0 for v in vals)
-    assert trace.eta_series().tolist() == [0.05] * 9
+    assert trace.eta_t.tolist() == [0.05] * 9
 
 
 # === json ===================================================================
