@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergedEvaluation, DivergedRun
 from .params import NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan, OptimizerState, ParamVector
-from .probes import Preconditioner, ProbeWarmStart, compute_probe
+from .probes import PI_MAX_ITERS, PI_TOL, Preconditioner, ProbeWarmStart, compute_probe
 from .trace import PROBE_DTYPE, RunTrace, StepRecord
 
 DIVERGE_LIMIT = 1e150
@@ -52,9 +52,18 @@ class StepAux:
     """Loop-internal byproducts of one step, enough to probe and record."""
 
     eta_t: float
-    vhat: np.ndarray  # the adaptive denominator's square, None without v
-    eps: float  # the epsilon added to sqrt(vhat), 0 without v
-    rho_t: float  # Adafactor's relative step size, 1 for the other kinds
+    root: np.ndarray  # sqrt(vhat), the step's denominator less eps; None without v
+    eps: float  # the epsilon added to root, 0 without v
+    scale: float  # D_t's scalar: the momentum and bias factors, or Adafactor's rho_t
+
+    def preconditioner(self, dim) -> Preconditioner:
+        """D_t of this step: the denominator it divided by and its scalar.
+
+        Adafactor's RMS clip, a scalar that can only shrink the step, is left
+        out, so on clipped steps D_t overstates the step applied.
+        """
+        return Preconditioner(np.ones(dim) if self.root is None else self.root,
+                              self.eps, self.scale)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -72,11 +81,11 @@ def _advance(theta, state, hyper, sched, plan, g):
     rule = RULES[state.kind]
     t = state.t
     eta_t = hyper.eta if sched is None else sched.eta_at(t)
-    d = g
+    d, scale = g, 1.0
     if rule.momentum:
         state.m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * g
-        d = state.m
-    vhat, eps, rho_t = None, 0.0, 1.0
+        d, scale = state.m, (1.0 - hyper.beta1) / (1.0 + hyper.beta1)
+    root, eps = None, 0.0
     if rule.v == "none":
         upd = eta_t * d
     else:
@@ -89,43 +98,25 @@ def _advance(theta, state, hyper, sched, plan, g):
             state.v = np.maximum(state.v, floor)
         vhat = state.v
         if rule.bias_correction and hyper.bias_correction:
-            d = d / (1.0 - hyper.beta1 ** (t + 1))
+            bias1 = 1.0 - hyper.beta1 ** (t + 1)
+            d, scale = d / bias1, scale / bias1
             vhat = vhat / (1.0 - hyper.beta2 ** (t + 1))
+        root = np.sqrt(vhat)
         if rule.factored:
             eps = ADAFACTOR_EPS1
-            u = d / (np.sqrt(vhat) + eps)
+            u = d / (root + eps)
             u = u / max(1.0, _rms(u) / ADAFACTOR_CLIP)
-            rho_t = max(ADAFACTOR_EPS2, _rms(theta))
-            upd = (eta_t * rho_t) * u
+            scale = max(ADAFACTOR_EPS2, _rms(theta))
+            upd = (eta_t * scale) * u
         else:
             eps = plan.epsilon_at(t, hyper.epsilon)
-            upd = eta_t * d / (np.sqrt(vhat) + eps)
+            upd = eta_t * d / (root + eps)
     state.t = t + 1
-    return theta - upd, StepAux(eta_t=eta_t, vhat=vhat, eps=eps, rho_t=rho_t)
+    return theta - upd, StepAux(eta_t=eta_t, root=root, eps=eps, scale=scale)
 
 
-def _probe_preconditioner(hyper, state, aux, theta) -> Preconditioner:
-    """D_t of the step just taken, from its rule and its StepAux.
-
-    The diagonal is built from the vhat the step divided by and the epsilon
-    it added, so sqrt(pre.v_hat) + pre.epsilon is the applied denominator.
-    Adafactor's scale is rho_t alone: its RMS clip, a scalar that can only
-    shrink the step, is left out, so on clipped steps D_t overstates the
-    step applied.
-    """
-    rule = RULES[state.kind]
-    t_exp = state.t  # already incremented: equals the 1-based step count
-    if rule.factored:
-        return Preconditioner(0.0, hyper.beta2, t_exp, aux.vhat, aux.eps, aux.rho_t)
-    vhat = np.ones_like(theta) if aux.vhat is None else aux.vhat
-    beta1 = hyper.beta1 if rule.momentum else 0.0
-    return Preconditioner.for_adam(beta1, hyper.beta2, t_exp, vhat, aux.eps,
-                                   rule.bias_correction and hyper.bias_correction)
-
-
-def _vhat_norms(vhat, blocks) -> list:
+def _vhat_norms(root, blocks) -> list:
     """Norm of sqrt(vhat), then its norm over each block."""
-    root = np.sqrt(vhat)
     return [np.linalg.norm(root)] + [np.linalg.norm(root[off:off + length])
                                      for _, off, length in blocks]
 
@@ -143,7 +134,7 @@ def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
     theta_new, aux = _advance(theta.values, state, hyper, sched, plan, g)
     if not np.all(np.isfinite(theta_new)):
         raise DivergedRun(f"non-finite parameter after step {step_index}")
-    norms = () if aux.vhat is None else tuple(map(float, _vhat_norms(aux.vhat, theta.blocks)))
+    norms = () if aux.root is None else tuple(map(float, _vhat_norms(aux.root, theta.blocks)))
     return theta.with_values(theta_new), state, StepRecord(
         step_index, obj.loss(theta_new), float(np.linalg.norm(g)),
         norms[0] if norms else None, norms[1:], aux.eta_t)
@@ -165,8 +156,8 @@ class ProbePlan:
     """Which spectral probes to take and how often (every=0 disables)."""
 
     every: int = 0
-    max_iters: int = 100
-    tol: float = 1e-6
+    max_iters: int = PI_MAX_ITERS
+    tol: float = PI_TOL
 
     def __post_init__(self):
         if self.every < 0 or self.max_iters < 1 or not self.tol > 0:
@@ -212,14 +203,15 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     for i in range(n_steps):
         theta_new, aux = _advance(theta, state, hyper, sched, plan, g)
         trace.grad_norm[i], trace.eta_t[i] = np.linalg.norm(g), aux.eta_t
-        if aux.vhat is not None:
-            trace.vhat[i] = _vhat_norms(aux.vhat, theta0.blocks)
+        if aux.root is not None:
+            trace.vhat[i] = norms = _vhat_norms(aux.root, theta0.blocks)
+            if not math.isfinite(norms[0]):  # theta froze under an inf v_hat
+                return trace.end(i + 1, n_probes, "diverged")
         if not np.all(np.isfinite(theta_new)):
             return trace.end(i + 1, n_probes, "diverged")  # D_t may be non-finite too
         if probes.every and i % probes.every == 0:
-            pre = _probe_preconditioner(hyper, state, aux, theta)
             trace.put_probe(n_probes, compute_probe(
-                obj, theta, pre, g, aux.eta_t, i, seed, warm,
+                obj, theta, aux.preconditioner(theta.size), g, aux.eta_t, i, seed, warm,
                 max_iters=probes.max_iters, tol=probes.tol,
             ))
             n_probes += 1

@@ -24,37 +24,34 @@ PI_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Diagonal scaling D = scale * diag(1/(sqrt(v_hat)+epsilon)).
+    """Diagonal scaling D = scale * diag(1/(root+epsilon)), root = sqrt(v_hat).
 
-    For Adam, scale = (1/(1-beta1^t)) * ((1-beta1)/(1+beta1)) with the first
-    factor dropped when bias correction is off. Other optimizers install
-    their own scale (1 for RMSProp/Adagrad, rho_t for Adafactor).
+    root + epsilon is the denominator the step divided by, and scale the
+    scalar it multiplied by. The run loop takes all three from the step.
     """
 
-    beta1: float
-    beta2: float
-    t: int
-    v_hat: np.ndarray
+    root: np.ndarray
     epsilon: float
     scale: float
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ConfigError("preconditioner requires t >= 1")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ConfigError("preconditioner scale must be positive and finite")
 
     @staticmethod
     def for_adam(beta1, beta2, t, v_hat, epsilon, bias_correction=True):
+        """Adam's D_t after t steps: scale (1-beta1)/(1+beta1)/(1-beta1^t)."""
+        if t < 1:
+            raise ConfigError("preconditioner requires t >= 1")
+        if np.any(v_hat < 0):
+            raise ConfigError("preconditioner v_hat must be non-negative")
         c = (1.0 - beta1) / (1.0 + beta1)
         if bias_correction:
             c /= 1.0 - beta1 ** t
-        return Preconditioner(beta1, beta2, t, v_hat, epsilon, c)
+        return Preconditioner(np.sqrt(v_hat), epsilon, c)
 
     def diag(self) -> np.ndarray:
-        if np.any(self.v_hat < 0):
-            raise ConfigError("preconditioner v_hat must be non-negative")
-        d = self.scale / (np.sqrt(self.v_hat) + self.epsilon)
+        d = self.scale / (self.root + self.epsilon)
         if not np.all(np.isfinite(d)) or not np.all(d > 0):
             raise ConfigError("preconditioner diagonal must be positive finite")
         return d
@@ -72,24 +69,21 @@ class PowerResult:
 
 
 def _usable(v0) -> bool:
-    """Whether power iteration starts from v0 rather than a seeded draw."""
+    """Whether a warm vector can start power iteration."""
     return v0 is not None and np.linalg.norm(v0) > 0
 
 
-def power_iteration(apply, dim, max_iters=PI_MAX_ITERS, tol=PI_TOL, seed=0,
-                    v0=None) -> PowerResult:
-    """Dominant eigenvalue of a linear operator via normalized iteration.
+def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
+    """Dominant eigenvalue of a linear operator via normalized iteration from v0.
 
     Convergence is declared when successive Rayleigh estimates agree to a
     relative tolerance. A zero operator reports lambda=0, converged.
     """
-    if dim < 1:
-        raise ConfigError("power iteration needs dim >= 1")
-    if _usable(v0):
-        v = np.asarray(v0, dtype=float) / np.linalg.norm(v0)
-    else:
-        v = stream(seed, "power-iteration").standard_normal(dim)
-        v = v / np.linalg.norm(v)
+    v = np.asarray(v0, dtype=float)
+    norm = np.linalg.norm(v) if v.ndim == 1 else 0.0
+    if not norm > 0:
+        raise ConfigError("power iteration needs a nonzero start vector")
+    v = v / norm
     lam = 0.0
     for k in range(max_iters):
         w = apply(v)
@@ -152,19 +146,20 @@ def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
     """Full probe at one step; mutates `warm` with the new eigenvectors.
 
     Every HVP of the probe goes through one obj.hvp_at(theta) closure, and
-    the probe seed is drawn only when a warm start is missing.
+    one cold start is drawn only when a warm vector is missing, for either
+    iteration that lacks one.
     """
     hvp = obj.hvp_at(theta)
-    probe_seed = None
+    cold = None
     if not (_usable(warm.raw) and _usable(warm.pre)):
-        probe_seed = stream(seed, "probe", step).integers(0, 2 ** 62)
-    raw = power_iteration(hvp, dim=theta.size, max_iters=max_iters, tol=tol,
-                          seed=probe_seed, v0=warm.raw)
+        cold = stream(stream(seed, "probe", step).integers(0, 2 ** 62),
+                      "power-iteration").standard_normal(theta.size)
+    raw = power_iteration(hvp, warm.raw if _usable(warm.raw) else cold, max_iters, tol)
     warm.raw = raw.vector
     d = pre.diag()
     sq = np.sqrt(d)
-    prec = power_iteration(lambda w: sq * hvp(sq * w), dim=sq.size,
-                           max_iters=max_iters, tol=tol, seed=probe_seed, v0=warm.pre)
+    prec = power_iteration(lambda w: sq * hvp(sq * w),
+                           warm.pre if _usable(warm.pre) else cold, max_iters, tol)
     warm.pre = prec.vector
     lg = None
     if float(np.dot(g, g)) > 0.0:

@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .objectives import FnnTaskSpec, QuadraticSpec, make_fnn_task, make_quadratic
 from .optimizers import OPTIMIZER_KINDS, ProbePlan
 from .params import AdamHyper, LrSchedule, MitigationPlan
+from .probes import PI_MAX_ITERS, PI_TOL
 
 MAX_STEPS = 10 ** 7  # 100x the longest preset; run preallocates its columns
 MAX_SEED = 2 ** 64 - 1  # the seed is part of the run directory's name
@@ -147,7 +148,11 @@ class _Reads(dict):
 
 @dataclass
 class Scenario:
-    """Runnable pieces of one configuration, plus the flat echo."""
+    """Runnable pieces of one configuration, plus the flat echo.
+
+    Theorem modes have no objective, kind, plan or probes, and their hyper
+    is the scalar recursion's; sched is the power decay in lr-decay mode only.
+    """
 
     scenario_id: str
     mode: str  # run | five-stage | lr-decay
@@ -182,34 +187,42 @@ def build_scenario(flat: dict) -> Scenario:
     if not least <= n_steps <= MAX_STEPS:
         raise ConfigError(f"n_steps must be in [{least}, {MAX_STEPS}]")
 
-    kind = str(flat.get("optimizer.kind", "adam"))
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError(f"unknown optimizer kind {kind!r}")
-    hyper = AdamHyper(
-        eta=_float(flat, "optimizer.eta", 0.01),
-        beta1=_float(flat, "optimizer.beta1", 0.9),
-        beta2=_float(flat, "optimizer.beta2", 0.999),
-        epsilon=_float(flat, "optimizer.epsilon", 1e-8),
-        bias_correction=_bool(flat, "optimizer.bias_correction", True),
-    )
-    sched = LrSchedule(
-        kind=str(flat.get("schedule.kind", "constant")),
-        eta0=hyper.eta,
-        alpha=_float(flat, "schedule.alpha", 0.0),
-    )
-    bump = None
-    if "plan.epsilon_bump_step" in flat:
-        bump = (_int(flat, "plan.epsilon_bump_step", None),
-                _float(flat, "plan.epsilon_bump_value", 0.1))
-    plan = MitigationPlan(
-        epsilon_bump=bump,
-        v_floor=_float(flat, "plan.v_floor", None) if "plan.v_floor" in flat else None,
-    )
-    probes = ProbePlan(
-        every=_int(flat, "probes.every", 0),
-        max_iters=_int(flat, "probes.max_iters", 100),
-        tol=_float(flat, "probes.tol", 1e-6),
-    )
+    eta = _float(flat, "optimizer.eta", 0.01)
+    beta2 = _float(flat, "optimizer.beta2", 0.999)
+    kind = plan = probes = None
+    if mode == "run":
+        kind = str(flat.get("optimizer.kind", "adam"))
+        if kind not in OPTIMIZER_KINDS:
+            raise ConfigError(f"unknown optimizer kind {kind!r}")
+        hyper = AdamHyper(
+            eta=eta,
+            beta1=_float(flat, "optimizer.beta1", 0.9),
+            beta2=beta2,
+            epsilon=_float(flat, "optimizer.epsilon", 1e-8),
+            bias_correction=_bool(flat, "optimizer.bias_correction", True),
+        )
+        sched = LrSchedule(kind=str(flat.get("schedule.kind", "constant")),
+                           eta0=eta, alpha=_float(flat, "schedule.alpha", 0.0))
+        bump = None
+        if "plan.epsilon_bump_step" in flat:
+            bump = (_int(flat, "plan.epsilon_bump_step", None),
+                    _float(flat, "plan.epsilon_bump_value", 0.1))
+        plan = MitigationPlan(
+            epsilon_bump=bump,
+            v_floor=_float(flat, "plan.v_floor", None) if "plan.v_floor" in flat else None,
+        )
+        probes = ProbePlan(
+            every=_int(flat, "probes.every", 0),
+            max_iters=_int(flat, "probes.max_iters", PI_MAX_ITERS),
+            tol=_float(flat, "probes.tol", PI_TOL),
+        )
+    else:  # the theorems' scalar recursion: beta1 = 0, epsilon = 0, no bias correction
+        hyper = AdamHyper(eta=eta, beta1=0.0, beta2=beta2, epsilon=0.0,
+                          bias_correction=False)
+        sched = None
+        if mode == "lr-decay":
+            sched = LrSchedule(kind="power-decay", eta0=eta,
+                               alpha=_float(flat, "schedule.alpha", 0.0))
     analysis = AnalysisPlan(
         rho=_float(flat, "analysis.rho", 3.0),
         window=_int(flat, "analysis.window", 50),
@@ -247,6 +260,9 @@ def build_scenario(flat: dict) -> Scenario:
         raise ConfigError("config keys unused by this mode and objective: "
                           + ", ".join(unread))
     param = flat.get("sweep.param")
+    if param == "scenario":
+        raise ConfigError("sweep parameter 'scenario' cannot be swept: each child's "
+                          "scenario is its directory name")
     if param is not None and param not in flat.read - {"sweep.param", "sweep.values"}:
         raise ConfigError(f"sweep parameter {param!r} is not a config key "
                           "of this mode and objective")
@@ -374,16 +390,13 @@ def _presets() -> dict:
     p["thmD4"] = {
         "scenario": "thmD4", "mode": "five-stage", "seed": 0,
         "theta0": 10.0, "optimizer.eta": 0.15, "optimizer.beta2": 0.99,
-        "optimizer.beta1": 0.0, "optimizer.epsilon": 0.0,
-        "optimizer.bias_correction": False,
         "n_steps": 0,  # 0 lets the certificate choose 10 * t1
         "analysis.segment": True,
     }
     p["thmD6"] = {
         "scenario": "thmD6", "mode": "lr-decay", "seed": 0,
         "theta0": 1.0, "optimizer.eta": 0.1, "optimizer.beta2": 0.9999,
-        "optimizer.beta1": 0.0,
-        "schedule.kind": "power-decay", "schedule.alpha": 0.5,
+        "schedule.alpha": 0.5,
         "n_steps": 1000000,
     }
     return p

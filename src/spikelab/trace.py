@@ -8,6 +8,7 @@ the header is always present. Identical configs reproduce identical bytes.
 
 import csv
 import json
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -50,9 +51,10 @@ class RunTrace:
 
     Row i is StepRecord i. vhat holds the total v-hat norm, then one per
     block, or is None without a second moment. probes holds PROBE_DTYPE rows
-    at the sampled steps, sustained is (steps, values), and stage is None
-    until segmented. A missing cell is absent from an index or masked, never
-    NaN. A diverged run ends at the step that diverged, whose loss is inf.
+    at the sampled steps, sustained is (steps, values), both with increasing
+    steps, and stage is None until segmented. A missing cell is absent from
+    an index or masked, never NaN. A diverged run ends at the step that
+    diverged, whose loss is inf.
     """
 
     config: dict
@@ -104,6 +106,16 @@ class RunTrace:
         return p["step"], p[name].astype(float)
 
 
+def _position(steps, i):
+    """Index of step i in the increasing array steps, or None if absent.
+
+    bisect reads O(log n) cells in place; np.searchsorted would first copy
+    a strided field view such as probes["step"] whole.
+    """
+    j = bisect_left(steps, i)
+    return j if j < len(steps) and steps[j] == i else None
+
+
 class _Rows(Sequence):
     def __init__(self, trace):
         self._trace = trace
@@ -114,14 +126,14 @@ class _Rows(Sequence):
     def __getitem__(self, i):
         t, i = self._trace, range(len(self))[i]
         v = () if t.vhat is None else tuple(t.vhat[i].tolist())
-        hit, probe = t.probes[t.probes["step"] == i], None
-        if hit.size:
-            *p, has_lg = hit[0].item()
+        j, probe = _position(t.probes["step"], i), None
+        if j is not None:
+            *p, has_lg = t.probes[j].item()
             probe = ProbeRecord(*p[:3], p[3] if has_lg else None, *p[4:])
-        sustained = t.sustained[1][t.sustained[0] == i].tolist()
+        k = _position(t.sustained[0], i)
         return StepRecord(i, float(t.loss[i]), float(t.grad_norm[i]),
                           v[0] if v else None, v[1:], float(t.eta_t[i]), probe,
-                          sustained[0] if sustained else None,
+                          None if k is None else float(t.sustained[1][k]),
                           None if t.stage is None else t.stage[i])
 
 

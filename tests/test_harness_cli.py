@@ -234,7 +234,7 @@ def test_run_sweep_takes_every_key_the_scenario_reads(tmp_path):
     fnn.update({"n_steps": 2, "probes.every": 0})
     res = run_sweep(fnn, "plan.v_floor", [0.01], out=tmp_path)
     assert res.all_completed()
-    for param in ("optimizer.etaa", "sweep.values", "objective.width"):
+    for param in ("optimizer.etaa", "sweep.values", "objective.width", "scenario"):
         with pytest.raises(ConfigError, match=f"sweep parameter '{param}'"):
             run_sweep(flat, param, [0.1], out=tmp_path / "refused")
     assert not (tmp_path / "refused").exists()

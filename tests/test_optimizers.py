@@ -10,7 +10,7 @@ from spikelab import (AdamHyper, LrSchedule, MitigationPlan, OptimizerState,
                       run, step_adafactor, step_adagrad, step_adam, step_gd,
                       step_heavy_ball, step_rmsprop)
 from spikelab.errors import ConfigError, DivergedRun
-from spikelab.optimizers import OPTIMIZER_KINDS, _advance, _probe_preconditioner
+from spikelab.optimizers import OPTIMIZER_KINDS, _advance
 
 
 def quad1():
@@ -171,11 +171,10 @@ def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
     for t in range(1, 4):
         g = obj.gradient(theta)
         theta_new, aux = _advance(theta, state, h, sched, PLANS[plan], g)
-        pre = _probe_preconditioner(h, state, aux, theta)
-        denom = np.sqrt(pre.v_hat) + pre.epsilon
+        pre = aux.preconditioner(theta.size)  # as the run loop builds it
+        denom = pre.root + pre.epsilon
         rebuilt = _hand_step(kind, h, t, theta, g, state.m, denom)
         assert np.array_equal(rebuilt, theta_new)
-        assert pre.t == t
         assert pre.scale == pytest.approx(_hand_scale(kind, h, t, theta), rel=1e-15)
         theta = theta_new
 
@@ -263,6 +262,21 @@ def test_run_nonfinite_step_diverges_without_probing():
         assert len(trace.records) == 1
         last = trace.records[0]
         assert last.loss == math.inf and last.probe is None
+
+
+def test_run_nonfinite_second_moment_diverges():
+    # g = 1e155 squares to inf: v_hat is inf, the step divides by it and
+    # theta freezes, and D_t is 0; the run must end, not probe or carry on
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1e10,)))
+    h = AdamHyper(eta=0.01, beta1=0.9, beta2=0.99)
+    for every in (1, 0):
+        trace = run(obj, obj.initial_point(1e145), "adam", h, n_steps=5,
+                    probes=ProbePlan(every=every))
+        assert trace.status == "diverged"
+        assert len(trace.records) == 1
+        last = trace.records[0]
+        assert last.loss == math.inf and last.probe is None
+        assert last.vhat_norm_total == math.inf
 
 
 def test_run_validates_inputs():

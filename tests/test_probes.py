@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spikelab import (Preconditioner, ProbeWarmStart, compute_probe, dense_hessian,
-                      lambda_grad, power_iteration, sustained_predictor)
+                      lambda_grad, power_iteration, stream, sustained_predictor)
 from spikelab.errors import BoundaryUndefined, ConfigError, ZeroGradient
 from spikelab.oracles import lambda_grad_weighted
 
@@ -16,31 +16,36 @@ def _sym(seed, n):
     return a @ a.T / n
 
 
+def _cold(n):
+    """A seeded random start vector for power iteration."""
+    return stream(0, "power-iteration").standard_normal(n)
+
+
 def test_power_iteration_matches_dense():
     A = _sym(0, 12)
     top = float(np.linalg.eigvalsh(A)[-1])
-    res = power_iteration(lambda w: A @ w, dim=12, max_iters=500, tol=1e-12)
+    res = power_iteration(lambda w: A @ w, _cold(12), max_iters=500, tol=1e-12)
     assert res.converged
     assert res.value == pytest.approx(top, rel=1e-6)
 
 
 def test_power_iteration_zero_operator():
-    res = power_iteration(lambda w: np.zeros_like(w), dim=4)
+    res = power_iteration(lambda w: np.zeros_like(w), _cold(4))
     assert res.value == 0.0 and res.converged
 
 
 def test_power_iteration_warm_start_is_fast():
     A = _sym(1, 20)
-    cold = power_iteration(lambda w: A @ w, dim=20, tol=1e-10, max_iters=500)
-    warm = power_iteration(lambda w: A @ w, dim=20, tol=1e-10, max_iters=500,
-                           v0=cold.vector)
+    cold = power_iteration(lambda w: A @ w, _cold(20), tol=1e-10, max_iters=500)
+    warm = power_iteration(lambda w: A @ w, cold.vector, tol=1e-10, max_iters=500)
     assert warm.iters_used <= 3
     assert warm.value == pytest.approx(cold.value, rel=1e-8)
 
 
 def test_power_iteration_rejects_empty():
-    with pytest.raises(ConfigError):
-        power_iteration(lambda w: w, dim=0)
+    for v0 in (np.empty(0), np.zeros(3), 3.0):
+        with pytest.raises(ConfigError, match="nonzero start vector"):
+            power_iteration(lambda w: w, v0)
 
 
 # === preconditioner =========================================================
@@ -60,13 +65,14 @@ def test_adam_scale_without_bias_correction():
 
 
 def test_preconditioner_validation():
-    with pytest.raises(ConfigError):
-        Preconditioner(0.0, 0.999, 0, np.ones(2), 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        Preconditioner(0.0, 0.999, 1, np.ones(2), 0.0, 0.0)
-    bad = Preconditioner(0.0, 0.999, 1, -np.ones(2), 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        bad.diag()
+    with pytest.raises(ConfigError, match="t >= 1"):
+        Preconditioner.for_adam(0.0, 0.999, 0, np.ones(2), 0.0)
+    with pytest.raises(ConfigError, match="non-negative"):
+        Preconditioner.for_adam(0.0, 0.999, 1, -np.ones(2), 0.0)
+    with pytest.raises(ConfigError, match="scale"):
+        Preconditioner(np.ones(2), 0.0, 0.0)
+    with pytest.raises(ConfigError, match="positive finite"):
+        Preconditioner(np.array([1.0, np.inf]), 0.0, 1.0).diag()
 
 
 # === preconditioned spectrum ================================================
@@ -74,7 +80,7 @@ def test_preconditioner_validation():
 
 def test_preconditioned_lambda_matches_dense(quad3):
     d = np.array([0.5, 2.0, 0.1])
-    pre = Preconditioner(0.0, 0.999, 1, (1.0 / d) ** 2, 0.0, 1.0)
+    pre = Preconditioner(1.0 / d, 0.0, 1.0)
     assert np.allclose(pre.diag(), d)
     th = np.ones(3)
     rec = compute_probe(quad3, th, pre, quad3.gradient(th), eta_t=0.1, step=0,
@@ -84,14 +90,14 @@ def test_preconditioned_lambda_matches_dense(quad3):
 
 
 def test_raw_lambda_on_quadratic(quad3):
-    res = power_iteration(lambda w: quad3.hvp(np.ones(3), w), dim=3, tol=1e-12,
+    res = power_iteration(lambda w: quad3.hvp(np.ones(3), w), _cold(3), tol=1e-12,
                           max_iters=500)
     assert res.value == pytest.approx(10.0, rel=1e-6)
 
 
 def test_lambda_grad_quotient(quad3):
     d = np.array([1.0, 0.5, 0.25])
-    pre = Preconditioner(0.0, 0.999, 1, (1.0 / d) ** 2, 0.0, 1.0)
+    pre = Preconditioner(1.0 / d, 0.0, 1.0)
     th = np.array([1.0, 1.0, 1.0])
     g = quad3.gradient(th)
     got = lambda_grad(pre.diag(), quad3.hvp_at(th), g)
@@ -100,7 +106,7 @@ def test_lambda_grad_quotient(quad3):
 
 
 def test_lambda_grad_zero_gradient(quad3):
-    pre = Preconditioner(0.0, 0.999, 1, np.ones(3), 0.0, 1.0)
+    pre = Preconditioner(np.ones(3), 0.0, 1.0)
     with pytest.raises(ZeroGradient):
         lambda_grad(pre.diag(), quad3.hvp_at(np.zeros(3)), np.zeros(3))
 
@@ -110,7 +116,7 @@ def test_weighted_quotient_bounded_by_lambda_max(quad3):
     rng = np.random.default_rng(4)
     for _ in range(10):
         d = np.exp(rng.standard_normal(3))
-        pre = Preconditioner(0.0, 0.999, 1, (1.0 / d) ** 2, 0.0, 1.0)
+        pre = Preconditioner(1.0 / d, 0.0, 1.0)
         th = rng.standard_normal(3)
         g = quad3.gradient(th)
         if not np.any(g):
@@ -145,7 +151,7 @@ def test_sustained_undefined_at_edges():
 def test_compute_probe_record(quad3):
     th = np.array([1.0, 1.0, 1.0])
     g = quad3.gradient(th)
-    pre = Preconditioner(0.0, 0.999, 1, np.ones(3), 0.0, 1.0)
+    pre = Preconditioner(np.ones(3), 0.0, 1.0)
     warm = ProbeWarmStart()
     rec = compute_probe(quad3, th, pre, g, eta_t=0.1, step=7, seed=0, warm=warm)
     assert rec.step == 7
@@ -159,7 +165,7 @@ def test_compute_probe_record(quad3):
 
 def test_compute_probe_skips_grad_quotient_at_minimum(quad3):
     th = np.zeros(3)
-    pre = Preconditioner(0.0, 0.999, 1, np.ones(3), 0.0, 1.0)
+    pre = Preconditioner(np.ones(3), 0.0, 1.0)
     rec = compute_probe(quad3, th, pre, np.zeros(3), eta_t=0.1, step=0, seed=0,
                         warm=ProbeWarmStart())
     assert rec.lambda_grad_Hhat is None

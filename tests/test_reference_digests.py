@@ -4,6 +4,8 @@ These presets cover every trace column shape: probes at every step, the
 stage and sustained columns, v-hat columns left empty under GD, a trace
 synthesized from the theorem recursion, and an empty trace. fig5-gd also
 pins the FNN probe path: its warm-started power iterations on HVP closures.
+fig2a and figD10-rmsprop pin the probed D_t of Adam (momentum and bias
+scale) and of RMSProp (scale 1), as figD11-adafactor does for rho_t.
 """
 
 import hashlib
@@ -18,8 +20,9 @@ REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference_dige
 FILES = ("trace.csv", "analysis.json", "certificate.json")
 
 
-@pytest.mark.parametrize("name", ["fig3-spike", "fig5-gd", "figD11-adafactor",
-                                  "figD12-gd-delay", "thmD4", "thmD6"])
+@pytest.mark.parametrize("name", ["fig2a", "fig3-spike", "fig5-gd", "figD10-rmsprop",
+                                  "figD11-adafactor", "figD12-gd-delay", "thmD4",
+                                  "thmD6"])
 def test_run_dir_matches_reference_digests(name, tmp_path):
     reference = json.loads(REFERENCE.read_text())["preset-mix"]
     d = write_run_dir(run_scenario(build_scenario(preset_config(name))), out=tmp_path)

@@ -146,6 +146,8 @@ def test_theorem_presets_have_no_objective():
     assert d4.mode == "five-stage"
     assert d4.objective is None and d4.theta0 == 10.0
     assert d4.hyper.beta2 == 0.99
+    assert (d4.kind, d4.plan, d4.probes, d4.sched) == (None, None, None, None)
+    assert (d4.hyper.beta1, d4.hyper.epsilon, d4.hyper.bias_correction) == (0.0, 0.0, False)
     d6 = build_scenario(preset_config("thmD6"))
     assert d6.mode == "lr-decay"
     assert d6.sched.kind == "power-decay"
@@ -221,9 +223,26 @@ def test_build_refuses_every_unread_key():
     with pytest.raises(ConfigError, match="unused by this mode and objective: theta0"):
         build_scenario(fnn)
     d4 = preset_config("thmD4")
-    d4["objective.eigenvalues"] = "1.0"
-    with pytest.raises(ConfigError, match="objective.eigenvalues"):
+    d4.update({"objective.eigenvalues": "1.0", "schedule.alpha": 0.5})
+    with pytest.raises(ConfigError, match="objective.eigenvalues, schedule.alpha"):
         build_scenario(d4)
+
+
+RUN_ONLY = {"optimizer.kind": "gd", "optimizer.beta1": 0.9, "optimizer.epsilon": 1e-8,
+            "optimizer.bias_correction": True, "probes.every": 3,
+            "probes.max_iters": 10, "probes.tol": 1e-3, "plan.v_floor": 5.0,
+            "plan.epsilon_bump_step": 2, "schedule.kind": "power-decay"}
+
+
+@pytest.mark.parametrize("name", ["thmD4", "thmD6"])
+@pytest.mark.parametrize("key", sorted(RUN_ONLY))
+def test_theorem_modes_refuse_run_only_keys(name, key):
+    cfg = dict(preset_config(name), **{key: RUN_ONLY[key]})
+    with pytest.raises(ConfigError, match=f"unused by this mode and objective: {key}"):
+        build_scenario(cfg)
+    cfg = dict(preset_config(name), **{"sweep.param": key})
+    with pytest.raises(ConfigError, match=f"sweep parameter '{key}'"):
+        build_scenario(cfg)
 
 
 def test_build_allows_sweep_keys_and_reads_theorem_theta0():

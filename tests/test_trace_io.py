@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,57 @@ def test_records_view_matches_columns():
         rows[9]
     with pytest.raises(AttributeError):
         rows.append(rows[0])
+
+
+def _probed_trace(n, probe_steps, sustained):
+    """A synthetic n-step trace with probes and sustained values at given steps."""
+    trace = RunTrace(config={}, seed=0, status="completed", block_names=("all",),
+                     initial_loss=1.0, loss=np.arange(n, dtype=float),
+                     grad_norm=np.ones(n), eta_t=np.full(n, 0.1),
+                     probes=np.empty(len(probe_steps), PROBE_DTYPE))
+    for j, s in enumerate(probe_steps):
+        lg = None if s % 4 == 0 else 3.0 * s
+        trace.put_probe(j, ProbeRecord(int(s), float(s), 2.0 * s, lg, 20.0, j + 1, True))
+    trace.sustained = (np.asarray(sustained[0]), np.asarray(sustained[1], float))
+    return trace
+
+
+def test_records_find_irregular_probe_steps():
+    n, probe_steps = 12, [0, 1, 4, 5, 11]
+    sustained = {1: 0.5, 4: 4.5, 10: 9.5}
+    trace = _probed_trace(n, probe_steps, (list(sustained), list(sustained.values())))
+    rows = trace.records
+    for i in range(-n, n):
+        rec, step = rows[i], i % n
+        assert rec.step == step and rec.loss == float(step)
+        assert rec.lambda_grad_sustained == sustained.get(step)
+        if step not in probe_steps:
+            assert rec.probe is None
+            continue
+        assert rec.probe.step == step and rec.probe.lambda_max_Hhat == 2.0 * step
+        assert rec.probe.lambda_grad_Hhat == (None if step % 4 == 0 else 3.0 * step)
+        assert rec.probe.power_iters_used == probe_steps.index(step) + 1
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+
+
+def test_record_access_does_not_scale_with_trace_length():
+    # the same 2,000 rows read from a short and a 32x longer trace, probed
+    # and sustained on every step: a scan of the probe and sustained steps
+    # on each read makes a read of the long trace about 10x dearer
+    def per_read(n):
+        trace = _probed_trace(n, np.arange(n), (np.arange(1, n - 1), np.ones(n - 2)))
+        rows, picks = trace.records, range(0, n, n // 2000)
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for i in picks:
+                rows[i]
+            best = min(best, time.perf_counter() - t0)
+        return best / len(picks)
+
+    assert per_read(64000) < 4.0 * per_read(2000)
 
 
 def test_series_helpers():
