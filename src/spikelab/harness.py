@@ -205,7 +205,7 @@ def five_stage_check(theta0, eta, beta2, max_steps):
 
 
 def _lr_decay_mode(sc: Scenario) -> RunResult:
-    report, payload = lr_decay_check(sc.theta0, sc.hyper.eta, sc.sched.alpha,
+    report, payload = lr_decay_check(sc.theta0, sc.hyper.eta, sc.alpha,
                                      sc.hyper.beta2, sc.n_steps)
     trace = _empty_trace(sc)
     witness = None if report is None else {

@@ -3,13 +3,14 @@
 Both objective kinds expose the same surface: loss, gradient,
 loss_and_gradient, and an exact Hessian-vector product; callers use these
 methods directly. hvp_at(theta) returns an HVP closure at one point, and
-hvp(theta, vec) is that closure called once. The FNN closure reuses the
-factors and work buffers that depend only on theta, so many products at one
-point (a probe's power iterations, a dense Hessian's columns) pay for one
-forward pass. FNN derivatives are closed form (reverse mode for the
-gradient, a forward-over-reverse sweep for the HVP) on one shared forward
-pass, and the tests cross-check them against oracles.central_fd_hvp and
-oracles.dense_hessian.
+hvp(theta, vec) is that closure called once. The FNN closure keeps the
+factors that depend only on theta, so many products at one point (a probe's
+power iterations, a dense Hessian's columns) pay for one forward pass. An
+FNN objective owns one set of n x m work buffers that its loss, gradient
+and HVP calls fill in place. FNN derivatives are closed form (reverse mode
+for the gradient, a forward-over-reverse sweep for the HVP) on one shared
+forward pass, and the tests cross-check them against oracles.central_fd_hvp
+and oracles.dense_hessian.
 """
 
 import math
@@ -156,6 +157,10 @@ class FnnObjective:
         )
         self.X, self.y = _make_dataset(spec)
         self.dataset = (self.X, self.y)
+        # n x m work buffers that every loss, gradient and HVP call fills in
+        # place, so no call allocates (and page-faults in) fresh large arrays.
+        # They make one objective unsafe to share between threads.
+        self._work = tuple(np.empty((spec.n_samples, m)) for _ in range(3))
 
     # --- forward / derivatives ---
 
@@ -167,31 +172,40 @@ class FnnObjective:
         b2 = th[-1]
         return W1, b1, W2, b2
 
-    def _forward(self, theta):
-        """(W2, H, e): output weights, hidden activations, residual f - y."""
+    def _forward(self, theta, H):
+        """(W2, e): output weights and residual f - y; fills H with the hidden
+        activations tanh(X W1^T + b1)."""
         W1, b1, W2, b2 = self._unpack(np.asarray(theta, dtype=float))
-        H = np.tanh(self.X @ W1.T + b1)
+        np.matmul(self.X, W1.T, out=H)
+        np.add(H, b1, out=H)
+        np.tanh(H, out=H)
         e = H @ W2 + b2 - self.y
-        return W2, H, e
+        return W2, e
 
     def loss(self, theta) -> float:
-        _, _, e = self._forward(theta)
+        _, e = self._forward(theta, self._work[0])
         val = 0.5 * float(e @ e) / e.size
         if not math.isfinite(val):
             raise DivergedEvaluation("fnn loss is non-finite")
         return val
 
     def loss_and_gradient(self, theta):
-        W2, H, e = self._forward(theta)
-        n = e.size
+        H, dZ, T = self._work
+        W2, e = self._forward(theta, H)
+        n, m = H.shape
+        md = m * self.X.shape[1]
         r = e / n
         val = 0.5 * float(e @ e) / n
-        dW2 = H.T @ r
-        db2 = r.sum()
-        dZ = (r[:, None] * W2[None, :]) * (1.0 - H * H)
-        dW1 = dZ.T @ self.X
-        db1 = dZ.sum(axis=0)
-        g = np.concatenate([dW1.ravel(), db1, dW2, [db2]])
+        g = np.empty(self.param_dim)
+        np.matmul(H.T, r, out=g[md + m : md + 2 * m])  # dW2
+        g[-1] = r.sum()  # db2
+        # dZ = (r W2) * (1 - H^2), in this operand order
+        np.multiply(r[:, None], W2[None, :], out=dZ)
+        np.multiply(H, H, out=T)
+        np.subtract(1.0, T, out=T)
+        np.multiply(dZ, T, out=dZ)
+        np.matmul(dZ.T, self.X, out=g[:md].reshape(m, -1))  # dW1
+        np.sum(dZ, axis=0, out=g[md : md + m])  # db1
         if not math.isfinite(val) or not np.all(np.isfinite(g)):
             raise DivergedEvaluation("fnn evaluation is non-finite")
         return val, g
@@ -206,19 +220,24 @@ class FnnObjective:
         """Closure vec -> Hessian(theta) @ vec, by a forward-over-reverse sweep.
 
         The forward pass, 1 - H^2, the scaled residual r and the curvature
-        factor 2 (r W2) H depend only on theta and are computed once here.
-        Each call fills three n x m work buffers in place and returns a
-        fresh vector.
+        factor 2 (r W2) H depend only on theta; they are computed once here
+        and kept by the closure. Each call fills the objective's three n x m
+        work buffers in place and returns a fresh vector, so closures and
+        gradient calls may interleave.
         """
-        W2, H, e = self._forward(theta)
-        W2 = W2.copy()  # a view into theta; the closure must not follow later edits
         X = self.X
-        n, m = H.shape
+        n, m = self._work[0].shape
         md = m * X.shape[1]
-        T = 1.0 - H * H
+        H, T, A2 = (np.empty((n, m)) for _ in range(3))
+        W2, e = self._forward(theta, H)
+        W2 = W2.copy()  # a view into theta; the closure must not follow later edits
+        np.multiply(H, H, out=T)
+        np.subtract(1.0, T, out=T)
         r = e / n
-        A2 = 2.0 * (r[:, None] * W2[None, :]) * H
-        RH, RdZ, tmp = (np.empty((n, m)) for _ in range(3))
+        np.multiply(r[:, None], W2[None, :], out=A2)
+        np.multiply(2.0, A2, out=A2)
+        np.multiply(A2, H, out=A2)
+        RH, RdZ, tmp = self._work
 
         def hvp(vec):
             V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))

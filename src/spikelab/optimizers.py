@@ -117,8 +117,10 @@ def _advance(theta, state, hyper, sched, plan, g):
 
 def _vhat_norms(root, blocks) -> list:
     """Norm of sqrt(vhat), then its norm over each block."""
-    return [np.linalg.norm(root)] + [np.linalg.norm(root[off:off + length])
-                                     for _, off, length in blocks]
+    total = np.linalg.norm(root)
+    if len(blocks) == 1:  # blocks tile the vector, so the one block is all of it
+        return [total, total]
+    return [total] + [np.linalg.norm(root[off:off + length]) for _, off, length in blocks]
 
 
 @np.errstate(all="ignore")  # a non-finite step raises DivergedRun below, unwarned
@@ -132,9 +134,11 @@ def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
     _, g = obj.loss_and_gradient(theta.values)
     step_index = state.t
     theta_new, aux = _advance(theta.values, state, hyper, sched, plan, g)
+    norms = () if aux.root is None else tuple(map(float, _vhat_norms(aux.root, theta.blocks)))
+    if norms and not math.isfinite(norms[0]):  # theta froze under an inf v_hat, as in run
+        raise DivergedRun(f"non-finite v_hat after step {step_index}")
     if not np.all(np.isfinite(theta_new)):
         raise DivergedRun(f"non-finite parameter after step {step_index}")
-    norms = () if aux.root is None else tuple(map(float, _vhat_norms(aux.root, theta.blocks)))
     return theta.with_values(theta_new), state, StepRecord(
         step_index, obj.loss(theta_new), float(np.linalg.norm(g)),
         norms[0] if norms else None, norms[1:], aux.eta_t)

@@ -150,8 +150,10 @@ class _Reads(dict):
 class Scenario:
     """Runnable pieces of one configuration, plus the flat echo.
 
-    Theorem modes have no objective, kind, plan or probes, and their hyper
-    is the scalar recursion's; sched is the power decay in lr-decay mode only.
+    Theorem modes have no objective, kind, sched, plan or probes, and their
+    hyper is the scalar recursion's. alpha is lr-decay's power-decay exponent,
+    left unchecked so that the oracle's refusal is a SKIPPED (hypothesis)
+    verdict, as in `verify lr-decay`; it is None in the other modes.
     """
 
     scenario_id: str
@@ -167,6 +169,7 @@ class Scenario:
     probes: ProbePlan
     analysis: AnalysisPlan
     flat: dict
+    alpha: float = None
 
 
 def build_scenario(flat: dict) -> Scenario:
@@ -189,7 +192,7 @@ def build_scenario(flat: dict) -> Scenario:
 
     eta = _float(flat, "optimizer.eta", 0.01)
     beta2 = _float(flat, "optimizer.beta2", 0.999)
-    kind = plan = probes = None
+    kind = plan = probes = alpha = None
     if mode == "run":
         kind = str(flat.get("optimizer.kind", "adam"))
         if kind not in OPTIMIZER_KINDS:
@@ -221,8 +224,7 @@ def build_scenario(flat: dict) -> Scenario:
                           bias_correction=False)
         sched = None
         if mode == "lr-decay":
-            sched = LrSchedule(kind="power-decay", eta0=eta,
-                               alpha=_float(flat, "schedule.alpha", 0.0))
+            alpha = _float(flat, "schedule.alpha", 0.0)
     analysis = AnalysisPlan(
         rho=_float(flat, "analysis.rho", 3.0),
         window=_int(flat, "analysis.window", 50),
@@ -270,6 +272,7 @@ def build_scenario(flat: dict) -> Scenario:
         scenario_id=scenario_id, mode=mode, seed=seed, n_steps=n_steps,
         objective=objective, theta0=theta0, kind=kind, hyper=hyper,
         sched=sched, plan=plan, probes=probes, analysis=analysis, flat=dict(flat),
+        alpha=alpha,
     )
 
 

@@ -1,11 +1,14 @@
 """Derivatives: objective gradients and HVPs against the oracles'
-central finite-difference HVP and dense Hessian."""
+central finite-difference HVP and dense Hessian, and the FNN's in-place
+evaluation against the allocating expressions it replaced."""
+
+import resource
 
 import numpy as np
 import pytest
 
-from spikelab import (ParamVector, QuadraticSpec, central_fd_hvp, default_fd_step,
-                      dense_hessian, make_quadratic)
+from spikelab import (FnnTaskSpec, ParamVector, QuadraticSpec, central_fd_hvp,
+                      default_fd_step, dense_hessian, make_fnn_task, make_quadratic)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
 
 
@@ -61,6 +64,110 @@ def test_hvp_closure_matches_fresh_hvp_bit_for_bit(name, request):
     bad[0] = np.nan
     with pytest.raises(DivergedEvaluation):
         obj.hvp_at(bad)(v1)
+
+
+# === FNN work buffers ========================================================
+
+
+@pytest.fixture(scope="module")
+def fig6_fnn():
+    """The fig6 network's shape: 52k parameters, 200 x 1000 hidden activations."""
+    return make_fnn_task(FnnTaskSpec(input_dim=50, width=1000, n_samples=200,
+                                     target="linear-plus-diag-quadratic"))
+
+
+def _reference_unpack(obj, th):
+    d, m = obj.spec.input_dim, obj.spec.width
+    return th[: m * d].reshape(m, d), th[m * d : m * d + m], th[m * d + m : -1], th[-1]
+
+
+def _reference_forward(obj, theta):
+    W1, b1, W2, b2 = _reference_unpack(obj, theta)
+    H = np.tanh(obj.X @ W1.T + b1)
+    return W2, H, H @ W2 + b2 - obj.y
+
+
+def _reference_loss_and_gradient(obj, theta):
+    """The gradient as allocating expressions, in the operand order the
+    in-place evaluation keeps."""
+    W2, H, e = _reference_forward(obj, theta)
+    n = e.size
+    r = e / n
+    dZ = (r[:, None] * W2[None, :]) * (1.0 - H * H)
+    return 0.5 * float(e @ e) / n, np.concatenate(
+        [(dZ.T @ obj.X).ravel(), dZ.sum(axis=0), H.T @ r, [r.sum()]])
+
+
+def _reference_hvp(obj, theta, vec):
+    """The forward-over-reverse HVP as allocating expressions."""
+    W2, H, e = _reference_forward(obj, theta)
+    n = e.size
+    r = e / n
+    T = 1.0 - H * H
+    A2 = 2.0 * (r[:, None] * W2[None, :]) * H
+    V1, c1, V2, c2 = _reference_unpack(obj, vec)
+    RH = T * (obj.X @ V1.T + c1)
+    Rr = (RH @ W2 + H @ V2 + c2) / n
+    RdZ = (Rr[:, None] * W2[None, :] + r[:, None] * V2[None, :]) * T - A2 * RH
+    return np.concatenate([(RdZ.T @ obj.X).ravel(), RdZ.sum(axis=0),
+                           H.T @ Rr + RH.T @ r, [Rr.sum()]])
+
+
+def test_fnn_in_place_evaluation_matches_allocating_reference_bit_for_bit(fig6_fnn):
+    obj = fig6_fnn
+    rng = np.random.default_rng(11)
+    for scale in (0.03, 0.1, 1.0):
+        th = rng.normal(0.0, scale, obj.param_dim)
+        v = rng.standard_normal(obj.param_dim)
+        val, g = obj.loss_and_gradient(th)
+        want_val, want_g = _reference_loss_and_gradient(obj, th)
+        assert val == want_val and np.array_equal(g, want_g)
+        assert obj.loss(th) == want_val
+        hvp = obj.hvp_at(th)
+        for w in (v, g):
+            assert np.array_equal(hvp(w), _reference_hvp(obj, th, w))
+
+
+def test_fnn_closure_survives_later_calls_on_the_shared_buffers(fig6_fnn):
+    obj = fig6_fnn
+    rng = np.random.default_rng(12)
+    th1, th2 = rng.normal(0.0, 0.05, (2, obj.param_dim))
+    v = rng.standard_normal(obj.param_dim)
+    first = obj.hvp_at(th1)
+    before = first(v)
+    kept = before.copy()
+    _, g = obj.loss_and_gradient(th2)
+    g_kept = g.copy()
+    second = obj.hvp_at(th2)
+    other = second(v)
+    assert np.array_equal(first(v), kept)
+    assert np.array_equal(before, kept) and np.array_equal(g, g_kept)
+    assert np.array_equal(second(v), other)
+    assert np.array_equal(other, _reference_hvp(obj, th2, v))
+
+
+def _minor_faults_per_call(fn, calls=20, warmup=3):
+    for _ in range(warmup):
+        fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def test_fnn_calls_do_not_fault_in_fresh_work_buffers(fig6_fnn):
+    # a call that allocated even one fresh n x m array would fault in its
+    # pages every time, since glibc hands arrays this large back to the OS
+    obj = fig6_fnn
+    n, m = obj.spec.n_samples, obj.spec.width
+    one_buffer = n * m * 8 / resource.getpagesize()
+    rng = np.random.default_rng(13)
+    th = rng.normal(0.0, 0.05, obj.param_dim)
+    v = rng.standard_normal(obj.param_dim)
+    hvp = obj.hvp_at(th)
+    assert _minor_faults_per_call(lambda: obj.loss_and_gradient(th)) < one_buffer
+    assert _minor_faults_per_call(lambda: obj.loss(th)) < one_buffer
+    assert _minor_faults_per_call(lambda: hvp(v)) < one_buffer
 
 
 def test_dense_hessian_of_quadratic_is_exact(quad3):

@@ -370,7 +370,11 @@ def test_cli_verify_five_stage_skip(capsys):
      ["five-stage", "--theta0", "0.05"]),
     (["--scenario", "thmD6", "--set", "theta0=0.1"],
      ["lr-decay", "--theta0", "0.1", "--beta2", "0.9999"]),
-], ids=["thmD4", "thmD6"])
+    (["--scenario", "thmD6", "--set", "schedule.alpha=1.5"],
+     ["lr-decay", "--alpha", "1.5", "--beta2", "0.9999"]),
+    (["--scenario", "thmD6", "--set", "schedule.alpha=0"],
+     ["lr-decay", "--alpha", "0", "--beta2", "0.9999"]),
+], ids=["thmD4", "thmD6", "thmD6-alpha-above", "thmD6-alpha-zero"])
 def test_theorem_run_outside_hypothesis_skips_like_verify(run_args, verify_args,
                                                           capsys):
     rc = main(["run"] + run_args)

@@ -205,6 +205,16 @@ def test_step_raises_on_nonfinite_update():
         step_gd(obj, th, st, AdamHyper(eta=1e200))
 
 
+def test_step_raises_on_nonfinite_second_moment():
+    # the single step applies the run loop's rule (see
+    # test_run_nonfinite_second_moment_diverges): theta frozen under an inf
+    # v_hat is a divergence, not a step that left theta where it was
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1e10,)))
+    th, st = start("adam", 1e145)
+    with pytest.raises(DivergedRun, match="v_hat"):
+        step_adam(obj, th, st, AdamHyper(eta=0.01, beta1=0.9, beta2=0.99))
+
+
 # === run loop ===============================================================
 
 

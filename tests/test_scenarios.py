@@ -150,8 +150,7 @@ def test_theorem_presets_have_no_objective():
     assert (d4.hyper.beta1, d4.hyper.epsilon, d4.hyper.bias_correction) == (0.0, 0.0, False)
     d6 = build_scenario(preset_config("thmD6"))
     assert d6.mode == "lr-decay"
-    assert d6.sched.kind == "power-decay"
-    assert d6.sched.alpha == 0.5
+    assert (d6.sched, d4.alpha, d6.alpha) == (None, None, 0.5)
     assert d6.hyper.beta2 == 0.9999
     assert d6.theta0 == 1.0
 
