@@ -2,23 +2,20 @@
 
 Simulate Adam-family optimizers on small analytic objectives, probe the
 preconditioned curvature against the 2/eta stability boundary, detect and
-classify loss spikes, and certify the supporting theory numerically.
+segment loss spikes, and certify the supporting theory numerically.
 """
 
-from .analysis import (DecayFit, SpikeEvent, SpikeTaxonomy, StageSegmentation,
-                       TaxonomyConfig, classify_spike, crossing_summary,
-                       detect_spikes_series, fill_sustained, fit_decay,
-                       pre_spike_index, segment_stages)
+from .analysis import (DecayFit, SpikeEvent, StageSegmentation,
+                       crossing_summary, detect_spikes_series, fill_sustained,
+                       fit_decay, pre_spike_index, segment_stages)
 from .errors import (BoundaryUndefined, ConfigError, DivergedEvaluation,
-                     DivergedRun, Indeterminate, InsufficientWindow,
-                     InvalidDirection, InvalidSeries, OracleMisuse,
-                     OracleSizeExceeded, PreconditionViolation, SpikelabError,
-                     ZeroGradient)
+                     DivergedRun, Indeterminate, InvalidDirection,
+                     InvalidSeries, OracleMisuse, OracleSizeExceeded,
+                     PreconditionViolation, SpikelabError, ZeroGradient)
 from .harness import (RunResult, SweepResult, run_scenario, run_sweep,
                       summary_line, sweep_row, write_run_dir)
 from .objectives import (FnnObjective, FnnTaskSpec, QuadraticObjective,
-                         QuadraticSpec, export_dataset_rows, make_fnn_task,
-                         make_quadratic)
+                         QuadraticSpec, export_dataset_rows, make_quadratic)
 from .optimizers import (OPTIMIZER_KINDS, ProbePlan, run, step_adafactor,
                          step_adagrad, step_adam, step_gd, step_heavy_ball,
                          step_rmsprop)

@@ -1,4 +1,4 @@
-"""Spike detection, five-stage segmentation, decay fitting, and taxonomy.
+"""Spike detection, five-stage segmentation, decay fitting, and crossings.
 
 Detection uses a trailing-median excursion rule: onset fires when the loss
 exceeds rho times the median of the previous `window` losses, and the event
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InsufficientWindow, InvalidSeries
+from .errors import ConfigError, InvalidSeries
 
 DEFAULT_RHO = 3.0
 DEFAULT_WINDOW = 50
@@ -215,68 +215,7 @@ def fill_sustained(trace) -> None:
     trace.sustained = steps[1:-1], np.minimum.reduce([vals[:-2], vals[1:-1], vals[2:]])
 
 
-# === taxonomy ===============================================================
-
-
-@dataclass(frozen=True)
-class TaxonomyConfig:
-    """Thresholds for the four-way spike classification."""
-
-    kappa_rec: float = 1.5
-    plateau_margin_frac: float = 0.10
-    window: int = 200
-
-
-@dataclass(frozen=True)
-class SpikeTaxonomy:
-    label: str  # neutral | benign | malignant | catastrophic
-    evidence: dict
-
-
-def classify_spike(train, test, event: SpikeEvent,
-                   cfg: TaxonomyConfig = TaxonomyConfig()) -> SpikeTaxonomy:
-    """Classify one spike from pre/post windows of train and test loss."""
-    train = np.asarray(train, dtype=float)
-    test = np.asarray(test, dtype=float)
-    W = cfg.window
-    lo = event.onset_step - W
-    hi = event.recovery_step + W
-    if lo < 0 or hi >= train.size or hi >= test.size:
-        raise InsufficientWindow("series do not cover onset-W .. recovery+W")
-
-    train_pre = train[lo:event.onset_step]
-    test_pre = test[lo:event.onset_step]
-    train_post = train[event.recovery_step:hi + 1]
-    test_post = test[event.recovery_step:hi + 1]
-
-    pre_train = float(train_pre.min())
-    pre_test = float(test_pre.min())
-    train_recovers = bool(train_post.min() <= cfg.kappa_rec * pre_train)
-    test_recovers = bool(test_post.min() <= cfg.kappa_rec * pre_test)
-    margin = cfg.plateau_margin_frac * float(test_pre.max() - test_pre.min())
-    test_plateaus = bool(test_post.min() > pre_test + margin)
-    pre_gap = bool(pre_test > cfg.kappa_rec * pre_train)
-    test_improves = bool(test_post.min() < pre_test)
-
-    if not train_recovers and not test_recovers:
-        label = "catastrophic"
-    elif train_recovers and test_plateaus:
-        label = "malignant"
-    elif pre_gap and test_improves:
-        label = "benign"
-    else:
-        label = "neutral"
-    return SpikeTaxonomy(label=label, evidence={
-        "pre_train_min": pre_train,
-        "pre_test_min": pre_test,
-        "post_train_min": float(train_post.min()),
-        "post_test_min": float(test_post.min()),
-        "train_recovers": train_recovers,
-        "test_recovers": test_recovers,
-        "test_plateaus": test_plateaus,
-        "pre_gap": pre_gap,
-        "window": W,
-    })
+# === pre-spike index ========================================================
 
 
 def pre_spike_index(losses, onset_step: int) -> int:

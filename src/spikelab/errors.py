@@ -14,7 +14,7 @@ class DivergedEvaluation(SpikelabError):
 
 
 class DivergedRun(SpikelabError):
-    """An optimizer step produced a non-finite or absurdly large parameter."""
+    """An optimizer step diverged: a non-finite v_hat, or a huge parameter."""
 
 
 class InvalidDirection(SpikelabError):
@@ -35,10 +35,6 @@ class BoundaryUndefined(SpikelabError):
 
 class InvalidSeries(SpikelabError):
     """Series violates fit preconditions (too short or non-positive)."""
-
-
-class InsufficientWindow(SpikelabError):
-    """Loss series do not cover the window required around a spike event."""
 
 
 class PreconditionViolation(SpikelabError):

@@ -302,10 +302,6 @@ def make_quadratic(spec: QuadraticSpec) -> QuadraticObjective:
     return QuadraticObjective(spec)
 
 
-def make_fnn_task(spec: FnnTaskSpec) -> FnnObjective:
-    return FnnObjective(spec)
-
-
 def export_dataset_rows(obj):
     """Yield header + rows for dataset CSV exchange (x_0..x_{d-1}, y)."""
     if obj.dataset is None:

@@ -47,25 +47,6 @@ RULES = {
 OPTIMIZER_KINDS = tuple(RULES)
 
 
-@dataclass(slots=True)
-class StepAux:
-    """Loop-internal byproducts of one step, enough to probe and record."""
-
-    eta_t: float
-    root: np.ndarray  # sqrt(vhat), the step's denominator less eps; None without v
-    eps: float  # the epsilon added to root, 0 without v
-    scale: float  # D_t's scalar: the momentum and bias factors, or Adafactor's rho_t
-
-    def preconditioner(self, dim) -> Preconditioner:
-        """D_t of this step: the denominator it divided by and its scalar.
-
-        Adafactor's RMS clip, a scalar that can only shrink the step, is left
-        out, so on clipped steps D_t overstates the step applied.
-        """
-        return Preconditioner(np.ones(dim) if self.root is None else self.root,
-                              self.eps, self.scale)
-
-
 def _rms(x: np.ndarray) -> float:
     return float(np.linalg.norm(x)) / math.sqrt(x.size)
 
@@ -74,9 +55,13 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _advance(theta, state, hyper, sched, plan, g):
-    """Apply one update of state.kind at time state.t. Returns (theta', aux).
+    """Apply one update of state.kind at time state.t.
 
-    Mutates state in place (moments and step counter).
+    Returns (theta', eta_t, D_t): D_t is the Preconditioner the step divided
+    by, root + eps its denominator (root None without v) and scale its
+    scalar. Adafactor's RMS clip, a scalar that can only shrink the step, is
+    left out, so on clipped steps D_t overstates the step applied. Mutates
+    state in place (moments and step counter).
     """
     rule = RULES[state.kind]
     t = state.t
@@ -112,7 +97,7 @@ def _advance(theta, state, hyper, sched, plan, g):
             eps = plan.epsilon_at(t, hyper.epsilon)
             upd = eta_t * d / (root + eps)
     state.t = t + 1
-    return theta - upd, StepAux(eta_t=eta_t, root=root, eps=eps, scale=scale)
+    return theta - upd, eta_t, Preconditioner(root, eps, scale)
 
 
 def _vhat_norms(root, blocks) -> list:
@@ -123,25 +108,35 @@ def _vhat_norms(root, blocks) -> list:
     return [total] + [np.linalg.norm(root[off:off + length]) for _, off, length in blocks]
 
 
-@np.errstate(all="ignore")  # a non-finite step raises DivergedRun below, unwarned
+def _diverged(theta, norms) -> bool:
+    """Whether a step diverged: its total v_hat norm norms[0] is not finite
+    (theta froze under an inf v_hat; norms is empty without v), or a
+    parameter is NaN or beyond DIVERGE_LIMIT. min and max allocate nothing;
+    np.abs(theta) raised a figD8 step's minor page faults from 16 to 156.
+    """
+    return (bool(norms) and not math.isfinite(norms[0])
+            or not -DIVERGE_LIMIT <= np.min(theta) <= np.max(theta) <= DIVERGE_LIMIT)
+
+
+@np.errstate(all="ignore")  # a diverged step raises DivergedRun below, unwarned
 def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
                  plan=NO_MITIGATION):
-    """One step of `kind`; returns (theta', state', StepRecord)."""
+    """One step of `kind`; returns (theta', state', StepRecord), or raises
+    DivergedRun where run would record a divergence."""
     if state.kind != kind:
         raise ConfigError(f"state.kind {state.kind!r} does not match {kind!r}")
     if state.m.size != theta.dim or state.v.size != theta.dim:
         raise ConfigError("state buffers do not match theta dimension")
     _, g = obj.loss_and_gradient(theta.values)
     step_index = state.t
-    theta_new, aux = _advance(theta.values, state, hyper, sched, plan, g)
-    norms = () if aux.root is None else tuple(map(float, _vhat_norms(aux.root, theta.blocks)))
-    if norms and not math.isfinite(norms[0]):  # theta froze under an inf v_hat, as in run
-        raise DivergedRun(f"non-finite v_hat after step {step_index}")
-    if not np.all(np.isfinite(theta_new)):
-        raise DivergedRun(f"non-finite parameter after step {step_index}")
+    theta_new, eta_t, pre = _advance(theta.values, state, hyper, sched, plan, g)
+    norms = () if pre.root is None else tuple(map(float, _vhat_norms(pre.root, theta.blocks)))
+    if _diverged(theta_new, norms):
+        raise DivergedRun(f"non-finite v_hat or theta, or |theta| > {DIVERGE_LIMIT:g}, "
+                          f"after step {step_index}")
     return theta.with_values(theta_new), state, StepRecord(
         step_index, obj.loss(theta_new), float(np.linalg.norm(g)),
-        norms[0] if norms else None, norms[1:], aux.eta_t)
+        norms[0] if norms else None, norms[1:], eta_t)
 
 
 step_gd = partial(_step_public, "gd")
@@ -175,9 +170,9 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         config_echo: dict = None) -> RunTrace:
     """Run n_steps of the chosen optimizer, probing on the configured cadence.
 
-    Divergence (non-finite or enormous parameters, or an evaluation overflow)
-    is recorded as status=diverged, the trace ending at the diverged step
-    with loss inf; it is never raised past the trace.
+    Divergence (a step _diverged reports, or an evaluation overflow, the
+    start's included) is recorded as status=diverged, the trace ending
+    unprobed at the diverged step with loss inf; it is never raised.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -195,32 +190,30 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     # columns written by index; a loss left at inf marks the step that diverged
     trace = RunTrace(
         config, seed, "completed", tuple(name for name, _, _ in theta0.blocks),
-        obj.loss(theta), loss=np.full(n_steps, np.inf), grad_norm=np.empty(n_steps),
+        math.inf, loss=np.full(n_steps, np.inf), grad_norm=np.empty(n_steps),
         eta_t=np.empty(n_steps),
         vhat=np.empty((n_steps, 1 + len(theta0.blocks))) if RULES[kind].v != "none" else None,
         probes=np.empty(len(range(0, n_steps, probes.every)) if probes.every else 0, PROBE_DTYPE))
     n_probes = 0
     try:
+        trace.initial_loss = obj.loss(theta)
         _, g = obj.loss_and_gradient(theta)
     except DivergedEvaluation:
         return trace.end(0, 0, "diverged")
     for i in range(n_steps):
-        theta_new, aux = _advance(theta, state, hyper, sched, plan, g)
-        trace.grad_norm[i], trace.eta_t[i] = np.linalg.norm(g), aux.eta_t
-        if aux.root is not None:
-            trace.vhat[i] = norms = _vhat_norms(aux.root, theta0.blocks)
-            if not math.isfinite(norms[0]):  # theta froze under an inf v_hat
-                return trace.end(i + 1, n_probes, "diverged")
-        if not np.all(np.isfinite(theta_new)):
-            return trace.end(i + 1, n_probes, "diverged")  # D_t may be non-finite too
+        theta_new, eta_t, pre = _advance(theta, state, hyper, sched, plan, g)
+        trace.grad_norm[i], trace.eta_t[i] = np.linalg.norm(g), eta_t
+        norms = ()
+        if pre.root is not None:
+            trace.vhat[i] = norms = _vhat_norms(pre.root, theta0.blocks)
+        if _diverged(theta_new, norms):
+            return trace.end(i + 1, n_probes, "diverged")
         if probes.every and i % probes.every == 0:
             trace.put_probe(n_probes, compute_probe(
-                obj, theta, aux.preconditioner(theta.size), g, aux.eta_t, i, seed, warm,
+                obj, theta, pre, g, eta_t, i, seed, warm,
                 max_iters=probes.max_iters, tol=probes.tol,
             ))
             n_probes += 1
-        if np.max(np.abs(theta_new)) > DIVERGE_LIMIT:
-            return trace.end(i + 1, n_probes, "diverged")
         theta = theta_new
         try:
             if i + 1 < n_steps:

@@ -323,20 +323,13 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
 
 
 @dataclass(frozen=True)
-class AveragedHessianProbe:
-    quadrature_nodes: int
-    estimate: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class IffCheckResult:
     lhs: bool
     rhs: bool
     estimate: float
     threshold: float
     determinate: bool
-    probe: AveragedHessianProbe
+    residual: float  # |estimate at 2x the quadrature nodes - estimate at 1x|
 
     def consistent(self) -> bool:
         return self.lhs == self.rhs
@@ -374,8 +367,7 @@ def spike_iff_check(obj, theta_t, eta: float,
         estimate=est_hi,
         threshold=threshold,
         determinate=abs(est_hi - threshold) > band,
-        probe=AveragedHessianProbe(quadrature_nodes=2 * quadrature_nodes,
-                                   estimate=est_hi, residual=residual),
+        residual=residual,
     )
 
 

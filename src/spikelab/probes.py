@@ -26,17 +26,15 @@ PI_TOL = 1e-6
 class Preconditioner:
     """Diagonal scaling D = scale * diag(1/(root+epsilon)), root = sqrt(v_hat).
 
-    root + epsilon is the denominator the step divided by, and scale the
-    scalar it multiplied by. The run loop takes all three from the step.
+    root + epsilon is the denominator the step divided by (root is None, and
+    D the scalar scale, without a second moment), and scale the scalar it
+    multiplied by. The optimizer step returns the D it applied. Only diag()
+    checks, so building D never raises where run records a divergence.
     """
 
     root: np.ndarray
     epsilon: float
     scale: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("preconditioner scale must be positive and finite")
 
     @staticmethod
     def for_adam(beta1, beta2, t, v_hat, epsilon, bias_correction=True):
@@ -51,7 +49,10 @@ class Preconditioner:
         return Preconditioner(np.sqrt(v_hat), epsilon, c)
 
     def diag(self) -> np.ndarray:
-        d = self.scale / (self.root + self.epsilon)
+        """D's diagonal (a scalar when root is None), positive and finite."""
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigError("preconditioner scale must be positive and finite")
+        d = self.scale / (1.0 if self.root is None else self.root + self.epsilon)
         if not np.all(np.isfinite(d)) or not np.all(d > 0):
             raise ConfigError("preconditioner diagonal must be positive finite")
         return d

@@ -8,11 +8,12 @@ is a pure function of its config, including the seed.
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import FnnTaskSpec, QuadraticSpec, make_fnn_task, make_quadratic
+from .objectives import FnnObjective, FnnTaskSpec, QuadraticSpec, make_quadratic
 from .optimizers import OPTIMIZER_KINDS, ProbePlan
 from .params import AdamHyper, LrSchedule, MitigationPlan
 from .probes import PI_MAX_ITERS, PI_TOL
@@ -151,9 +152,10 @@ class Scenario:
     """Runnable pieces of one configuration, plus the flat echo.
 
     Theorem modes have no objective, kind, sched, plan or probes, and their
-    hyper is the scalar recursion's. alpha is lr-decay's power-decay exponent,
-    left unchecked so that the oracle's refusal is a SKIPPED (hypothesis)
-    verdict, as in `verify lr-decay`; it is None in the other modes.
+    hyper is the scalar recursion's (beta1 = 0, epsilon = 0, no bias
+    correction). alpha is lr-decay's power-decay exponent, None in the other
+    modes. A theorem mode leaves eta, beta2 and alpha unchecked, so that the
+    oracle's refusal is a SKIPPED (hypothesis) verdict, as in `verify`.
     """
 
     scenario_id: str
@@ -219,9 +221,9 @@ def build_scenario(flat: dict) -> Scenario:
             max_iters=_int(flat, "probes.max_iters", PI_MAX_ITERS),
             tol=_float(flat, "probes.tol", PI_TOL),
         )
-    else:  # the theorems' scalar recursion: beta1 = 0, epsilon = 0, no bias correction
-        hyper = AdamHyper(eta=eta, beta1=0.0, beta2=beta2, epsilon=0.0,
-                          bias_correction=False)
+    else:  # the theorems' scalar recursion, as AdamHyper's fields but unchecked
+        hyper = SimpleNamespace(eta=eta, beta1=0.0, beta2=beta2, epsilon=0.0,
+                                bias_correction=False)
         sched = None
         if mode == "lr-decay":
             alpha = _float(flat, "schedule.alpha", 0.0)
@@ -250,7 +252,7 @@ def build_scenario(flat: dict) -> Scenario:
                 init_variance_scale=_float(flat, "objective.init_scale", 1.0),
                 seed=_int(flat, "objective.seed", seed),
             )
-            objective = make_fnn_task(spec)
+            objective = FnnObjective(spec)
             theta0 = objective.initial_point()
         else:
             raise ConfigError(f"unknown objective kind {obj_kind!r}")

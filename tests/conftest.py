@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikelab import FnnTaskSpec, QuadraticSpec, make_fnn_task, make_quadratic
+from spikelab import FnnObjective, FnnTaskSpec, QuadraticSpec, make_quadratic
 
 
 @pytest.fixture(autouse=True)
@@ -21,7 +21,7 @@ def quad3():
 @pytest.fixture
 def small_fnn():
     """Tiny sine-regression net, cheap enough for finite differences."""
-    return make_fnn_task(FnnTaskSpec(
+    return FnnObjective(FnnTaskSpec(
         input_dim=1, width=6, n_samples=40, target="sine-mix", seed=3))
 
 

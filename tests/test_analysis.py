@@ -1,4 +1,4 @@
-"""Detector, decay fit, taxonomy, and the pre-spike walk-back."""
+"""Detector, decay fit, segmentation, crossings, and the pre-spike walk-back."""
 
 import math
 import struct
@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
-                      SpikeEvent, StageSegmentation, TaxonomyConfig,
-                      classify_spike, crossing_summary, detect_spikes_series,
-                      fill_sustained, fit_decay, make_quadratic,
-                      pre_spike_index, run, segment_stages,
+                      SpikeEvent, StageSegmentation, crossing_summary,
+                      detect_spikes_series, fill_sustained, fit_decay,
+                      make_quadratic, pre_spike_index, run, segment_stages,
                       sustained_predictor)
-from spikelab.errors import ConfigError, InsufficientWindow, InvalidSeries
+from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
 # === detection ==============================================================
@@ -182,55 +181,6 @@ def test_walkback_clamps_at_zero():
     losses = [1.0, 2.0, 3.0, 4.0]
     assert pre_spike_index(losses, 1) == 0
     assert pre_spike_index(losses, 0) == 0
-
-
-# === taxonomy ===============================================================
-
-
-def _series(pre, spike, post, w=5):
-    return np.concatenate([np.full(w, pre), np.full(3, spike), np.full(w, post)])
-
-
-def _event(w=5):
-    return SpikeEvent(onset_step=w, peak_step=w + 1, recovery_step=w + 2,
-                      peak_ratio=10.0)
-
-
-CFG = TaxonomyConfig(window=5)
-
-
-def test_catastrophic_label():
-    train = _series(1.0, 50.0, 40.0)
-    test = _series(1.0, 50.0, 40.0)
-    assert classify_spike(train, test, _event(), CFG).label == "catastrophic"
-
-
-def test_malignant_label():
-    train = _series(1.0, 50.0, 1.0)
-    test = _series(1.0, 50.0, 5.0)
-    assert classify_spike(train, test, _event(), CFG).label == "malignant"
-
-
-def test_benign_label():
-    train = _series(1.0, 50.0, 1.0)
-    test = _series(2.0, 50.0, 1.5)
-    out = classify_spike(train, test, _event(), CFG)
-    assert out.label == "benign"
-    assert out.evidence["pre_gap"]
-
-
-def test_neutral_label():
-    train = _series(1.0, 50.0, 1.0)
-    test = _series(1.0, 50.0, 1.0)
-    assert classify_spike(train, test, _event(), CFG).label == "neutral"
-
-
-def test_taxonomy_needs_full_window():
-    short = _series(1.0, 50.0, 1.0, w=2)
-    with pytest.raises(InsufficientWindow):
-        classify_spike(short, short,
-                       SpikeEvent(onset_step=2, peak_step=3, recovery_step=4,
-                                  peak_ratio=5.0), CFG)
 
 
 # === segmentation helpers ===================================================

@@ -7,8 +7,8 @@ import resource
 import numpy as np
 import pytest
 
-from spikelab import (FnnTaskSpec, ParamVector, QuadraticSpec, central_fd_hvp,
-                      default_fd_step, dense_hessian, make_fnn_task, make_quadratic)
+from spikelab import (FnnObjective, FnnTaskSpec, ParamVector, QuadraticSpec,
+                      central_fd_hvp, default_fd_step, dense_hessian, make_quadratic)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
 
 
@@ -72,7 +72,7 @@ def test_hvp_closure_matches_fresh_hvp_bit_for_bit(name, request):
 @pytest.fixture(scope="module")
 def fig6_fnn():
     """The fig6 network's shape: 52k parameters, 200 x 1000 hidden activations."""
-    return make_fnn_task(FnnTaskSpec(input_dim=50, width=1000, n_samples=200,
+    return FnnObjective(FnnTaskSpec(input_dim=50, width=1000, n_samples=200,
                                      target="linear-plus-diag-quadratic"))
 
 

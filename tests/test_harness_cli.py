@@ -294,6 +294,25 @@ def test_cli_run_diverged(capsys):
     assert "status=diverged" in out
 
 
+def test_cli_run_overflowing_start_diverges(tmp_path, capsys):
+    # the start's loss overflows: a divergence at step 0, not an error
+    path = tmp_path / "overflow.cfg"
+    path.write_text("objective.kind = quadratic\noptimizer.kind = adam\n"
+                    "theta0 = 1e200\nn_steps = 5\n")
+    rc = main(["run", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "status=diverged" in out
+    run_dir = Path(out.split("dir=", 1)[1].strip())
+
+    def no_constants(_):
+        raise AssertionError("bare Infinity/NaN token in JSON")
+
+    ana = json.loads((run_dir / "analysis.json").read_text(), parse_constant=no_constants)
+    assert ana["status"] == "diverged" and ana["n_steps"] == 0
+    assert ana["initial_loss"] == ana["final_loss"] == "inf"
+
+
 def test_cli_run_config_errors(capsys):
     assert main(["run", "--scenario", "nope"]) == 1
     assert main(["run", "--scenario", "fig2a",
@@ -374,7 +393,12 @@ def test_cli_verify_five_stage_skip(capsys):
      ["lr-decay", "--alpha", "1.5", "--beta2", "0.9999"]),
     (["--scenario", "thmD6", "--set", "schedule.alpha=0"],
      ["lr-decay", "--alpha", "0", "--beta2", "0.9999"]),
-], ids=["thmD4", "thmD6", "thmD6-alpha-above", "thmD6-alpha-zero"])
+    (["--scenario", "thmD6", "--set", "optimizer.eta=-0.1"],
+     ["lr-decay", "--eta0", "-0.1", "--beta2", "0.9999"]),
+    (["--scenario", "thmD4", "--set", "optimizer.beta2=1.0"],
+     ["five-stage", "--beta2", "1.0"]),
+], ids=["thmD4", "thmD6", "thmD6-alpha-above", "thmD6-alpha-zero",
+        "thmD6-eta-negative", "thmD4-beta2-one"])
 def test_theorem_run_outside_hypothesis_skips_like_verify(run_args, verify_args,
                                                           capsys):
     rc = main(["run"] + run_args)

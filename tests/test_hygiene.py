@@ -1,7 +1,9 @@
-"""Source hygiene: every imported name is used, and no module imports
-another module's private name."""
+"""Source hygiene: every imported name is used, no module imports another
+module's private name, and every name the benchmarks read exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,44 @@ def test_module_imports_are_used_and_public(path):
 
 def test_every_module_is_checked():
     assert len(MODULES) >= 10
+
+
+# === names the benchmarks read ==============================================
+
+BENCH = SRC.parent.parent / "benchmarks"
+
+
+def test_benchmarks_read_only_names_spikelab_has():
+    """Every sl.<name> and every `from spikelab... import` in benchmarks/
+    exists, so deleting a name they use fails here, not only in a traced run."""
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "sl"):
+                module, names = "spikelab", [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spikelab"):
+                module, names = node.module, [a.name for a in node.names]
+            else:
+                continue
+            missing += [f"{path.name}:{node.lineno}: {module}.{name}" for name in names
+                        if not hasattr(importlib.import_module(module), name)]
+    assert not missing, "\n".join(missing)
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    import spikelab
+    from spikelab.objectives import FnnObjective
+
+    spec = importlib.util.spec_from_file_location("spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    run, grad = spikelab.run, FnnObjective.loss_and_gradient
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert spikelab.run is not run and FnnObjective.loss_and_gradient is not grad
+    finally:
+        tracer.uninstall()
+    assert spikelab.run is run and FnnObjective.loss_and_gradient is grad

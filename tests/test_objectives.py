@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spikelab import (FnnTaskSpec, QuadraticSpec, export_dataset_rows,
-                      make_fnn_task, make_quadratic)
+from spikelab import (FnnObjective, FnnTaskSpec, QuadraticSpec,
+                      export_dataset_rows, make_quadratic)
 from spikelab.errors import ConfigError
 
 # === quadratic ==============================================================
@@ -69,7 +69,7 @@ def test_fnn_hvp_matches_gradient_differences(small_fnn, fnn_point):
 
 
 def test_fnn_block_layout():
-    obj = make_fnn_task(FnnTaskSpec(input_dim=2, width=3, n_samples=10,
+    obj = FnnObjective(FnnTaskSpec(input_dim=2, width=3, n_samples=10,
                                     target="linear-plus-diag-quadratic", seed=0))
     names = [b[0] for b in obj.blocks]
     sizes = [b[2] for b in obj.blocks]
@@ -80,10 +80,10 @@ def test_fnn_block_layout():
 
 def test_dataset_frozen_by_seed():
     spec = FnnTaskSpec(input_dim=1, width=4, n_samples=20, target="sine-mix", seed=5)
-    a = make_fnn_task(spec)
-    b = make_fnn_task(spec)
+    a = FnnObjective(spec)
+    b = FnnObjective(spec)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    c = make_fnn_task(FnnTaskSpec(input_dim=1, width=4, n_samples=20,
+    c = FnnObjective(FnnTaskSpec(input_dim=1, width=4, n_samples=20,
                                   target="sine-mix", seed=6))
     assert not np.array_equal(a.X, c.X)
 
@@ -91,7 +91,7 @@ def test_dataset_frozen_by_seed():
 def test_init_reproducible_and_scaled():
     spec = FnnTaskSpec(input_dim=1, width=50, n_samples=5, target="sine-mix",
                        seed=2, init_variance_scale=4.0)
-    obj = make_fnn_task(spec)
+    obj = FnnObjective(spec)
     p1, p2 = obj.initial_point(), obj.initial_point()
     assert np.array_equal(p1.values, p2.values)
     # empirical variance tracks scale/width
@@ -100,7 +100,7 @@ def test_init_reproducible_and_scaled():
 
 def test_sine_mix_needs_one_input():
     with pytest.raises(ConfigError):
-        make_fnn_task(FnnTaskSpec(input_dim=2, width=4, n_samples=10,
+        FnnObjective(FnnTaskSpec(input_dim=2, width=4, n_samples=10,
                                   target="sine-mix", seed=0))
 
 
@@ -121,7 +121,7 @@ def test_task_spec_validation():
 def test_task_spec_refuses_what_it_cannot_build(fields):
     spec = dict(input_dim=1, width=4, n_samples=10, target="linear-plus-diag-quadratic")
     with pytest.raises(ConfigError):
-        make_fnn_task(FnnTaskSpec(**dict(spec, **fields)))
+        FnnObjective(FnnTaskSpec(**dict(spec, **fields)))
 
 
 # === loss at an array point, dataset export =================================

@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from spikelab import (AdamHyper, LrSchedule, MitigationPlan, OptimizerState,
-                      ParamVector, ProbePlan, QuadraticSpec, make_quadratic,
-                      run, step_adafactor, step_adagrad, step_adam, step_gd,
-                      step_heavy_ball, step_rmsprop)
+from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, LrSchedule,
+                      MitigationPlan, OptimizerState, ParamVector, ProbePlan,
+                      QuadraticSpec, make_quadratic, run, step_adafactor,
+                      step_adagrad, step_adam, step_gd, step_heavy_ball,
+                      step_rmsprop)
 from spikelab.errors import ConfigError, DivergedRun
 from spikelab.optimizers import OPTIMIZER_KINDS, _advance
+
+
+STEPS = {"gd": step_gd, "heavy-ball": step_heavy_ball, "adam": step_adam,
+         "rmsprop": step_rmsprop, "adagrad": step_adagrad, "adafactor": step_adafactor}
 
 
 def quad1():
@@ -170,13 +175,33 @@ def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
     sched = LrSchedule(eta0=h.eta)
     for t in range(1, 4):
         g = obj.gradient(theta)
-        theta_new, aux = _advance(theta, state, h, sched, PLANS[plan], g)
-        pre = aux.preconditioner(theta.size)  # as the run loop builds it
-        denom = pre.root + pre.epsilon
+        theta_new, _, pre = _advance(theta, state, h, sched, PLANS[plan], g)
+        denom = 1.0 if pre.root is None else pre.root + pre.epsilon  # as pre.diag() divides
         rebuilt = _hand_step(kind, h, t, theta, g, state.m, denom)
         assert np.array_equal(rebuilt, theta_new)
         assert pre.scale == pytest.approx(_hand_scale(kind, h, t, theta), rel=1e-15)
         theta = theta_new
+
+
+@pytest.mark.parametrize("kind,plan", [(kind, plan) for kind in OPTIMIZER_KINDS
+                                       for plan in PLANS])
+def test_steps_match_run_columns_bit_for_bit(kind, plan):
+    # step_<kind> and the run loop share _advance, _vhat_norms and the
+    # divergence rule, so k steps give run(n_steps=k)'s columns exactly
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 10.0)))
+    theta0 = obj.initial_point((1.0, -0.5, 0.25))
+    h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99)
+    k = 6
+    trace = run(obj, theta0, kind, h, plan=PLANS[plan], n_steps=k)
+    assert trace.status == "completed"
+    th, st = theta0, OptimizerState.fresh(kind, theta0.dim)
+    for i in range(k):
+        th, st, rec = STEPS[kind](obj, th, st, h, plan=PLANS[plan])
+        assert rec.grad_norm == trace.grad_norm[i] and rec.eta_t == trace.eta_t[i]
+        if trace.vhat is None:
+            assert rec.vhat_norm_total is None and rec.vhat_norm_blocks == ()
+        else:
+            assert (rec.vhat_norm_total, *rec.vhat_norm_blocks) == tuple(trace.vhat[i])
 
 
 # === guards =================================================================
@@ -203,6 +228,15 @@ def test_step_raises_on_nonfinite_update():
     st = OptimizerState.fresh("gd", 1)
     with pytest.raises(DivergedRun):
         step_gd(obj, th, st, AdamHyper(eta=1e200))
+
+
+def test_step_raises_beyond_the_divergence_limit():
+    # finite but beyond DIVERGE_LIMIT: run ends here too (see
+    # test_run_beyond_the_divergence_limit_ends_unprobed)
+    obj = quad1()
+    th, st = start("gd", 1e149)
+    with pytest.raises(DivergedRun):
+        step_gd(obj, th, st, AdamHyper(eta=20.0))
 
 
 def test_step_raises_on_nonfinite_second_moment():
@@ -287,6 +321,40 @@ def test_run_nonfinite_second_moment_diverges():
         last = trace.records[0]
         assert last.loss == math.inf and last.probe is None
         assert last.vhat_norm_total == math.inf
+
+
+def test_run_beyond_the_divergence_limit_ends_unprobed():
+    # theta' = -19 * 1e149 is finite but beyond DIVERGE_LIMIT: the step
+    # diverges before its probe, as every diverged step does
+    obj = quad1()
+    trace = run(obj, obj.initial_point(1e149), "gd", AdamHyper(eta=20.0),
+                n_steps=5, probes=ProbePlan(every=1))
+    assert trace.status == "diverged"
+    assert len(trace.records) == 1 and trace.probes.size == 0
+    assert trace.records[0].loss == math.inf
+
+
+def test_run_overflowing_start_diverges_at_step_zero():
+    obj = quad1()
+    trace = run(obj, obj.initial_point(1e200), "adam", AdamHyper(eta=0.1), n_steps=5)
+    assert trace.status == "diverged"
+    assert len(trace.records) == 0 and trace.initial_loss == math.inf
+
+
+def test_run_adafactor_overflowing_rms_diverges():
+    # tanh saturates, so loss and gradient stay finite, but rms(theta)
+    # overflows: the step's scale is inf and theta' is not finite
+    obj = FnnObjective(FnnTaskSpec(input_dim=1, width=4, n_samples=10,
+                                   target="sine-mix", seed=0))
+    theta0 = obj.initial_point()
+    theta0.values[:3] = 1e200  # W1 comes first
+    assert math.isfinite(obj.loss(theta0.values))
+    assert np.all(np.isfinite(obj.gradient(theta0.values)))
+    for every in (1, 0):
+        trace = run(obj, theta0, "adafactor", AdamHyper(eta=0.01), n_steps=5,
+                    probes=ProbePlan(every=every))
+        assert trace.status == "diverged"
+        assert len(trace.records) == 1 and trace.probes.size == 0
 
 
 def test_run_validates_inputs():

@@ -70,7 +70,7 @@ def test_preconditioner_validation():
     with pytest.raises(ConfigError, match="non-negative"):
         Preconditioner.for_adam(0.0, 0.999, 1, -np.ones(2), 0.0)
     with pytest.raises(ConfigError, match="scale"):
-        Preconditioner(np.ones(2), 0.0, 0.0)
+        Preconditioner(np.ones(2), 0.0, 0.0).diag()
     with pytest.raises(ConfigError, match="positive finite"):
         Preconditioner(np.array([1.0, np.inf]), 0.0, 1.0).diag()
 
