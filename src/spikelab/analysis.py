@@ -21,6 +21,7 @@ MIN_FIT_WINDOW = 10
 STAGE1_MIN_TAIL = 50  # shortest tail accepted as evidence of Stage-2 decay
 STAGE1_R2 = 0.95
 STAGE1_ALPHA_BAND = 0.05
+STAGE1_SCREEN_MARGIN = 1e-6  # slack of the O(1) window screen, whose rounding measured < 1e-13
 MEDIAN_BLOCK_ROWS = 512  # trailing windows per np.median call; bounds its copy
 
 # === spike detection ========================================================
@@ -142,6 +143,43 @@ def _first(steps, mask, after=-1):
     return int(hits[0]) if hits.size else None
 
 
+def _stage1_start(v_sq, anchor, target):
+    """(t1, its fit): the earliest i >= 1 whose whole tail v_sq[i:anchor], at
+    least STAGE1_MIN_TAIL long and positive finite, fits the decay to target;
+    (None, None) if none does.
+
+    Every window ends at the anchor, so suffix sums of t, y, t*y and y^2 give
+    each window's slope and R^2 in O(1). An i that passes them to within
+    STAGE1_SCREEN_MARGIN is confirmed with fit_decay, whose result decides:
+    t1 and its fit are those of fitting every tail in turn. Each tail that
+    passes the screen but not the fit, so sits within the margin of a
+    threshold, costs one fit.
+    """
+    seg = v_sq[:anchor]
+    bad = np.flatnonzero(~np.isfinite(seg) | (seg <= 0))
+    lo = max(1, int(bad[-1]) + 1 if bad.size else 0)
+    if lo > anchor - STAGE1_MIN_TAIL:
+        return None, None
+    y = 0.5 * np.log(seg[lo:])
+    y -= y[-1]  # windows share this end; small sums lose less to rounding
+    t = np.arange(lo - anchor + 1.0, 1.0)  # step minus the last step, <= 0
+    k = np.arange(anchor - lo, 0, -1.0)  # samples in window [lo + j, anchor)
+    st, sy, sty, syy = (np.cumsum(x[::-1])[::-1] for x in (t, y, t * y, y * y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ctt = k * (k * k - 1.0) / 12.0  # sum of (t - mean t)^2 over k consecutive steps
+        cty = sty - st * sy / k
+        slope = cty / ctt
+        r2 = cty * cty / (ctt * np.maximum(syy - sy * sy / k, 0.0))  # inf, nan: maybe
+        maybe = ~(r2 <= STAGE1_R2 - STAGE1_SCREEN_MARGIN) & ~(
+            np.abs(np.exp(slope) - target)
+            > STAGE1_ALPHA_BAND * target + STAGE1_SCREEN_MARGIN)
+    for i in np.flatnonzero(maybe[:anchor - STAGE1_MIN_TAIL - lo + 1]) + lo:
+        fit = fit_decay(v_sq, (int(i), anchor))
+        if fit.r_squared > STAGE1_R2 and abs(fit.alpha_hat - target) <= STAGE1_ALPHA_BAND * target:
+            return int(i), fit
+    return None, None
+
+
 def segment_stages(trace, hyper) -> StageSegmentation:
     """Assign t0..t5 from probe crossings, v-norm decay, and loss movement."""
     n = len(trace)
@@ -160,20 +198,8 @@ def segment_stages(trace, hyper) -> StageSegmentation:
     t2 = _first(lm_steps, lm_vals > lm_thr)
     anchor = t2 if t2 is not None else n
 
-    # t1: earliest index whose whole tail up to the anchor fits the
-    # sqrt(beta2) decay; short tails are not accepted as evidence.
-    t1 = None
-    fit = None
     target = math.sqrt(hyper.beta2)
-    v_sq = vnorm ** 2
-    for i in range(1, anchor - STAGE1_MIN_TAIL + 1):
-        seg = v_sq[i:anchor]
-        if np.any(~np.isfinite(seg)) or np.any(seg <= 0):
-            continue
-        cand = fit_decay(v_sq, (i, anchor))
-        if cand.r_squared > STAGE1_R2 and abs(cand.alpha_hat - target) <= STAGE1_ALPHA_BAND * target:
-            t1, fit = i, cand
-            break
+    t1, fit = _stage1_start(vnorm ** 2, anchor, target)
     verdicts.append({
         "name": "stage2-decay-fit",
         "holds": t1 is not None,

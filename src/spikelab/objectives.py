@@ -102,7 +102,7 @@ class QuadraticObjective:
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         g = self.lam * (np.asarray(theta, dtype=float) - self.off)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergedEvaluation("quadratic gradient is non-finite")
         return g
 
@@ -110,7 +110,7 @@ class QuadraticObjective:
         d = np.asarray(theta, dtype=float) - self.off
         g = self.lam * d
         val = 0.5 * float(d @ g)
-        if not math.isfinite(val) or not np.all(np.isfinite(g)):
+        if not math.isfinite(val):  # a non-finite g_i makes d_i * g_i, so val, non-finite
             raise DivergedEvaluation("quadratic evaluation is non-finite")
         return val, g
 
@@ -119,7 +119,7 @@ class QuadraticObjective:
 
     def hvp_at(self, theta):
         """Closure vec -> Hessian @ vec; the Hessian is diag(lambda) everywhere."""
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DivergedEvaluation("quadratic hvp point is non-finite")
         lam = self.lam
         return lambda vec: lam * np.asarray(vec, dtype=float)
@@ -206,7 +206,7 @@ class FnnObjective:
         np.multiply(dZ, T, out=dZ)
         np.matmul(dZ.T, self.X, out=g[:md].reshape(m, -1))  # dW1
         np.sum(dZ, axis=0, out=g[md : md + m])  # db1
-        if not math.isfinite(val) or not np.all(np.isfinite(g)):
+        if not math.isfinite(val) or not np.isfinite(g).all():
             raise DivergedEvaluation("fnn evaluation is non-finite")
         return val, g
 
@@ -256,7 +256,7 @@ class FnnObjective:
             np.subtract(RdZ, tmp, out=RdZ)
             np.matmul(RdZ.T, X, out=out[:md].reshape(m, -1))
             np.sum(RdZ, axis=0, out=out[md : md + m])
-            if not np.all(np.isfinite(out)):
+            if not np.isfinite(out).all():
                 raise DivergedEvaluation("fnn hvp is non-finite")
             return out
 
@@ -290,7 +290,7 @@ def _make_dataset(spec: FnnTaskSpec):
     if spec.noise_std > 0:
         with np.errstate(over="ignore"):
             y = y + spec.noise_std * rng.standard_normal(spec.n_samples)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ConfigError("noise_std overflows the regression targets")
     return X, y
 

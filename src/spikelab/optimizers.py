@@ -14,7 +14,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DivergedEvaluation, DivergedRun
-from .params import NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan, OptimizerState, ParamVector
+from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan, OptimizerState,
+                     ParamVector, norm)
 from .probes import PI_MAX_ITERS, PI_TOL, Preconditioner, ProbeWarmStart, compute_probe
 from .trace import PROBE_DTYPE, RunTrace, StepRecord
 
@@ -48,7 +49,7 @@ OPTIMIZER_KINDS = tuple(RULES)
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / math.sqrt(x.size)
+    return norm(x) / math.sqrt(x.size)
 
 
 # === single-step updates ====================================================
@@ -61,26 +62,29 @@ def _advance(theta, state, hyper, sched, plan, g):
     by, root + eps its denominator (root None without v) and scale its
     scalar. Adafactor's RMS clip, a scalar that can only shrink the step, is
     left out, so on clipped steps D_t overstates the step applied. Mutates
-    state in place (moments and step counter).
+    state: the step counter, and m and v in place, each grouped as
+    beta * m + (1 - beta) * g (the bits of the allocating form).
     """
     rule = RULES[state.kind]
     t = state.t
     eta_t = hyper.eta if sched is None else sched.eta_at(t)
     d, scale = g, 1.0
     if rule.momentum:
-        state.m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * g
+        state.m *= hyper.beta1
+        state.m += (1.0 - hyper.beta1) * g
         d, scale = state.m, (1.0 - hyper.beta1) / (1.0 + hyper.beta1)
     root, eps = None, 0.0
     if rule.v == "none":
         upd = eta_t * d
     else:
         if rule.v == "sum":
-            state.v = state.v + g * g
+            state.v += g * g
         else:
-            state.v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * g * g
+            state.v *= hyper.beta2
+            state.v += (1.0 - hyper.beta2) * g * g
         floor = plan.v_floor
         if floor is not None:
-            state.v = np.maximum(state.v, floor)
+            np.maximum(state.v, floor, out=state.v)
         vhat = state.v
         if rule.bias_correction and hyper.bias_correction:
             bias1 = 1.0 - hyper.beta1 ** (t + 1)
@@ -102,10 +106,10 @@ def _advance(theta, state, hyper, sched, plan, g):
 
 def _vhat_norms(root, blocks) -> list:
     """Norm of sqrt(vhat), then its norm over each block."""
-    total = np.linalg.norm(root)
+    total = norm(root)
     if len(blocks) == 1:  # blocks tile the vector, so the one block is all of it
         return [total, total]
-    return [total] + [np.linalg.norm(root[off:off + length]) for _, off, length in blocks]
+    return [total] + [norm(root[off:off + length]) for _, off, length in blocks]
 
 
 def _diverged(theta, norms) -> bool:
@@ -115,7 +119,7 @@ def _diverged(theta, norms) -> bool:
     np.abs(theta) raised a figD8 step's minor page faults from 16 to 156.
     """
     return (bool(norms) and not math.isfinite(norms[0])
-            or not -DIVERGE_LIMIT <= np.min(theta) <= np.max(theta) <= DIVERGE_LIMIT)
+            or not -DIVERGE_LIMIT <= theta.min() <= theta.max() <= DIVERGE_LIMIT)
 
 
 @np.errstate(all="ignore")  # a diverged step raises DivergedRun below, unwarned
@@ -130,12 +134,12 @@ def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
     _, g = obj.loss_and_gradient(theta.values)
     step_index = state.t
     theta_new, eta_t, pre = _advance(theta.values, state, hyper, sched, plan, g)
-    norms = () if pre.root is None else tuple(map(float, _vhat_norms(pre.root, theta.blocks)))
+    norms = () if pre.root is None else tuple(_vhat_norms(pre.root, theta.blocks))
     if _diverged(theta_new, norms):
         raise DivergedRun(f"non-finite v_hat or theta, or |theta| > {DIVERGE_LIMIT:g}, "
                           f"after step {step_index}")
     return theta.with_values(theta_new), state, StepRecord(
-        step_index, obj.loss(theta_new), float(np.linalg.norm(g)),
+        step_index, obj.loss(theta_new), norm(g),
         norms[0] if norms else None, norms[1:], eta_t)
 
 
@@ -202,7 +206,7 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         return trace.end(0, 0, "diverged")
     for i in range(n_steps):
         theta_new, eta_t, pre = _advance(theta, state, hyper, sched, plan, g)
-        trace.grad_norm[i], trace.eta_t[i] = np.linalg.norm(g), eta_t
+        trace.grad_norm[i], trace.eta_t[i] = norm(g), eta_t
         norms = ()
         if pre.root is not None:
             trace.vhat[i] = norms = _vhat_norms(pre.root, theta0.blocks)

@@ -1,5 +1,6 @@
 """Core value types: labeled parameter vectors and optimizer configuration."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,13 @@ from .errors import ConfigError
 # === parameter vectors =====================================================
 
 Blocks = tuple  # of (name, offset, length)
+
+
+def norm(x) -> float:
+    """Euclidean norm of a 1-D float array as sqrt(x.dot(x)): for a contiguous
+    one, the bits np.linalg.norm computes, without its wrapper's cost. Every
+    norm outside oracles.py goes through it."""
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundaryUndefined, ConfigError, ZeroGradient
+from .params import norm
 from .rngs import stream
 
 PI_MAX_ITERS = 100
@@ -71,7 +72,7 @@ class PowerResult:
 
 def _usable(v0) -> bool:
     """Whether a warm vector can start power iteration."""
-    return v0 is not None and np.linalg.norm(v0) > 0
+    return v0 is not None and norm(v0) > 0
 
 
 def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
@@ -81,14 +82,14 @@ def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResul
     relative tolerance. A zero operator reports lambda=0, converged.
     """
     v = np.asarray(v0, dtype=float)
-    norm = np.linalg.norm(v) if v.ndim == 1 else 0.0
-    if not norm > 0:
+    n0 = norm(v) if v.ndim == 1 else 0.0
+    if not n0 > 0:
         raise ConfigError("power iteration needs a nonzero start vector")
-    v = v / norm
+    v = v / n0
     lam = 0.0
     for k in range(max_iters):
         w = apply(v)
-        nw = float(np.linalg.norm(w))
+        nw = norm(w)
         if nw == 0.0:
             return PowerResult(0.0, v, True, k + 1)
         lam_new = float(v @ w)

@@ -11,13 +11,13 @@ import json
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .probes import ProbeRecord
 
 SCHEMA_VERSION = 1
+CSV_CHUNK_ROWS = 512  # trace.csv rows formatted per batch; bounds the cells held
 
 # One row per probe: the ProbeRecord fields, then whether its lambda_grad_Hhat
 # is present (it is missing where the gradient vanished).
@@ -167,24 +167,42 @@ def write_csv(path, header, rows):
         w.writerows([_cell(x) for x in row] for row in rows)
 
 
-def _cells(n, steps, values):
-    """A sparse series as n cells: its values at its steps, None elsewhere."""
-    cells = np.full(n, None, dtype=object)
-    cells[steps] = values
+def _sparse_cells(steps, values, a, b):
+    """Cells a..b-1 of a sparse series: the repr of its values at its steps
+    (increasing), "" elsewhere."""
+    lo, hi = steps.searchsorted((a, b))
+    cells = [""] * (b - a)
+    for i, x in zip(steps[lo:hi].tolist(), values[lo:hi].tolist()):
+        cells[i - a] = repr(x)
     return cells
 
 
 def write_trace_csv(trace: RunTrace, path):
-    """Rows zipped lazily from the columns; a memoryview yields Python floats."""
+    """The trace's rows, formatted CSV_CHUNK_ROWS at a time, a column at once.
+
+    A cell is what _cell makes of its value: a column's tolist() yields the
+    Python floats and ints whose repr _cell writes, and a missing cell is "".
+    """
     n = len(trace)
-    vhat = ([repeat(None)] * (1 + len(trace.block_names)) if trace.vhat is None
-            else map(memoryview, trace.vhat.T))
-    probes = (_cells(n, *trace.probe_series(name))
-              for name in ("lambda_max_H", "lambda_max_Hhat", "lambda_grad_Hhat"))
-    write_csv(path, trace_columns(trace.block_names), zip(
-        range(n), *map(memoryview, (trace.loss, trace.grad_norm)), *vhat,
-        memoryview(trace.eta_t), *probes, _cells(n, *trace.sustained),
-        trace.stage or repeat(None)))
+    dense = [trace.loss, trace.grad_norm]
+    dense += [None] * (1 + len(trace.block_names)) if trace.vhat is None else list(trace.vhat.T)
+    dense.append(trace.eta_t)
+    sparse = [trace.probe_series(name)
+              for name in ("lambda_max_H", "lambda_max_Hhat", "lambda_grad_Hhat")]
+    # contiguous steps, as searchsorted copies a strided field view per call
+    sparse = [(np.ascontiguousarray(steps), np.asarray(values))
+              for steps, values in sparse + [trace.sustained]]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(trace_columns(trace.block_names))
+        for a in range(0, n, CSV_CHUNK_ROWS):
+            b = min(a + CSV_CHUNK_ROWS, n)
+            missing = [""] * (b - a)
+            w.writerows(zip(
+                map(str, range(a, b)),
+                *(missing if c is None else map(repr, c[a:b].tolist()) for c in dense),
+                *(_sparse_cells(steps, values, a, b) for steps, values in sparse),
+                missing if trace.stage is None else map(_cell, trace.stage[a:b])))
 
 
 def read_trace_csv(path) -> dict:

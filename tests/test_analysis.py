@@ -2,6 +2,7 @@
 
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
-                      SpikeEvent, StageSegmentation, crossing_summary,
-                      detect_spikes_series, fill_sustained, fit_decay,
-                      make_quadratic, pre_spike_index, run, segment_stages,
-                      sustained_predictor)
+                      SpikeEvent, StageSegmentation, build_scenario,
+                      crossing_summary, detect_spikes_series, fill_sustained,
+                      fit_decay, make_quadratic, pre_spike_index, preset_config,
+                      run, run_scenario, segment_stages, sustained_predictor)
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
@@ -204,6 +205,77 @@ def test_ordered_rejects_regression():
     seg = StageSegmentation(boundaries={"t0": 0, "t1": 5, "t2": 3, "t3": None,
                                         "t4": None, "t5": None})
     assert not seg.ordered()
+
+
+# === the t1 scan ============================================================
+
+
+def _t1_by_refitting_every_tail(trace, beta2):
+    """t1 and its decay fit as the scan that fits each tail in turn finds them."""
+    n = len(trace)
+    steps, vals = trace.probe_series("lambda_max_Hhat")
+    over = steps[vals > 2.0 / trace.eta_t[steps]]
+    anchor = int(over[0]) if over.size else n
+    v_sq, target = trace.vhat_norms() ** 2, math.sqrt(beta2)
+    for i in range(1, anchor - 50 + 1):
+        seg = v_sq[i:anchor]
+        if np.any(~np.isfinite(seg)) or np.any(seg <= 0):
+            continue
+        fit = fit_decay(v_sq, (i, anchor))
+        if fit.r_squared > 0.95 and abs(fit.alpha_hat - target) <= 0.05 * target:
+            return i, {"alpha_hat": fit.alpha_hat, "r_squared": fit.r_squared,
+                       "target": target, "window": list(fit.window)}
+    return None, None
+
+
+def _synthetic_v_trace(seed):
+    """A v series decaying near, on or past the edge of the sqrt(beta2) band,
+    with noise, a raised head and sometimes a bad sample or a flat stretch."""
+    rng = np.random.default_rng(seed)
+    n, beta2 = int(rng.integers(60, 700)), float(rng.choice([0.5, 0.9, 0.99, 0.999]))
+    alpha = math.sqrt(beta2) * (1.0 + rng.choice([0.0, 0.04, 0.05, 0.06, -0.05]))
+    v = alpha ** (2.0 * np.arange(n)) * np.exp(rng.normal(0.0, rng.choice([0, 1e-3, 0.05, 0.3]), n))
+    v[:int(rng.integers(0, n))] *= rng.choice([1.0, 5.0, 100.0])
+    if seed % 4 == 1:
+        v[int(rng.integers(0, n))] = rng.choice([0.0, np.nan, np.inf, -1.0])
+    if seed % 9 == 2:
+        v[n // 2:] = 3.0
+    root = np.sqrt(v)
+    trace = RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
+                     initial_loss=1.0, loss=np.ones(n), grad_norm=np.ones(n),
+                     eta_t=np.full(n, 0.1), vhat=np.column_stack([root, root]))
+    return trace, beta2
+
+
+@pytest.mark.parametrize("case", ["fig3-spike", "fig3-oscillation"]
+                         + [f"synthetic-{seed}" for seed in range(24)])
+def test_t1_scan_matches_refitting_every_tail(case):
+    if case.startswith("synthetic"):
+        trace, beta2 = _synthetic_v_trace(int(case.split("-")[1]))
+    else:
+        sc = build_scenario(preset_config(case))
+        trace, beta2 = run_scenario(sc).trace, sc.hyper.beta2
+    seg = segment_stages(trace, AdamHyper(eta=0.1, beta2=beta2))
+    t1, detail = _t1_by_refitting_every_tail(trace, beta2)
+    assert seg.boundaries["t1"] == t1
+    assert seg.verdicts[0]["detail"] == detail
+
+
+def test_t1_scan_is_linear_on_a_long_run():
+    # figD9's v never decays, so the scan screens every tail up to the end:
+    # refitting each one took 0.7 s at 2e4 steps and grew with the square
+    def run_s(segment):
+        sc = build_scenario({**preset_config("figD9-adagrad"), "n_steps": 20000,
+                             "analysis.segment": segment})
+        t0 = time.perf_counter()
+        return run_scenario(sc), time.perf_counter() - t0
+
+    segmented, with_scan = run_s(True)
+    _, without = run_s(False)
+    assert with_scan < without + 1.0
+    t0 = time.perf_counter()
+    segment_stages(segmented.trace, segmented.scenario.hyper)
+    assert time.perf_counter() - t0 < 0.25
 
 
 # === first crossings ========================================================

@@ -7,14 +7,31 @@ import resource
 import numpy as np
 import pytest
 
-from spikelab import (FnnObjective, FnnTaskSpec, ParamVector, QuadraticSpec,
-                      central_fd_hvp, default_fd_step, dense_hessian, make_quadratic)
+from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, MitigationPlan, ParamVector,
+                      QuadraticSpec, central_fd_hvp, default_fd_step, dense_hessian,
+                      make_quadratic, run)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
 
 
 def test_gradient_refuses_nonfinite_point(quad3):
     with pytest.raises(DivergedEvaluation):
         quad3.gradient(np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("eigenvalues,theta", [
+    ((1.0, 5.0), (1.0, np.nan)),  # a NaN point
+    ((1.0, 1e300), (1.0, 1e10)),  # lambda * theta overflows at a finite point
+    ((0.0, 1.0), (np.inf, 1.0)),  # 0 * inf
+    ((-1.0, 1.0), (np.inf, np.inf)),  # terms of opposite infinite sign
+])
+def test_loss_and_gradient_refuse_a_nonfinite_gradient(eigenvalues, theta):
+    # loss_and_gradient tests only the loss: a non-finite g_i makes d_i * g_i,
+    # and so the loss, non-finite too
+    obj = make_quadratic(QuadraticSpec(eigenvalues=eigenvalues))
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(obj.lam * (np.array(theta) - obj.off)).all()
+        with pytest.raises(DivergedEvaluation):
+            obj.loss_and_gradient(np.array(theta))
 
 
 def test_hvp_backends_agree_on_fnn(small_fnn, fnn_point):
@@ -168,6 +185,19 @@ def test_fnn_calls_do_not_fault_in_fresh_work_buffers(fig6_fnn):
     assert _minor_faults_per_call(lambda: obj.loss_and_gradient(th)) < one_buffer
     assert _minor_faults_per_call(lambda: obj.loss(th)) < one_buffer
     assert _minor_faults_per_call(lambda: hvp(v)) < one_buffer
+
+
+def test_fnn_steps_do_not_fault_in_fresh_arrays(fig6_fnn):
+    # figD8's step (Adam with a v floor on the 52k-parameter net) updates its
+    # moments in place and reuses the pages it frees: 0 faults per step past
+    # the run's set-up, against 5.7 with m and v allocated afresh each step;
+    # one more temporary once cost a figD8 step 156 faults and 30% more time
+    obj = fig6_fnn
+    theta0, hyper, plan = obj.initial_point(), AdamHyper(eta=0.02), MitigationPlan(v_floor=0.01)
+    faults = {k: _minor_faults_per_call(
+        lambda: run(obj, theta0, "adam", hyper, plan=plan, n_steps=k), calls=2, warmup=1)
+        for k in (5, 65)}
+    assert (faults[65] - faults[5]) / 60 < 2.0
 
 
 def test_dense_hessian_of_quadratic_is_exact(quad3):

@@ -41,6 +41,16 @@ def test_every_module_is_checked():
     assert len(MODULES) >= 10
 
 
+def test_norms_go_through_one_helper():
+    """Every Euclidean norm goes through params.norm, so a change of its
+    summation order reaches them all; oracles.py keeps numpy's as a reference."""
+    calls = [f"{p.name}:{n.lineno}" for p in MODULES if p.name != "oracles.py"
+             for n in ast.walk(ast.parse(p.read_text()))
+             if isinstance(n, ast.Attribute) and n.attr == "norm"
+             and ast.unparse(n.value) in ("np.linalg", "numpy.linalg", "linalg")]
+    assert not calls, calls
+
+
 # === names the benchmarks read ==============================================
 
 BENCH = SRC.parent.parent / "benchmarks"

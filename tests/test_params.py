@@ -1,10 +1,23 @@
-"""Value-type contracts: vectors, hyperparameters, schedules, mitigation."""
+"""Value-type contracts: vectors, their norm, hyperparameters, schedules, mitigation."""
 
 import numpy as np
 import pytest
 
 from spikelab import AdamHyper, LrSchedule, MitigationPlan, OptimizerState, ParamVector
 from spikelab.errors import ConfigError
+from spikelab.params import norm
+
+# === norm ===================================================================
+
+
+@pytest.mark.parametrize("size", [1, 3, 61, 52001])
+def test_norm_equals_numpy_norm_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    assert norm(x) == np.linalg.norm(x) and type(norm(x)) is float
+    block = x[size // 3:size // 3 + size // 2 + 1]  # a parameter block's slice
+    assert norm(block) == np.linalg.norm(block)
+
 
 # === ParamVector ============================================================
 

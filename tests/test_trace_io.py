@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from spikelab import (AdamHyper, ProbePlan, ProbeRecord, QuadraticSpec,
                       RunTrace, make_quadratic, read_trace_csv, run,
                       trace_columns, write_trace_csv)
-from spikelab.trace import PROBE_DTYPE, write_json
+from spikelab.trace import CSV_CHUNK_ROWS, PROBE_DTYPE, write_csv, write_json
 
 # === columns ================================================================
 
@@ -94,6 +95,73 @@ def test_missing_cells_stay_distinct_from_nan(tmp_path):
     assert first.probe.lambda_grad_Hhat is None and first.probe.converged
     assert math.isnan(last.probe.lambda_grad_Hhat) and not last.probe.converged
     assert last.probe.power_iters_used == 4
+
+
+def _rowwise_reference(trace, path):
+    """trace.csv as a row-wise writer makes it: each StepRecord's cells by _cell."""
+    def row(r):
+        p = r.probe
+        vhat = ([r.vhat_norm_total, *r.vhat_norm_blocks] if r.vhat_norm_total is not None
+                else [None] * (1 + len(trace.block_names)))
+        lam = [None] * 3 if p is None else [p.lambda_max_H, p.lambda_max_Hhat, p.lambda_grad_Hhat]
+        return [r.step, r.loss, r.grad_norm, *vhat, r.eta_t, *lam,
+                r.lambda_grad_sustained, r.stage]
+    write_csv(path, trace_columns(trace.block_names), map(row, trace.records))
+
+
+def _shaped_trace(shape, n):
+    """An n-row trace with one column shape; awkward floats in every dense column."""
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    col[:4] = [math.inf, -0.0, math.nan, 1e-320][:n]
+    blocks = ("W1", "b1") if shape != "gd" else ("theta",)
+    trace = RunTrace(config={}, seed=0, status="completed", block_names=blocks,
+                     initial_loss=1.0, loss=col, grad_norm=np.abs(col[::-1]).copy(),
+                     eta_t=np.full(n, 0.1),
+                     vhat=None if shape == "gd" else rng.random((n, 3)))
+    if shape in ("probes", "missing_lambda_grad"):
+        steps = sorted({0, n - 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, *range(3, n, 97)} & set(range(n)))
+        trace.probes = np.empty(len(steps), PROBE_DTYPE)
+        for j, s in enumerate(steps):
+            lg = None if shape == "missing_lambda_grad" and j % 2 else rng.standard_normal()
+            trace.put_probe(j, ProbeRecord(s, rng.random(), -rng.random(), lg, 20.0, 5, True))
+    if shape == "sustained":
+        steps = np.arange(1, n - 1, 3)
+        trace.sustained = (steps, rng.standard_normal(steps.size))
+    if shape == "stage":
+        trace.stage = [None if i % 5 == 0 else str(1 + i % 4) for i in range(n)]
+    return trace
+
+
+SHAPES = ["gd", "dense", "probes", "missing_lambda_grad", "sustained", "stage"]
+
+
+@pytest.mark.parametrize("n", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_chunked_writer_matches_rowwise_reference(tmp_path, shape, n):
+    trace = _shaped_trace(shape, n)
+    write_trace_csv(trace, tmp_path / "chunked.csv")
+    _rowwise_reference(trace, tmp_path / "rowwise.csv")
+    text = (tmp_path / "chunked.csv").read_bytes()
+    assert text == (tmp_path / "rowwise.csv").read_bytes()
+    assert text.count(b"\r\n") == n + 1
+
+
+def test_writing_a_long_trace_holds_one_chunk_of_cells(tmp_path):
+    # the row-wise writer held four n-long object columns, 3.4 MB at 1e5
+    # rows; the chunked writer holds one chunk's cells at a time (0.23 MB)
+    n = 100_000
+    rng = np.random.default_rng(0)
+    trace = RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
+                     initial_loss=1.0, loss=rng.random(n), grad_norm=rng.random(n),
+                     eta_t=np.full(n, 0.1))
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_records_view_matches_columns():
