@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, Indeterminate, SpikelabError
+from .errors import ConfigError, Indeterminate, SpikelabError, ZeroGradient
 from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
@@ -177,7 +177,10 @@ def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
     determinate = consistent = 0
     worst_margin = None
     for _ in range(steps):
-        res = spike_iff_check(obj, theta, eta, quadrature_nodes=nodes)
+        try:
+            res = spike_iff_check(obj, theta, eta, quadrature_nodes=nodes)
+        except ZeroGradient:  # GD stays at this stationary point: no later evidence
+            break
         if res.determinate:
             determinate += 1
             consistent += res.consistent()

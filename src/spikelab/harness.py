@@ -116,7 +116,7 @@ def _run_mode(sc: Scenario) -> RunResult:
 
 
 def _empty_trace(sc: Scenario) -> RunTrace:
-    return RunTrace(config=dict(sc.flat), seed=sc.seed, status="completed",
+    return RunTrace(config=dict(sc.flat), status="completed",
                     block_names=("theta",), initial_loss=0.5 * sc.theta0 * sc.theta0)
 
 
@@ -136,7 +136,7 @@ def _theorem_trace(sc: Scenario, cert) -> RunTrace:
                                 np.zeros(n), yes, yes], dtype=PROBE_DTYPE)
     # the loss squares through pow() one float at a time: numpy's vector
     # square rounds a few of thmD4's losses differently, moving trace.csv
-    return RunTrace(config=dict(sc.flat), seed=sc.seed, status="completed",
+    return RunTrace(config=dict(sc.flat), status="completed",
                     block_names=("theta",),
                     initial_loss=float(0.5 * th[0] ** 2),
                     loss=0.5 * np.array([x ** 2 for x in th[1:].tolist()]),

@@ -81,7 +81,14 @@ class FnnTaskSpec:
 
 
 class QuadraticObjective:
-    """Diagonal quadratic with exact constant Hessian."""
+    """Diagonal quadratic with exact constant Hessian.
+
+    loss sums lam @ (d*d) and loss_and_gradient sums d @ (lam*d). They are
+    equal in exact arithmetic but can round apart (not where every lam is
+    1.0, as in the scalar presets). run records the start and last losses
+    through loss and every other loss through loss_and_gradient, so changing
+    either order alone moves figD12-gd-delay's trace bytes.
+    """
 
     kind = "quadratic"
 

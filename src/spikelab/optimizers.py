@@ -14,8 +14,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DivergedEvaluation, DivergedRun
-from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan, OptimizerState,
-                     ParamVector, norm)
+from .params import (CONSTANT_LR, NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
+                     OptimizerState, ParamVector, norm)
 from .probes import PI_MAX_ITERS, PI_TOL, Preconditioner, ProbeWarmStart, compute_probe
 from .trace import PROBE_DTYPE, RunTrace, StepRecord
 
@@ -67,7 +67,7 @@ def _advance(theta, state, hyper, sched, plan, g):
     """
     rule = RULES[state.kind]
     t = state.t
-    eta_t = hyper.eta if sched is None else sched.eta_at(t)
+    eta_t = sched.eta_at(hyper.eta, t)
     d, scale = g, 1.0
     if rule.momentum:
         state.m *= hyper.beta1
@@ -123,7 +123,7 @@ def _diverged(theta, norms) -> bool:
 
 
 @np.errstate(all="ignore")  # a diverged step raises DivergedRun below, unwarned
-def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=None,
+def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=CONSTANT_LR,
                  plan=NO_MITIGATION):
     """One step of `kind`; returns (theta', state', StepRecord), or raises
     DivergedRun where run would record a divergence."""
@@ -169,7 +169,7 @@ class ProbePlan:
 
 @np.errstate(all="ignore")  # non-finite steps are recorded as divergence, not warned
 def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
-        sched: LrSchedule = None, plan: MitigationPlan = NO_MITIGATION,
+        sched: LrSchedule = CONSTANT_LR, plan: MitigationPlan = NO_MITIGATION,
         n_steps: int = 1, probes: ProbePlan = ProbePlan(), seed: int = 0,
         config_echo: dict = None) -> RunTrace:
     """Run n_steps of the chosen optimizer, probing on the configured cadence.
@@ -193,7 +193,7 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     config.setdefault("objective.kind", obj.kind)
     # columns written by index; a loss left at inf marks the step that diverged
     trace = RunTrace(
-        config, seed, "completed", tuple(name for name, _, _ in theta0.blocks),
+        config, "completed", tuple(name for name, _, _ in theta0.blocks),
         math.inf, loss=np.full(n_steps, np.inf), grad_norm=np.empty(n_steps),
         eta_t=np.empty(n_steps),
         vhat=np.empty((n_steps, 1 + len(theta0.blocks))) if RULES[kind].v != "none" else None,

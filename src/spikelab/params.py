@@ -80,24 +80,25 @@ class AdamHyper:
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Constant or power-decay learning rate, eta_t = eta0 * (t+1)^(-alpha)."""
+    """Decay law of the learning rate: eta_t = eta (constant) or
+    eta * (t+1)^(-alpha) (power-decay). eta itself is AdamHyper's."""
 
     kind: str = "constant"
-    eta0: float = 0.1
     alpha: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("constant", "power-decay"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if not self.eta0 > 0:
-            raise ConfigError("eta0 must be > 0")
         if self.kind == "power-decay" and not 0.0 < self.alpha < 1.0:
             raise ConfigError("power-decay needs alpha in (0, 1)")
 
-    def eta_at(self, t: int) -> float:
+    def eta_at(self, eta: float, t: int) -> float:
         if self.kind == "constant":
-            return self.eta0
-        return self.eta0 * float(t + 1) ** (-self.alpha)
+            return eta
+        return eta * float(t + 1) ** (-self.alpha)
+
+
+CONSTANT_LR = LrSchedule()
 
 
 @dataclass(frozen=True)

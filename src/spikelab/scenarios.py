@@ -207,7 +207,7 @@ def build_scenario(flat: dict) -> Scenario:
             bias_correction=_bool(flat, "optimizer.bias_correction", True),
         )
         sched = LrSchedule(kind=str(flat.get("schedule.kind", "constant")),
-                           eta0=eta, alpha=_float(flat, "schedule.alpha", 0.0))
+                           alpha=_float(flat, "schedule.alpha", 0.0))
         bump = None
         if "plan.epsilon_bump_step" in flat:
             bump = (_int(flat, "plan.epsilon_bump_step", None),
@@ -281,130 +281,72 @@ def build_scenario(flat: dict) -> Scenario:
 # === presets ================================================================
 
 ETA_SWEEP_7 = ",".join(repr(float(v)) for v in np.logspace(-3, -1, 7))
-BETA2_SWEEP = "0.999,0.99,0.9,0.5,0.1"
 
 _D12_EIGS = ",".join(
     [repr(float(v)) for v in np.linspace(1.0, 99.0, 90)]
     + [repr(float(v)) for v in np.linspace(101.0, 110.0, 10)])
 
-
-def _quadratic_adam(scenario, eta, beta1, beta2, theta0, n_steps, segment=False):
-    return {
-        "scenario": scenario, "mode": "run", "seed": 0,
-        "n_steps": n_steps, "theta0": theta0,
-        "objective.kind": "quadratic", "objective.eigenvalues": "1.0",
-        "optimizer.kind": "adam", "optimizer.eta": eta,
-        "optimizer.beta1": beta1, "optimizer.beta2": beta2,
-        "optimizer.epsilon": 1e-8, "optimizer.bias_correction": True,
-        "probes.every": 1,
-        "analysis.rho": 3.0, "analysis.window": 50,
-        "analysis.segment": segment,
-    }
-
-
-def _fnn_sine(scenario, kind, eta, n_steps, beta2=0.999, probes_every=5):
-    cfg = {
-        "scenario": scenario, "mode": "run", "seed": 0,
-        "n_steps": n_steps,
-        "objective.kind": "fnn", "objective.target": "sine-mix",
-        "objective.input_dim": 1, "objective.width": 20,
-        "objective.n_samples": 200, "objective.noise_std": 0.0,
-        "objective.seed": 0,
-        "optimizer.kind": kind, "optimizer.eta": eta,
-        "optimizer.beta1": 0.9, "optimizer.beta2": beta2,
-        "optimizer.epsilon": 1e-8,
-        "probes.every": probes_every,
-        "analysis.rho": 3.0, "analysis.window": 50,
-    }
-    return cfg
-
-
-def _fnn_50d(scenario, n_steps, probes_every):
-    return {
-        "scenario": scenario, "mode": "run", "seed": 0,
-        "n_steps": n_steps,
-        "objective.kind": "fnn", "objective.target": "linear-plus-diag-quadratic",
-        "objective.input_dim": 50, "objective.width": 1000,
-        "objective.n_samples": 200, "objective.noise_std": 0.1,
-        "objective.seed": 0,
-        "optimizer.kind": "adam", "optimizer.eta": 0.02,
-        "optimizer.beta1": 0.9, "optimizer.beta2": 0.999,
-        "optimizer.epsilon": 1e-8,
-        "probes.every": probes_every,
-        "analysis.rho": 3.0, "analysis.window": 50,
-    }
+# Run presets are a family base plus their own keys: run -> scalar quadratic
+# -> Adam or single-moment (figD12 swaps in its spectrum), and run -> FNN ->
+# sine-mix or 50-d. config.json echoes every key, so a base holds only keys
+# all its presets write.
+_RUN = {"mode": "run", "seed": 0, "analysis.rho": 3.0, "analysis.window": 50}
+_QUADRATIC = {**_RUN, "theta0": 1.0, "objective.kind": "quadratic",
+              "objective.eigenvalues": "1.0", "probes.every": 1}
+_ADAM_1D = {**_QUADRATIC, "n_steps": 4000, "optimizer.kind": "adam",
+            "optimizer.eta": 0.01, "optimizer.beta1": 0.9, "optimizer.beta2": 0.99,
+            "optimizer.epsilon": 1e-8, "optimizer.bias_correction": True,
+            "analysis.segment": False}
+_SINGLE_MOMENT = {**_QUADRATIC, "optimizer.beta1": 0.0, "optimizer.beta2": 0.999,
+                  "optimizer.epsilon": 1e-8}
+_FNN = {**_RUN, "objective.kind": "fnn", "objective.n_samples": 200,
+        "objective.seed": 0, "optimizer.beta1": 0.9, "optimizer.beta2": 0.999,
+        "optimizer.epsilon": 1e-8}
+_SINE = {**_FNN, "objective.target": "sine-mix", "objective.input_dim": 1,
+         "objective.width": 20, "objective.noise_std": 0.0, "probes.every": 5}
+_FNN_50D = {**_FNN, "n_steps": 2800, "objective.target": "linear-plus-diag-quadratic",
+            "objective.input_dim": 50, "objective.width": 1000,
+            "objective.noise_std": 0.1, "optimizer.kind": "adam", "optimizer.eta": 0.02}
 
 
 def _presets() -> dict:
-    p = {}
-    p["fig2a"] = _quadratic_adam("fig2a", 0.01, 0.9, 0.99, 1.0, 4000)
-    base = _quadratic_adam("fig2bc-sweep", 0.01, 0.9, 0.99, 1.0, 4000)
-    base["sweep.param"] = "optimizer.eta"
-    base["sweep.values"] = ETA_SWEEP_7
-    p["fig2bc-sweep"] = base
-    p["fig3-spike"] = _quadratic_adam("fig3-spike", 0.15, 0.9, 0.99, 10.0, 2000,
-                                      segment=True)
-    p["fig3-oscillation"] = _quadratic_adam("fig3-oscillation", 0.15, 0.6, 0.5,
-                                            10.0, 5000, segment=True)
-    p["fig5-gd"] = _fnn_sine("fig5-gd", "gd", 0.08, 3000)
-    p["fig5-adam"] = _fnn_sine("fig5-adam", "adam", 0.01, 6000)
-    p["fig6-fnn50d"] = _fnn_50d("fig6-fnn50d", 2800, 5)
-
-    mit = _fnn_50d("figD8-mitigations", 2800, 0)
-    mit["plan.v_floor"] = 0.01
-    p["figD8-mitigations"] = mit
-
-    p["figD9-adagrad"] = {
-        "scenario": "figD9-adagrad", "mode": "run", "seed": 0,
-        "n_steps": 100000, "theta0": 1.0,
-        "objective.kind": "quadratic", "objective.eigenvalues": "1.0",
-        "optimizer.kind": "adagrad", "optimizer.eta": 0.1,
-        "optimizer.beta1": 0.0, "optimizer.beta2": 0.999,
-        "optimizer.epsilon": 1e-8,
-        "probes.every": 0,
-        "analysis.rho": 3.0, "analysis.window": 50,
+    p = {
+        "fig2a": _ADAM_1D,
+        "fig2bc-sweep": {**_ADAM_1D, "sweep.param": "optimizer.eta",
+                         "sweep.values": ETA_SWEEP_7},
+        "fig3-spike": {**_ADAM_1D, "n_steps": 2000, "theta0": 10.0,
+                       "optimizer.eta": 0.15, "analysis.segment": True},
+        "fig3-oscillation": {**_ADAM_1D, "n_steps": 5000, "theta0": 10.0,
+                             "optimizer.eta": 0.15, "optimizer.beta1": 0.6,
+                             "optimizer.beta2": 0.5, "analysis.segment": True},
+        "fig5-gd": {**_SINE, "n_steps": 3000, "optimizer.kind": "gd",
+                    "optimizer.eta": 0.08},
+        "fig5-adam": {**_SINE, "n_steps": 6000, "optimizer.kind": "adam",
+                      "optimizer.eta": 0.01},
+        "fig6-fnn50d": {**_FNN_50D, "probes.every": 5},
+        "figD8-mitigations": {**_FNN_50D, "probes.every": 0, "plan.v_floor": 0.01},
+        "figD9-adagrad": {**_SINGLE_MOMENT, "n_steps": 100000, "probes.every": 0,
+                          "optimizer.kind": "adagrad", "optimizer.eta": 0.1},
+        "figD10-rmsprop": {**_SINGLE_MOMENT, "n_steps": 3000, "optimizer.kind": "rmsprop",
+                           "optimizer.eta": 0.1, "optimizer.beta2": 0.99},
+        "figD11-adafactor": {**_SINGLE_MOMENT, "n_steps": 5000,
+                             "optimizer.kind": "adafactor", "optimizer.eta": 0.01},
+        "figD12-gd-delay": {**_QUADRATIC, "n_steps": 300, "objective.eigenvalues": _D12_EIGS,
+                            "optimizer.kind": "gd", "optimizer.eta": 0.02},
+        "thmD4": {
+            "mode": "five-stage", "seed": 0,
+            "theta0": 10.0, "optimizer.eta": 0.15, "optimizer.beta2": 0.99,
+            "n_steps": 0,  # 0 lets the certificate choose 10 * t1
+            "analysis.segment": True,
+        },
+        "thmD6": {
+            "mode": "lr-decay", "seed": 0,
+            "theta0": 1.0, "optimizer.eta": 0.1, "optimizer.beta2": 0.9999,
+            "schedule.alpha": 0.5,
+            "n_steps": 1000000,
+        },
     }
-    p["figD10-rmsprop"] = {
-        "scenario": "figD10-rmsprop", "mode": "run", "seed": 0,
-        "n_steps": 3000, "theta0": 1.0,
-        "objective.kind": "quadratic", "objective.eigenvalues": "1.0",
-        "optimizer.kind": "rmsprop", "optimizer.eta": 0.1,
-        "optimizer.beta1": 0.0, "optimizer.beta2": 0.99,
-        "optimizer.epsilon": 1e-8,
-        "probes.every": 1,
-        "analysis.rho": 3.0, "analysis.window": 50,
-    }
-    p["figD11-adafactor"] = {
-        "scenario": "figD11-adafactor", "mode": "run", "seed": 0,
-        "n_steps": 5000, "theta0": 1.0,
-        "objective.kind": "quadratic", "objective.eigenvalues": "1.0",
-        "optimizer.kind": "adafactor", "optimizer.eta": 0.01,
-        "optimizer.beta1": 0.0, "optimizer.beta2": 0.999,
-        "optimizer.epsilon": 1e-8,
-        "probes.every": 1,
-        "analysis.rho": 3.0, "analysis.window": 50,
-    }
-    p["figD12-gd-delay"] = {
-        "scenario": "figD12-gd-delay", "mode": "run", "seed": 0,
-        "n_steps": 300, "theta0": 1.0,
-        "objective.kind": "quadratic", "objective.eigenvalues": _D12_EIGS,
-        "optimizer.kind": "gd", "optimizer.eta": 0.02,
-        "probes.every": 1,
-        "analysis.rho": 3.0, "analysis.window": 50,
-    }
-    p["thmD4"] = {
-        "scenario": "thmD4", "mode": "five-stage", "seed": 0,
-        "theta0": 10.0, "optimizer.eta": 0.15, "optimizer.beta2": 0.99,
-        "n_steps": 0,  # 0 lets the certificate choose 10 * t1
-        "analysis.segment": True,
-    }
-    p["thmD6"] = {
-        "scenario": "thmD6", "mode": "lr-decay", "seed": 0,
-        "theta0": 1.0, "optimizer.eta": 0.1, "optimizer.beta2": 0.9999,
-        "schedule.alpha": 0.5,
-        "n_steps": 1000000,
-    }
-    return p
+    return {name: {"scenario": name, **cfg} for name, cfg in p.items()}
 
 
 PRESETS = _presets()

@@ -58,7 +58,6 @@ class RunTrace:
     """
 
     config: dict
-    seed: int
     status: str  # completed | diverged
     block_names: tuple
     initial_loss: float
@@ -101,9 +100,11 @@ class RunTrace:
 
     def probe_series(self, name: str):
         """(steps, values) for one ProbeRecord field over sampled steps."""
-        p = self.probes  # lambda_grad_Hhat only where it is present
-        p = p[p["has_lambda_grad"]] if name == "lambda_grad_Hhat" else p
-        return p["step"], p[name].astype(float)
+        p = self.probes
+        steps, values = p["step"], p[name]
+        if name == "lambda_grad_Hhat":  # only where present; masks two fields, not rows
+            steps, values = steps[p["has_lambda_grad"]], values[p["has_lambda_grad"]]
+        return steps, values.astype(float)
 
 
 def _position(steps, i):

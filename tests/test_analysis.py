@@ -241,7 +241,7 @@ def _synthetic_v_trace(seed):
     if seed % 9 == 2:
         v[n // 2:] = 3.0
     root = np.sqrt(v)
-    trace = RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
+    trace = RunTrace(config={}, status="completed", block_names=("theta",),
                      initial_loss=1.0, loss=np.ones(n), grad_norm=np.ones(n),
                      eta_t=np.full(n, 0.1), vhat=np.column_stack([root, root]))
     return trace, beta2
@@ -300,7 +300,7 @@ def _hand_trace(probes=True):
     losses[[70, 72, 74]] = 0.5
     steps = np.arange(N_HAND)
     v = np.array([0.99 ** (i / 2) * (2.0 if i >= 70 else 1.0) for i in range(N_HAND)])
-    trace = RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
+    trace = RunTrace(config={}, status="completed", block_names=("theta",),
                      initial_loss=1.0, loss=losses, grad_norm=np.ones(N_HAND),
                      eta_t=np.full(N_HAND, ETA), vhat=np.column_stack([v, v]))
     if probes:

@@ -597,6 +597,19 @@ def test_cli_verify_spike_iff_diverging_iterate_is_an_error(capsys):
     assert "error: quadratic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,verdict,evidence", [
+    # eta = 1/lambda lands on the minimum after one step, and GD stays there
+    (["--eigenvalues", "10", "--eta", "0.1"], "PASS", "1/1"),
+    (["--eigenvalues", "0"], "SKIPPED (no evidence)", "0/0"),
+])
+def test_cli_verify_spike_iff_stops_at_a_stationary_point(argv, verdict, evidence, capsys):
+    assert main(["verify", "spike-iff", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"spike-iff: {verdict} consistent={evidence} determinate steps")
+    cert = _cert_from(out)
+    assert cert["verdict"] == verdict and cert["total_steps"] == 100
+
+
 def test_cli_verify_five_stage_refuses_long_horizon(capsys):
     assert main(["verify", "five-stage", "--beta2", "0.99999"]) == 0
     out = capsys.readouterr().out

@@ -56,23 +56,50 @@ def test_norms_go_through_one_helper():
 BENCH = SRC.parent.parent / "benchmarks"
 
 
+def _sl_chain(node):
+    """The dotted path after sl in an attribute chain sl.a.b..., else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return ".".join(reversed(names)) if isinstance(node, ast.Name) and node.id == "sl" else None
+
+
+def _resolves(obj, dotted):
+    for name in dotted.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
 def test_benchmarks_read_only_names_spikelab_has():
-    """Every sl.<name> and every `from spikelab... import` in benchmarks/
-    exists, so deleting a name they use fails here, not only in a traced run."""
+    """Every sl.<name>, with the attributes chained on it (sl.A.b), and every
+    `from spikelab... import` in benchmarks/ exists, so deleting a name they
+    use fails here, not only in a traced run."""
     missing = []
     for path in sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id == "sl"):
-                module, names = "spikelab", [node.attr]
+            if isinstance(node, ast.Attribute) and _sl_chain(node):
+                module, names = "spikelab", [_sl_chain(node)]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spikelab"):
                 module, names = node.module, [a.name for a in node.names]
             else:
                 continue
             missing += [f"{path.name}:{node.lineno}: {module}.{name}" for name in names
-                        if not hasattr(importlib.import_module(module), name)]
+                        if not _resolves(importlib.import_module(module), name)]
     assert not missing, "\n".join(missing)
+
+
+def test_chained_benchmark_names_are_resolved():
+    chain = ast.parse("sl.Preconditioner.for_adam(1)").body[0].value.func
+    assert _sl_chain(chain) == "Preconditioner.for_adam"
+    assert _sl_chain(chain.value) == "Preconditioner"
+    assert _sl_chain(ast.parse("sc.hyper.eta").body[0].value) is None
+    import spikelab
+    assert _resolves(spikelab, "Preconditioner.for_adam")
+    assert not _resolves(spikelab, "Preconditioner.for_adamw")
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

@@ -123,7 +123,7 @@ def test_schedule_decays_eta():
     obj = quad1()
     th, st = start("gd")
     h = AdamHyper(eta=0.2)
-    sched = LrSchedule(kind="power-decay", eta0=0.2, alpha=0.5)
+    sched = LrSchedule(kind="power-decay", alpha=0.5)
     etas, thetas = [], []
     for _ in range(3):
         th, st, rec = step_gd(obj, th, st, h, sched=sched)
@@ -131,6 +131,17 @@ def test_schedule_decays_eta():
         thetas.append(th.values[0])
     assert etas == pytest.approx([0.2, 0.14142135623730953, 0.11547005383792515])
     assert thetas == pytest.approx([0.8, 0.6868629150101524, 0.6075508172346559])
+
+
+def test_run_reads_eta_from_hyper_and_decay_from_schedule():
+    # eta has one source, AdamHyper; the schedule holds only the decay law
+    obj = quad1()
+    theta0 = obj.initial_point((1.0,))
+    trace = run(obj, theta0, "adam", AdamHyper(eta=0.2),
+                sched=LrSchedule("power-decay", alpha=0.5), n_steps=5)
+    assert trace.eta_t.tolist() == [0.2 * float(t + 1) ** -0.5 for t in range(5)]
+    constant = run(obj, theta0, "adam", AdamHyper(eta=0.2), n_steps=5)
+    assert constant.eta_t.tolist() == [0.2] * 5
 
 
 # === probed preconditioner ==================================================
@@ -172,10 +183,9 @@ def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
     theta = np.array([1.0, -0.5, 0.25])
     state = OptimizerState.fresh(kind, 3)
     h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99, bias_correction=bias_correction)
-    sched = LrSchedule(eta0=h.eta)
     for t in range(1, 4):
         g = obj.gradient(theta)
-        theta_new, _, pre = _advance(theta, state, h, sched, PLANS[plan], g)
+        theta_new, _, pre = _advance(theta, state, h, LrSchedule(), PLANS[plan], g)
         denom = 1.0 if pre.root is None else pre.root + pre.epsilon  # as pre.diag() divides
         rebuilt = _hand_step(kind, h, t, theta, g, state.m, denom)
         assert np.array_equal(rebuilt, theta_new)

@@ -76,19 +76,20 @@ def test_hyper_rejects_bad_values(kwargs):
 
 
 def test_constant_schedule():
-    s = LrSchedule(eta0=0.3)
-    assert s.eta_at(0) == 0.3
-    assert s.eta_at(10 ** 6) == 0.3
+    s = LrSchedule()
+    assert s.eta_at(0.3, 0) == 0.3
+    assert s.eta_at(0.3, 10 ** 6) == 0.3
 
 
 def test_power_decay_schedule():
-    s = LrSchedule(kind="power-decay", eta0=0.2, alpha=0.5)
-    assert s.eta_at(0) == pytest.approx(0.2)
-    assert s.eta_at(3) == pytest.approx(0.1)
+    s = LrSchedule(kind="power-decay", alpha=0.5)
+    assert s.eta_at(0.2, 0) == pytest.approx(0.2)
+    assert s.eta_at(0.2, 3) == pytest.approx(0.1)
+    assert s.eta_at(0.2, 3) == 0.2 * float(3 + 1) ** -0.5
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"kind": "exotic"}, {"eta0": 0.0},
+    {"kind": "exotic"}, {"kind": "power-decay", "alpha": float("nan")},
     {"kind": "power-decay", "alpha": 0.0},
     {"kind": "power-decay", "alpha": 1.0},
 ])

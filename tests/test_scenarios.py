@@ -1,5 +1,8 @@
 """Config parsing, presets, and scenario construction."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,13 @@ def test_all_presets_build():
     for name in sorted(PRESETS):
         sc = build_scenario(preset_config(name))
         assert sc.scenario_id == name
+
+
+def test_preset_configs_are_pinned():
+    # config.json echoes every key of a preset, so any change to a preset's
+    # keys, values or value types moves this digest
+    digest = hashlib.sha256(json.dumps(PRESETS, sort_keys=True).encode()).hexdigest()
+    assert digest == "fa2deae3570f69f3917b647adae757242233019de953d24fae1e564a00122d81"
 
 
 def test_preset_config_returns_a_copy():

@@ -64,7 +64,7 @@ def test_csv_preserves_float_precision(tmp_path):
 
 
 def test_csv_nonfinite_cells(tmp_path):
-    trace = RunTrace(config={}, seed=0, status="diverged", block_names=("all",),
+    trace = RunTrace(config={}, status="diverged", block_names=("all",),
                      initial_loss=1.0, loss=np.array([math.inf]),
                      grad_norm=np.array([2.0]), eta_t=np.array([0.1]))
     path = tmp_path / "trace.csv"
@@ -75,7 +75,7 @@ def test_csv_nonfinite_cells(tmp_path):
 
 
 def test_missing_cells_stay_distinct_from_nan(tmp_path):
-    trace = RunTrace(config={}, seed=0, status="completed", block_names=("all",),
+    trace = RunTrace(config={}, status="completed", block_names=("all",),
                      initial_loss=1.0, loss=np.array([0.5, np.nan, 0.25]),
                      grad_norm=np.ones(3), eta_t=np.full(3, 0.1),
                      vhat=np.array([[np.nan, np.nan], [1.0, 1.0], [2.0, 2.0]]),
@@ -115,7 +115,7 @@ def _shaped_trace(shape, n):
     col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     col[:4] = [math.inf, -0.0, math.nan, 1e-320][:n]
     blocks = ("W1", "b1") if shape != "gd" else ("theta",)
-    trace = RunTrace(config={}, seed=0, status="completed", block_names=blocks,
+    trace = RunTrace(config={}, status="completed", block_names=blocks,
                      initial_loss=1.0, loss=col, grad_norm=np.abs(col[::-1]).copy(),
                      eta_t=np.full(n, 0.1),
                      vhat=None if shape == "gd" else rng.random((n, 3)))
@@ -152,7 +152,7 @@ def test_writing_a_long_trace_holds_one_chunk_of_cells(tmp_path):
     # rows; the chunked writer holds one chunk's cells at a time (0.23 MB)
     n = 100_000
     rng = np.random.default_rng(0)
-    trace = RunTrace(config={}, seed=0, status="completed", block_names=("theta",),
+    trace = RunTrace(config={}, status="completed", block_names=("theta",),
                      initial_loss=1.0, loss=rng.random(n), grad_norm=rng.random(n),
                      eta_t=np.full(n, 0.1))
     tracemalloc.start()
@@ -162,6 +162,28 @@ def test_writing_a_long_trace_holds_one_chunk_of_cells(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_writing_a_trace_probed_every_step_copies_only_probe_fields(tmp_path):
+    # masking whole 50-byte probe rows for lambda_grad_Hhat peaked at 9.8 MB
+    # at 1e5 rows; masking its step and value fields peaks at 5.2 MB
+    n = 100_000
+    rng = np.random.default_rng(0)
+    probes = np.zeros(n, PROBE_DTYPE)
+    probes["step"] = np.arange(n)
+    for name in ("lambda_max_H", "lambda_max_Hhat", "lambda_grad_Hhat"):
+        probes[name] = rng.random(n)
+    probes["has_lambda_grad"] = True
+    trace = RunTrace(config={}, status="completed", block_names=("theta",),
+                     initial_loss=1.0, loss=rng.random(n), grad_norm=rng.random(n),
+                     eta_t=np.full(n, 0.1), probes=probes)
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_000_000
 
 
 def test_records_view_matches_columns():
@@ -186,7 +208,7 @@ def test_records_view_matches_columns():
 
 def _probed_trace(n, probe_steps, sustained):
     """A synthetic n-step trace with probes and sustained values at given steps."""
-    trace = RunTrace(config={}, seed=0, status="completed", block_names=("all",),
+    trace = RunTrace(config={}, status="completed", block_names=("all",),
                      initial_loss=1.0, loss=np.arange(n, dtype=float),
                      grad_norm=np.ones(n), eta_t=np.full(n, 0.1),
                      probes=np.empty(len(probe_steps), PROBE_DTYPE))
