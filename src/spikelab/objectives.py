@@ -277,7 +277,8 @@ class FnnObjective:
                 raise ConfigError("theta0 length does not match parameter count")
             return ParamVector(arr, self.blocks)
         rng = stream(self.spec.seed, "init")
-        sc = math.sqrt(self.spec.init_variance_scale / self.spec.width)
+        # abs() maps a validated -0.0 to 0.0: numpy refuses a negative-signed scale.
+        sc = math.sqrt(abs(self.spec.init_variance_scale) / self.spec.width)
         vals = rng.normal(0.0, sc, size=self.param_dim)
         return ParamVector(vals, self.blocks)
 

@@ -149,6 +149,7 @@ def flat_configs(draw):
 @example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.n_samples": 1e308})
 @example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.noise_std": 1e308})
 @example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.init_scale": -1})
+@example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.init_scale": -0.0})
 def test_flat_config_fuzz(flat, tmp_path):
     try:
         result = run_scenario(build_scenario(flat))
