@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, Indeterminate, SpikelabError, ZeroGradient
+from .errors import ConfigError, DivergedEvaluation, Indeterminate, SpikelabError, ZeroGradient
 from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
@@ -179,7 +179,9 @@ def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
     for _ in range(steps):
         try:
             res = spike_iff_check(obj, theta, eta, quadrature_nodes=nodes)
-        except ZeroGradient:  # GD stays at this stationary point: no later evidence
+        except (ZeroGradient, DivergedEvaluation):
+            # GD stays at a stationary point, or its iterate overflowed: no
+            # later step gives evidence
             break
         if res.determinate:
             determinate += 1

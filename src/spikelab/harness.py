@@ -7,10 +7,8 @@ trace alone.
 """
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -369,6 +367,10 @@ def run_sweep(base_flat: dict, param: str, values, out=None) -> SweepResult:
     are spawned, not forked, because numpy's BLAS threads make fork unsafe; a
     script that calls run_sweep does so under `if __name__ == "__main__":`.
     """
+    # imported here: a process that never sweeps does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     values = list(values)
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")

@@ -6,11 +6,17 @@ methods directly. hvp_at(theta) returns an HVP closure at one point, and
 hvp(theta, vec) is that closure called once. The FNN closure keeps the
 factors that depend only on theta, so many products at one point (a probe's
 power iterations, a dense Hessian's columns) pay for one forward pass. An
-FNN objective owns one set of n x m work buffers that its loss, gradient
-and HVP calls fill in place. FNN derivatives are closed form (reverse mode
-for the gradient, a forward-over-reverse sweep for the HVP) on one shared
-forward pass, and the tests cross-check them against oracles.central_fd_hvp
-and oracles.dense_hessian.
+FNN objective owns two n x m work buffers and one row-block scratch that its
+loss, gradient and HVP calls fill in place. Every elementwise chain between
+two matrix products runs one block of rows at a time, so a block's
+intermediates stay in cache for the whole chain; the products and the
+column sums run on whole arrays, whose summation order fixes the bits. The
+chains with outer products run under a smaller ufunc buffer (OUTER_BUFSIZE),
+so numpy multiplies a broadcast column in place instead of copying it. FNN
+derivatives are closed form (reverse mode for the gradient, a
+forward-over-reverse sweep for the HVP) on one shared forward pass, and the
+tests cross-check them against oracles.central_fd_hvp and
+oracles.dense_hessian.
 """
 
 import math
@@ -23,6 +29,14 @@ from .params import ParamVector
 from .rngs import stream
 
 FNN_MAX_ENTRIES = 10 ** 8  # per float64 array, 800 MB
+BLOCK_ENTRIES = 16384  # entries per row block of an n x m chain, 128 KB of float64
+# numpy's ufunc buffer size, in entries, inside the chains that form outer
+# products. At numpy 2.4's default of 8192 the broadcast column r[:, None] is
+# copied through the buffer whenever a row is shorter than about 2,000
+# entries, which makes an outer product about 3x slower at fig6's width of
+# 1000; at 1024 rows from about 600 entries are multiplied in place. The
+# buffer size never changes an elementwise result.
+OUTER_BUFSIZE = 1024
 
 # === specs ==================================================================
 
@@ -165,9 +179,16 @@ class FnnObjective:
         self.X, self.y = _make_dataset(spec)
         self.dataset = (self.X, self.y)
         # n x m work buffers that every loss, gradient and HVP call fills in
-        # place, so no call allocates (and page-faults in) fresh large arrays.
-        # They make one objective unsafe to share between threads.
-        self._work = tuple(np.empty((spec.n_samples, m)) for _ in range(3))
+        # place, so no call allocates (and page-faults in) fresh large arrays,
+        # and the row blocks each elementwise chain walks, each with its view
+        # of one shared block-sized scratch. They make one objective unsafe to
+        # share between threads.
+        n = spec.n_samples
+        self._work = tuple(np.empty((n, m)) for _ in range(2))
+        rows = max(1, BLOCK_ENTRIES // m)
+        scratch = np.empty((min(rows, n), m))
+        self._blocks = tuple((slice(i, i + rows), scratch[: min(rows, n - i)])
+                             for i in range(0, n, rows))
 
     # --- forward / derivatives ---
 
@@ -184,8 +205,10 @@ class FnnObjective:
         activations tanh(X W1^T + b1)."""
         W1, b1, W2, b2 = self._unpack(np.asarray(theta, dtype=float))
         np.matmul(self.X, W1.T, out=H)
-        np.add(H, b1, out=H)
-        np.tanh(H, out=H)
+        for s, _ in self._blocks:
+            h = H[s]
+            np.add(h, b1, out=h)
+            np.tanh(h, out=h)
         e = H @ W2 + b2 - self.y
         return W2, e
 
@@ -197,7 +220,7 @@ class FnnObjective:
         return val
 
     def loss_and_gradient(self, theta):
-        H, dZ, T = self._work
+        H, dZ = self._work
         W2, e = self._forward(theta, H)
         n, m = H.shape
         md = m * self.X.shape[1]
@@ -207,10 +230,14 @@ class FnnObjective:
         np.matmul(H.T, r, out=g[md + m : md + 2 * m])  # dW2
         g[-1] = r.sum()  # db2
         # dZ = (r W2) * (1 - H^2), in this operand order
-        np.multiply(r[:, None], W2[None, :], out=dZ)
-        np.multiply(H, H, out=T)
-        np.subtract(1.0, T, out=T)
-        np.multiply(dZ, T, out=dZ)
+        with np.errstate():
+            np.setbufsize(OUTER_BUFSIZE)
+            for s, T in self._blocks:
+                dz, h = dZ[s], H[s]
+                np.multiply(r[s, None], W2[None, :], out=dz)
+                np.multiply(h, h, out=T)
+                np.subtract(1.0, T, out=T)
+                np.multiply(dz, T, out=dz)
         np.matmul(dZ.T, self.X, out=g[:md].reshape(m, -1))  # dW1
         np.sum(dZ, axis=0, out=g[md : md + m])  # db1
         if not math.isfinite(val) or not np.isfinite(g).all():
@@ -228,39 +255,49 @@ class FnnObjective:
 
         The forward pass, 1 - H^2, the scaled residual r and the curvature
         factor 2 (r W2) H depend only on theta; they are computed once here
-        and kept by the closure. Each call fills the objective's three n x m
-        work buffers in place and returns a fresh vector, so closures and
-        gradient calls may interleave.
+        and kept by the closure. Each call fills the objective's two n x m
+        work buffers and its block scratch in place and returns a fresh
+        vector, so closures and gradient calls may interleave.
         """
-        X = self.X
+        X, blocks = self.X, self._blocks
         n, m = self._work[0].shape
         md = m * X.shape[1]
         H, T, A2 = (np.empty((n, m)) for _ in range(3))
         W2, e = self._forward(theta, H)
         W2 = W2.copy()  # a view into theta; the closure must not follow later edits
-        np.multiply(H, H, out=T)
-        np.subtract(1.0, T, out=T)
         r = e / n
-        np.multiply(r[:, None], W2[None, :], out=A2)
-        np.multiply(2.0, A2, out=A2)
-        np.multiply(A2, H, out=A2)
-        RH, RdZ, tmp = self._work
+        with np.errstate():
+            np.setbufsize(OUTER_BUFSIZE)
+            for s, _ in blocks:
+                h, t, a2 = H[s], T[s], A2[s]
+                np.multiply(h, h, out=t)
+                np.subtract(1.0, t, out=t)
+                np.multiply(r[s, None], W2[None, :], out=a2)
+                np.multiply(2.0, a2, out=a2)
+                np.multiply(a2, h, out=a2)
+        RH, RdZ = self._work
 
         def hvp(vec):
             V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))
             np.matmul(X, V1.T, out=RH)
-            np.add(RH, c1, out=RH)
-            np.multiply(T, RH, out=RH)
+            for s, _ in blocks:
+                rh = RH[s]
+                np.add(rh, c1, out=rh)
+                np.multiply(T[s], rh, out=rh)
             Rr = (RH @ W2 + H @ V2 + c2) / n
             out = np.empty(self.param_dim)
             out[md + m : md + 2 * m] = H.T @ Rr + RH.T @ r
             out[-1] = Rr.sum()
-            np.multiply(Rr[:, None], W2[None, :], out=RdZ)
-            np.multiply(r[:, None], V2[None, :], out=tmp)
-            np.add(RdZ, tmp, out=RdZ)
-            np.multiply(RdZ, T, out=RdZ)
-            np.multiply(A2, RH, out=tmp)
-            np.subtract(RdZ, tmp, out=RdZ)
+            with np.errstate():
+                np.setbufsize(OUTER_BUFSIZE)
+                for s, tmp in blocks:
+                    rdz = RdZ[s]
+                    np.multiply(Rr[s, None], W2[None, :], out=rdz)
+                    np.multiply(r[s, None], V2[None, :], out=tmp)
+                    np.add(rdz, tmp, out=rdz)
+                    np.multiply(rdz, T[s], out=rdz)
+                    np.multiply(A2[s], RH[s], out=tmp)
+                    np.subtract(rdz, tmp, out=rdz)
             np.matmul(RdZ.T, X, out=out[:md].reshape(m, -1))
             np.sum(RdZ, axis=0, out=out[md : md + m])
             if not np.isfinite(out).all():

@@ -11,6 +11,7 @@ from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, MitigationPlan, Para
                       QuadraticSpec, central_fd_hvp, default_fd_step, dense_hessian,
                       make_quadratic, run)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
+from spikelab.objectives import BLOCK_ENTRIES
 
 
 def test_gradient_refuses_nonfinite_point(quad3):
@@ -130,9 +131,7 @@ def _reference_hvp(obj, theta, vec):
                            H.T @ Rr + RH.T @ r, [Rr.sum()]])
 
 
-def test_fnn_in_place_evaluation_matches_allocating_reference_bit_for_bit(fig6_fnn):
-    obj = fig6_fnn
-    rng = np.random.default_rng(11)
+def _assert_matches_allocating_reference(obj, rng):
     for scale in (0.03, 0.1, 1.0):
         th = rng.normal(0.0, scale, obj.param_dim)
         v = rng.standard_normal(obj.param_dim)
@@ -143,6 +142,35 @@ def test_fnn_in_place_evaluation_matches_allocating_reference_bit_for_bit(fig6_f
         hvp = obj.hvp_at(th)
         for w in (v, g):
             assert np.array_equal(hvp(w), _reference_hvp(obj, th, w))
+
+
+def test_fnn_in_place_evaluation_matches_allocating_reference_bit_for_bit(fig6_fnn):
+    # 200 x 1000: twelve row blocks of 16 and a ragged last block of 8
+    assert [T.shape for _, T in fig6_fnn._blocks] == [(16, 1000)] * 12 + [(8, 1000)]
+    _assert_matches_allocating_reference(fig6_fnn, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("n,d,m,n_blocks", [
+    (200, 1, 20, 1),  # fig5's shape, 200 x 20: every chain runs as one block
+    (3, 2, BLOCK_ENTRIES + 1, 3),  # a row wider than a block: one-row blocks
+], ids=["one-block", "one-row-blocks"])
+def test_fnn_row_blocks_match_allocating_reference_bit_for_bit(n, d, m, n_blocks):
+    obj = FnnObjective(FnnTaskSpec(input_dim=d, width=m, n_samples=n,
+                                   target="linear-plus-diag-quadratic"))
+    assert len(obj._blocks) == n_blocks
+    _assert_matches_allocating_reference(obj, np.random.default_rng(14))
+
+
+def test_fnn_calls_restore_the_callers_ufunc_buffer(fig6_fnn):
+    # the chains with outer products shrink numpy's ufunc buffer; the caller's
+    # setting comes back on return
+    obj = fig6_fnn
+    th = np.random.default_rng(15).normal(0.0, 0.05, obj.param_dim)
+    with np.errstate():
+        np.setbufsize(4096)
+        _, g = obj.loss_and_gradient(th)
+        obj.hvp_at(th)(g)
+        assert np.getbufsize() == 4096
 
 
 def test_fnn_closure_survives_later_calls_on_the_shared_buffers(fig6_fnn):

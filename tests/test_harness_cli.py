@@ -1,5 +1,6 @@
 """Harness run directories, sweeps, and the command-line front end."""
 
+import concurrent.futures
 import json
 import os
 import warnings
@@ -198,7 +199,8 @@ def recording_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class when it is called, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -592,9 +594,20 @@ def test_cli_verify_descent_huge_eta_is_skipped(capsys):
     assert capsys.readouterr().out.startswith("descent: SKIPPED (no evidence)")
 
 
-def test_cli_verify_spike_iff_diverging_iterate_is_an_error(capsys):
-    assert main(["verify", "spike-iff", "--eta", "10"]) == 1
-    assert "error: quadratic" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,verdict,evidence", [
+    # GD's iterate overflows at step 76, and the verdict reads the steps before it
+    (["--eigenvalues", "100", "--eta", "1"], "PASS", "76/76"),
+    (["--eta", "10"], "PASS", "76/76"),
+    # the first loss already overflows: no step gives evidence
+    (["--eigenvalues", "1e300", "--eta", "1"], "SKIPPED (no evidence)", "0/0"),
+], ids=["eig100-eta1", "eta10", "eig1e300-eta1"])
+def test_cli_verify_spike_iff_stops_at_an_overflowing_iterate(argv, verdict, evidence, capsys):
+    assert main(["verify", "spike-iff", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"spike-iff: {verdict} consistent={evidence} determinate steps")
+    assert captured.err == ""
+    cert = _cert_from(captured.out)
+    assert cert["verdict"] == verdict and cert["total_steps"] == 100
 
 
 @pytest.mark.parametrize("argv,verdict,evidence", [

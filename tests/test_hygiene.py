@@ -1,9 +1,13 @@
 """Source hygiene: every imported name is used, no module imports another
-module's private name, and every name the benchmarks read exists."""
+module's private name, every name the benchmarks read exists, and importing
+the package loads no process pool."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +121,13 @@ def test_benchmark_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert spikelab.run is run and FnnObjective.loss_and_gradient is grad
+
+
+def test_import_does_not_load_the_process_pool():
+    """Only run_sweep needs multiprocessing, so importing spikelab, which
+    every run pays for, does not load it."""
+    code = ("import sys, spikelab; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout.strip() == "[]"
