@@ -8,10 +8,10 @@ segment loss spikes, and certify the supporting theory numerically.
 from .analysis import (DecayFit, SpikeEvent, StageSegmentation,
                        crossing_summary, detect_spikes_series, fill_sustained,
                        fit_decay, pre_spike_index, segment_stages)
-from .errors import (BoundaryUndefined, ConfigError, DivergedEvaluation,
-                     DivergedRun, Indeterminate, InvalidDirection,
-                     InvalidSeries, OracleMisuse, OracleSizeExceeded,
-                     PreconditionViolation, SpikelabError, ZeroGradient)
+from .errors import (ConfigError, DivergedEvaluation, DivergedRun,
+                     Indeterminate, InvalidDirection, InvalidSeries,
+                     OracleMisuse, OracleSizeExceeded, PreconditionViolation,
+                     SpikelabError, ZeroGradient)
 from .harness import (RunResult, SweepResult, run_scenario, run_sweep,
                       summary_line, sweep_row, write_run_dir)
 from .objectives import (FnnObjective, FnnTaskSpec, QuadraticObjective,
@@ -28,8 +28,7 @@ from .oracles import (DescentReport, FiveStageCertificate, IffCheckResult,
 from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
                      OptimizerState, ParamVector)
 from .probes import (PowerResult, Preconditioner, ProbeRecord, ProbeWarmStart,
-                     compute_probe, lambda_grad, power_iteration,
-                     sustained_predictor)
+                     compute_probe, lambda_grad, lanczos, power_iteration)
 from .rngs import stream
 from .scenarios import (PRESETS, Scenario, build_scenario, load_config_file,
                         preset_config)

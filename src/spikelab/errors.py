@@ -29,10 +29,6 @@ class ZeroGradient(SpikelabError):
     """Directional curvature requested along a zero gradient."""
 
 
-class BoundaryUndefined(SpikelabError):
-    """Sustained predictor queried at a series endpoint."""
-
-
 class InvalidSeries(SpikelabError):
     """Series violates fit preconditions (too short or non-positive)."""
 

@@ -163,8 +163,12 @@ class ProbePlan:
     tol: float = PI_TOL
 
     def __post_init__(self):
-        if self.every < 0 or self.max_iters < 1 or not self.tol > 0:
-            raise ConfigError("bad probe plan")
+        if self.every < 0:
+            raise ConfigError("probes.every must be >= 0")
+        if self.max_iters < 1:
+            raise ConfigError("probes.max_iters must be >= 1")
+        if not self.tol > 0:
+            raise ConfigError("probes.tol must be > 0")
 
 
 @np.errstate(all="ignore")  # non-finite steps are recorded as divergence, not warned

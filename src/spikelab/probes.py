@@ -1,10 +1,11 @@
 """Spectral probes: preconditioned-Hessian eigenvalues and directional curvature.
 
 The preconditioned Hessian is D_t H_t with D_t = c_t diag(1/(sqrt(v_hat)+eps)).
-Its dominant eigenvalue is computed by power iteration on the symmetric
-similar operator D^(1/2) H D^(1/2), which shares the spectrum and keeps the
-Rayleigh estimates monotone-friendly. The directional curvature is the
-Euclidean Rayleigh quotient of D H along the gradient.
+Its largest eigenvalue is the top Ritz value of a restarted Lanczos solve on
+the symmetric similar operator D^(1/2) H D^(1/2), which shares the spectrum.
+When D is a scalar c (no second moment), it is c times the raw Hessian's
+largest eigenvalue, which power iteration computes. The directional
+curvature is the Euclidean Rayleigh quotient of D H along the gradient.
 """
 
 import math
@@ -13,12 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundaryUndefined, ConfigError, ZeroGradient
+from .errors import ConfigError, ZeroGradient
 from .params import norm
 from .rngs import stream
 
 PI_MAX_ITERS = 100
 PI_TOL = 1e-6
+LANCZOS_BASIS = 6  # Krylov vectors a Lanczos solve keeps between restarts
+_ONE = np.ones(1)  # the Ritz vector of a one-vector basis
 
 # === preconditioner =========================================================
 
@@ -59,7 +62,7 @@ class Preconditioner:
         return d
 
 
-# === power iteration ========================================================
+# === eigensolvers ===========================================================
 
 
 @dataclass
@@ -71,8 +74,17 @@ class PowerResult:
 
 
 def _usable(v0) -> bool:
-    """Whether a warm vector can start power iteration."""
+    """Whether a warm vector can start an eigensolve."""
     return v0 is not None and norm(v0) > 0
+
+
+def _unit(v0, solver) -> np.ndarray:
+    """v0 scaled to unit norm; refuses a start that is not a nonzero 1-D array."""
+    v = np.asarray(v0, dtype=float)
+    n0 = norm(v) if v.ndim == 1 else 0.0
+    if not n0 > 0:
+        raise ConfigError(f"{solver} needs a nonzero start vector")
+    return v / n0
 
 
 def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
@@ -81,11 +93,7 @@ def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResul
     Convergence is declared when successive Rayleigh estimates agree to a
     relative tolerance. A zero operator reports lambda=0, converged.
     """
-    v = np.asarray(v0, dtype=float)
-    n0 = norm(v) if v.ndim == 1 else 0.0
-    if not n0 > 0:
-        raise ConfigError("power iteration needs a nonzero start vector")
-    v = v / n0
+    v = _unit(v0, "power iteration")
     lam = 0.0
     for k in range(max_iters):
         w = apply(v)
@@ -100,6 +108,55 @@ def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResul
     return PowerResult(lam, v, False, max_iters)
 
 
+def lanczos(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
+    """Largest eigenvalue of a symmetric operator by restarted Lanczos from v0.
+
+    Each new Krylov vector is orthogonalized twice against the whole basis of
+    at most LANCZOS_BASIS vectors. A full basis restarts from its top Ritz
+    vector y, whose product A y = theta y + r is already known, so a restart
+    costs no product. The solve stops once min(|r|, |r|^2/delta) <= tol
+    |theta|, delta the gap to the second Ritz value (|r| alone while the
+    basis holds one vector), or after max_iters products. At d=1 the first
+    product leaves r = 0. A non-finite product ends it unconverged with
+    value NaN.
+    """
+    q = _unit(v0, "lanczos")
+    basis = np.empty((min(LANCZOS_BASIS, q.size), q.size))
+    basis[0] = q
+    # the operator in the basis; a cell of tri[:m, :m] is set before it is
+    # read, so a restart needs no reset
+    tri = np.zeros((len(basis), len(basis)))
+    m = 0  # basis vectors whose product is known
+    for used in range(1, max_iters + 1):
+        w = apply(basis[m])
+        m += 1
+        c = basis[:m] @ w
+        # np.dot, not @: matmul with one basis row is several times slower
+        w = w - np.dot(c, basis[:m])
+        w -= np.dot(basis[:m] @ w, basis[:m])
+        tri[m - 1, m - 1], b = c[-1], norm(w)
+        if not math.isfinite(c[-1] + b):  # eigh can raise on a non-finite matrix
+            return PowerResult(math.nan, q, False, used)
+        if m == 1:  # one Krylov vector: its Rayleigh quotient, no gap
+            theta, s, gap = float(c[0]), _ONE, 0.0
+        else:
+            ritz, vecs = np.linalg.eigh(tri[:m, :m])
+            theta, s, gap = float(ritz[-1]), vecs[:, -1], ritz[-1] - ritz[-2]
+        res = b * abs(s[-1])
+        bound = tol * abs(theta)
+        converged = bool(res <= bound or res * res <= bound * gap)
+        if converged or used == max_iters:
+            y = np.dot(s, basis[:m])
+            return PowerResult(theta, y / norm(y), converged, used)
+        off = b
+        if m == len(basis):  # restart: A y = theta y + res * sign(s[-1]) * w / b
+            y = np.dot(s, basis)
+            basis[0] = y / norm(y)
+            tri[0, 0], m, off, b = theta, 1, res, math.copysign(b, s[-1])
+        tri[m - 1, m] = tri[m, m - 1] = off
+        np.divide(w, b, out=basis[m])
+
+
 # === directional curvature ==================================================
 
 
@@ -110,14 +167,6 @@ def lambda_grad(d, hvp, g) -> float:
     if gn2 == 0.0:
         raise ZeroGradient("lambda_grad needs a nonzero gradient")
     return float(g @ (d * hvp(g))) / gn2
-
-
-def sustained_predictor(series, index: int) -> float:
-    """Minimum of three consecutive values, centered at index."""
-    n = len(series)
-    if not 1 <= index <= n - 2:
-        raise BoundaryUndefined(f"index {index} has no 3-step neighborhood")
-    return float(min(series[index - 1], series[index], series[index + 1]))
 
 
 # === probe records ==========================================================
@@ -131,38 +180,57 @@ class ProbeRecord(NamedTuple):
     lambda_max_Hhat: float
     lambda_grad_Hhat: float  # None when the gradient vanished
     threshold: float  # 2 / eta_t
-    power_iters_used: int
+    power_iters_used: int  # products of the solve that gave lambda_max_Hhat
     converged: bool
 
 
 @dataclass
 class ProbeWarmStart:
-    """Previous dominant eigenvectors, reused to seed the next probe."""
+    """Previous top eigenvectors, reused to seed the next probe."""
 
     raw: np.ndarray = None
     pre: np.ndarray = None
+
+
+def _raw_top(hvp, v0, cold, max_iters, tol) -> PowerResult:
+    """Largest eigenvalue of H by power iteration from v0. When the dominant
+    one is a negative lambda, the top of H is lambda plus the dominant
+    eigenvalue of H - lambda I, solved from the cold vector."""
+    res = power_iteration(hvp, v0, max_iters, tol)
+    shift = res.value
+    if not shift < 0:
+        return res
+    top = power_iteration(lambda w: hvp(w) - shift * w, cold(), max_iters, tol)
+    return PowerResult(top.value + shift, top.vector, res.converged and top.converged,
+                       res.iters_used + top.iters_used)
 
 
 def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
                   max_iters=PI_MAX_ITERS, tol=PI_TOL) -> ProbeRecord:
     """Full probe at one step; mutates `warm` with the new eigenvectors.
 
-    Every HVP of the probe goes through one obj.hvp_at(theta) closure, and
-    one cold start is drawn only when a warm vector is missing, for either
-    iteration that lacks one.
+    Every HVP of the probe goes through one obj.hvp_at(theta) closure. A
+    solve without a usable warm vector starts from the step's seeded cold
+    draw. A scalar D = c gives lambda_max(D H) = c lambda_max(H) without a
+    second solve; power_iters_used counts the products of the solve that
+    gave lambda_max_Hhat.
     """
     hvp = obj.hvp_at(theta)
-    cold = None
-    if not (_usable(warm.raw) and _usable(warm.pre)):
-        cold = stream(stream(seed, "probe", step).integers(0, 2 ** 62),
+
+    def cold():
+        return stream(stream(seed, "probe", step).integers(0, 2 ** 62),
                       "power-iteration").standard_normal(theta.size)
-    raw = power_iteration(hvp, warm.raw if _usable(warm.raw) else cold, max_iters, tol)
+
+    raw = _raw_top(hvp, warm.raw if _usable(warm.raw) else cold(), cold, max_iters, tol)
     warm.raw = raw.vector
     d = pre.diag()
-    sq = np.sqrt(d)
-    prec = power_iteration(lambda w: sq * hvp(sq * w),
-                           warm.pre if _usable(warm.pre) else cold, max_iters, tol)
-    warm.pre = prec.vector
+    if pre.root is None:
+        prec = PowerResult(d * raw.value, None, raw.converged, raw.iters_used)
+    else:
+        sq = np.sqrt(d)
+        prec = lanczos(lambda w: sq * hvp(sq * w),
+                       warm.pre if _usable(warm.pre) else cold(), max_iters, tol)
+        warm.pre = prec.vector
     lg = None
     if float(np.dot(g, g)) > 0.0:
         lg = lambda_grad(d, hvp, g)

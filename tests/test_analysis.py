@@ -13,7 +13,7 @@ from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
                       SpikeEvent, StageSegmentation, build_scenario,
                       crossing_summary, detect_spikes_series, fill_sustained,
                       fit_decay, make_quadratic, pre_spike_index, preset_config,
-                      run, run_scenario, segment_stages, sustained_predictor)
+                      run, run_scenario, segment_stages)
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
@@ -326,12 +326,35 @@ def test_sustained_column_matches_per_sample_reference():
     fill_sustained(trace)
     s_steps, s_vals = trace.sustained
     assert s_steps.tolist() == steps[1:-1].tolist()
-    assert s_vals.tolist() == [sustained_predictor(vals, j)
-                               for j in range(1, len(vals) - 1)]
+    assert s_vals.tolist() == [min(vals[j - 1:j + 2]) for j in range(1, len(vals) - 1)]
     # fewer than three samples leave no interior sample
     trace.probes = trace.probes[:2]
     fill_sustained(trace)
     assert [a.size for a in trace.sustained] == [0, 0]
+
+
+def _grad_samples(steps, vals, present=None):
+    """A trace holding only lambda_grad samples; present masks missing ones."""
+    table = np.zeros(len(steps), PROBE_DTYPE)
+    table["step"], table["lambda_grad_Hhat"] = steps, vals
+    table["has_lambda_grad"] = True if present is None else present
+    trace = RunTrace(config={}, status="completed", block_names=("theta",),
+                     initial_loss=1.0, probes=table)
+    fill_sustained(trace)
+    return [a.tolist() for a in trace.sustained]
+
+
+def test_fill_sustained_is_min_of_three():
+    assert _grad_samples([0, 2, 4, 6, 8], [5.0, 1.0, 4.0, 2.0, 9.0]) == [
+        [2, 4, 6], [1.0, 1.0, 2.0]]
+
+
+def test_fill_sustained_skips_edge_samples():
+    # the first and last sample have no neighbour on one side, so no value
+    assert _grad_samples([0, 1, 2], [1.0, 2.0, 3.0]) == [[1], [1.0]]
+    # a missing sample is skipped, not a neighbour: 0.0 never enters a minimum
+    assert _grad_samples([0, 1, 2, 3], [3.0, 0.0, 2.0, 4.0],
+                         [True, False, True, True]) == [[2], [2.0]]
 
 
 def test_first_crossings_on_hand_built_trace():

@@ -645,6 +645,16 @@ def test_cli_run_refuses_unread_key(key, capsys):
     assert not (_runs_root() / scenario).exists()
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("probes.every=-1", "probes.every must be >= 0"),
+    ("probes.max_iters=0", "probes.max_iters must be >= 1"),
+    ("probes.tol=0", "probes.tol must be > 0"),
+])
+def test_cli_run_names_the_bad_probe_key(setting, message, capsys):
+    assert main(["run", "--scenario", "fig2a", "--set", setting]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--seed", "-1"],
     ["run", "--set", "objective.seed=-1"],

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from spikelab import (Preconditioner, ProbeWarmStart, compute_probe, dense_hessian,
-                      lambda_grad, power_iteration, stream, sustained_predictor)
-from spikelab.errors import BoundaryUndefined, ConfigError, ZeroGradient
+from spikelab import (AdamHyper, Preconditioner, ProbePlan, ProbeWarmStart, QuadraticSpec,
+                      compute_probe, dense_hessian, lambda_grad, lanczos, make_quadratic,
+                      power_iteration, preset_config, run, stream)
+from spikelab.errors import ConfigError, ZeroGradient
 from spikelab.oracles import lambda_grad_weighted
 
 # === power iteration ========================================================
@@ -46,6 +47,58 @@ def test_power_iteration_rejects_empty():
     for v0 in (np.empty(0), np.zeros(3), 3.0):
         with pytest.raises(ConfigError, match="nonzero start vector"):
             power_iteration(lambda w: w, v0)
+
+
+# === lanczos ================================================================
+
+
+def test_lanczos_matches_dense_on_fnn(small_fnn, fnn_point):
+    # 19 parameters against a 6-vector basis, so the solve restarts
+    sq = np.sqrt(np.exp(np.random.default_rng(6).standard_normal(fnn_point.dim)))
+    hvp = small_fnn.hvp_at(fnn_point.values)
+    res = lanczos(lambda w: sq * hvp(sq * w), _cold(fnn_point.dim), max_iters=500,
+                  tol=1e-12)
+    H = dense_hessian(small_fnn, fnn_point)
+    top = float(np.linalg.eigvalsh(sq[:, None] * H * sq[None, :])[-1])
+    assert res.converged
+    assert res.value == pytest.approx(top, rel=1e-10)
+
+
+def test_lanczos_converges_where_power_iteration_does_not():
+    # figD12's spectrum, 1-99 then 101-110, under a non-uniform diagonal D; the
+    # top two eigenvalues of D H sit 1.1% apart. The stop divides by the Ritz
+    # gap, which overstates the true gap, so the error exceeds tol (4.6e-6).
+    eigs = preset_config("figD12-gd-delay")["objective.eigenvalues"]
+    lam = np.array([float(v) for v in eigs.split(",")])
+    d = np.exp(0.05 * np.random.default_rng(0).standard_normal(lam.size))
+    top = float(np.max(d * lam))
+    res = lanczos(lambda w: d * lam * w, _cold(lam.size))
+    assert res.converged and res.iters_used <= 100
+    assert res.value == pytest.approx(top, rel=1e-5)
+    pi = power_iteration(lambda w: d * lam * w, _cold(lam.size))
+    assert not pi.converged and abs(pi.value - top) > abs(res.value - top)
+
+
+@pytest.mark.parametrize("a", [0.37, -2.5, 7.0, 123.456])
+@pytest.mark.parametrize("v0", [2.0, -0.3])
+def test_lanczos_at_d1_is_power_iteration(a, v0):
+    start = np.array([v0])
+    got = lanczos(lambda w: a * w, start)
+    assert got.converged and got.iters_used == 1
+    assert got.value == power_iteration(lambda w: a * w, start).value
+
+
+def test_lanczos_zero_operator_and_bad_start():
+    res = lanczos(lambda w: np.zeros_like(w), _cold(4))
+    assert res.value == 0.0 and res.converged
+    with pytest.raises(ConfigError, match="nonzero start vector"):
+        lanczos(lambda w: w, np.zeros(3))
+
+
+@np.errstate(invalid="ignore")  # as run's probes are
+def test_lanczos_reports_a_non_finite_product_unconverged():
+    res = lanczos(lambda w: np.full_like(w, np.inf), _cold(4))
+    assert np.isnan(res.value) and not res.converged and res.iters_used == 1
 
 
 # === preconditioner =========================================================
@@ -128,23 +181,6 @@ def test_weighted_quotient_bounded_by_lambda_max(quad3):
         assert got <= lam * (1.0 + 1e-8)
 
 
-# === sustained predictor ====================================================
-
-
-def test_sustained_is_min_of_three():
-    s = [5.0, 1.0, 4.0, 2.0, 9.0]
-    assert sustained_predictor(s, 1) == 1.0
-    assert sustained_predictor(s, 2) == 1.0
-    assert sustained_predictor(s, 3) == 2.0
-
-
-def test_sustained_undefined_at_edges():
-    with pytest.raises(BoundaryUndefined):
-        sustained_predictor([1.0, 2.0, 3.0], 0)
-    with pytest.raises(BoundaryUndefined):
-        sustained_predictor([1.0, 2.0, 3.0], 2)
-
-
 # === full probe =============================================================
 
 
@@ -182,11 +218,28 @@ def test_compute_probe_matches_dense_on_fnn(small_fnn, fnn_point):
     H = dense_hessian(small_fnn, fnn_point)
     sq = np.sqrt(pre.diag())
 
-    def dominant(A):
-        ev = np.linalg.eigvalsh(A)
-        return float(ev[np.argmax(np.abs(ev))])
-
     assert rec.converged
-    assert rec.lambda_max_H == pytest.approx(dominant(H), rel=1e-6)
+    assert rec.lambda_max_H == pytest.approx(np.linalg.eigvalsh(H)[-1], rel=1e-6)
     assert rec.lambda_max_Hhat == pytest.approx(
-        dominant(sq[:, None] * H * sq[None, :]), rel=1e-6)
+        np.linalg.eigvalsh(sq[:, None] * H * sq[None, :])[-1], rel=1e-6)
+
+
+def test_scalar_preconditioner_scales_the_raw_value(quad3):
+    th = np.array([1.0, -2.0, 0.5])
+    pre = Preconditioner(None, 0.0, 0.9 / 1.1)  # heavy-ball's D = c I
+    warm = ProbeWarmStart()
+    rec = compute_probe(quad3, th, pre, quad3.gradient(th), eta_t=0.1, step=3, seed=0,
+                        warm=warm)
+    assert rec.lambda_max_Hhat == pre.scale * rec.lambda_max_H
+    assert rec.lambda_max_H == pytest.approx(10.0, rel=1e-4)
+    assert warm.pre is None  # no second solve
+
+
+def test_lambda_max_is_the_top_eigenvalue_not_the_dominant_one():
+    # power iteration alone finds -3, the eigenvalue largest in magnitude
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(-3.0, 1.0)))
+    trace = run(obj, obj.initial_point(1.0), "gd", AdamHyper(eta=0.1), n_steps=4,
+                probes=ProbePlan(every=1))
+    for col in ("lambda_max_H", "lambda_max_Hhat"):
+        assert trace.probes[col] == pytest.approx(1.0, rel=1e-6)
+    assert trace.probes["converged"].all()
