@@ -7,7 +7,9 @@ hvp(theta, vec) is that closure called once. The FNN closure keeps the
 factors that depend only on theta, so many products at one point (a probe's
 power iterations, a dense Hessian's columns) pay for one forward pass. An
 FNN objective owns two n x m work buffers and one row-block scratch that its
-loss, gradient and HVP calls fill in place. Every elementwise chain between
+loss and gradient calls fill in place, and each FNN closure owns the buffers
+its products fill, so a closure may run on one thread beside its objective's
+loss and gradient calls on another. Every elementwise chain between
 two matrix products runs one block of rows at a time, so a block's
 intermediates stay in cache for the whole chain; the products and the
 column sums run on whole arrays, whose summation order fixes the bits. The
@@ -178,17 +180,14 @@ class FnnObjective:
         )
         self.X, self.y = _make_dataset(spec)
         self.dataset = (self.X, self.y)
-        # n x m work buffers that every loss, gradient and HVP call fills in
-        # place, so no call allocates (and page-faults in) fresh large arrays,
-        # and the row blocks each elementwise chain walks, each with its view
-        # of one shared block-sized scratch. They make one objective unsafe to
-        # share between threads.
+        # n x m work buffers that every loss and gradient call fills in place,
+        # so no call allocates (and page-faults in) fresh large arrays, and
+        # the row blocks each elementwise chain walks, each with its view of
+        # one block-sized scratch. They make one objective's loss and
+        # gradient unsafe to call from two threads at once.
         n = spec.n_samples
         self._work = tuple(np.empty((n, m)) for _ in range(2))
-        rows = max(1, BLOCK_ENTRIES // m)
-        scratch = np.empty((min(rows, n), m))
-        self._blocks = tuple((slice(i, i + rows), scratch[: min(rows, n - i)])
-                             for i in range(0, n, rows))
+        self._blocks = _row_blocks(n, m, 1)
 
     # --- forward / derivatives ---
 
@@ -235,9 +234,7 @@ class FnnObjective:
             for s, T in self._blocks:
                 dz, h = dZ[s], H[s]
                 np.multiply(r[s, None], W2[None, :], out=dz)
-                np.multiply(h, h, out=T)
-                np.subtract(1.0, T, out=T)
-                np.multiply(dz, T, out=dz)
+                np.multiply(dz, _one_minus_square(h, T), out=dz)
         np.matmul(dZ.T, self.X, out=g[:md].reshape(m, -1))  # dW1
         np.sum(dZ, axis=0, out=g[md : md + m])  # db1
         if not math.isfinite(val) or not np.isfinite(g).all():
@@ -253,51 +250,55 @@ class FnnObjective:
     def hvp_at(self, theta):
         """Closure vec -> Hessian(theta) @ vec, by a forward-over-reverse sweep.
 
-        The forward pass, 1 - H^2, the scaled residual r and the curvature
-        factor 2 (r W2) H depend only on theta; they are computed once here
-        and kept by the closure. Each call fills the objective's two n x m
-        work buffers and its block scratch in place and returns a fresh
-        vector, so closures and gradient calls may interleave.
+        The forward pass, the scaled residual r and the curvature factor
+        2 (r W2) H depend only on theta; they are computed once here and
+        kept by the closure, which recomputes 1 - H^2 one row block at a
+        time rather than keep a fourth n x m array. Each closure owns an
+        n x m buffer for R(H), whose rows R(dZ) overwrites one block at a
+        time once the products that read R(H) have run, and two block
+        scratches. It writes nothing its objective or another closure
+        writes, so it may run on one thread while the objective's loss and
+        gradient run on another; one closure is never called from two
+        threads at once. Each call returns a fresh vector.
         """
-        X, blocks = self.X, self._blocks
+        X = self.X
         n, m = self._work[0].shape
         md = m * X.shape[1]
-        H, T, A2 = (np.empty((n, m)) for _ in range(3))
+        H, A2, RH = (np.empty((n, m)) for _ in range(3))
+        blocks = _row_blocks(n, m, 2)
         W2, e = self._forward(theta, H)
         W2 = W2.copy()  # a view into theta; the closure must not follow later edits
         r = e / n
         with np.errstate():
             np.setbufsize(OUTER_BUFSIZE)
-            for s, _ in blocks:
-                h, t, a2 = H[s], T[s], A2[s]
-                np.multiply(h, h, out=t)
-                np.subtract(1.0, t, out=t)
+            for s, _, _ in blocks:
+                a2 = A2[s]
                 np.multiply(r[s, None], W2[None, :], out=a2)
                 np.multiply(2.0, a2, out=a2)
-                np.multiply(a2, h, out=a2)
-        RH, RdZ = self._work
+                np.multiply(a2, H[s], out=a2)
 
         def hvp(vec):
             V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))
             np.matmul(X, V1.T, out=RH)
-            for s, _ in blocks:
+            for s, t, _ in blocks:
                 rh = RH[s]
                 np.add(rh, c1, out=rh)
-                np.multiply(T[s], rh, out=rh)
+                np.multiply(_one_minus_square(H[s], t), rh, out=rh)
             Rr = (RH @ W2 + H @ V2 + c2) / n
             out = np.empty(self.param_dim)
             out[md + m : md + 2 * m] = H.T @ Rr + RH.T @ r
             out[-1] = Rr.sum()
+            RdZ = RH  # R(H) is read in full; each block of R(dZ) replaces it
             with np.errstate():
                 np.setbufsize(OUTER_BUFSIZE)
-                for s, tmp in blocks:
+                for s, t, u in blocks:
                     rdz = RdZ[s]
+                    np.multiply(A2[s], rdz, out=u)
                     np.multiply(Rr[s, None], W2[None, :], out=rdz)
-                    np.multiply(r[s, None], V2[None, :], out=tmp)
-                    np.add(rdz, tmp, out=rdz)
-                    np.multiply(rdz, T[s], out=rdz)
-                    np.multiply(A2[s], RH[s], out=tmp)
-                    np.subtract(rdz, tmp, out=rdz)
+                    np.multiply(r[s, None], V2[None, :], out=t)
+                    np.add(rdz, t, out=rdz)
+                    np.multiply(rdz, _one_minus_square(H[s], t), out=rdz)
+                    np.subtract(rdz, u, out=rdz)
             np.matmul(RdZ.T, X, out=out[:md].reshape(m, -1))
             np.sum(RdZ, axis=0, out=out[md : md + m])
             if not np.isfinite(out).all():
@@ -318,6 +319,21 @@ class FnnObjective:
         sc = math.sqrt(abs(self.spec.init_variance_scale) / self.spec.width)
         vals = rng.normal(0.0, sc, size=self.param_dim)
         return ParamVector(vals, self.blocks)
+
+
+def _row_blocks(n, m, k):
+    """The row blocks an n x m elementwise chain walks: (rows, *views), the
+    views the block's share of k block-sized scratch arrays."""
+    rows = max(1, BLOCK_ENTRIES // m)
+    scratch = np.empty((k, min(rows, n), m))
+    return tuple((slice(i, i + rows), *scratch[:, : min(rows, n - i)])
+                 for i in range(0, n, rows))
+
+
+def _one_minus_square(h, out):
+    """Fills out with 1 - h^2, as (1 - (h * h)); returns out."""
+    np.multiply(h, h, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def _make_dataset(spec: FnnTaskSpec):

@@ -1,5 +1,7 @@
 """Optimizer steppers, one RULES entry per kind (GD, heavy-ball, Adam,
 RMSProp, Adagrad, Adafactor), and the run loop that produces RunTraces.
+A wide probed run takes each probe on a second thread, beside the steps
+that follow it, with the same bytes as inline probes at one BLAS thread.
 
 Update-rule conventions: epsilon is added after the square root; the v floor
 clips raw v before bias correction; the epsilon bump replaces epsilon from
@@ -7,12 +9,15 @@ its activation step onward; bias exponents are 1-based (the step taken at
 time t uses beta^(t+1)).
 """
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, DivergedEvaluation, DivergedRun
 from .params import (CONSTANT_LR, NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
                      OptimizerState, ParamVector, norm)
@@ -24,6 +29,15 @@ DIVERGE_LIMIT = 1e150
 ADAFACTOR_EPS1 = 1e-30
 ADAFACTOR_EPS2 = 1e-3
 ADAFACTOR_CLIP = 1.0
+
+# A probed run of at least this many parameters takes each probe on a second
+# thread, beside the steps after it (see run). Below it the two threads mostly
+# wait on each other for the interpreter lock. fig6's 50-input net at 300
+# steps, probed every 5 (5-run medians on 2 cores, overlapped against
+# inline): 0.59 against 0.38 s at 2,601 parameters, a wash at 5,201 (0.56-0.63
+# against 0.47-0.69 s), 0.89-0.94 against 0.98-1.14 s at 10,401; fig5-adam
+# (61 parameters) 1.33 against 0.80 s.
+OVERLAP_MIN_PARAMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -171,6 +185,32 @@ class ProbePlan:
             raise ConfigError("probes.tol must be > 0")
 
 
+class _ProbeRows:
+    """A run's probe rows, taken in step order: inline when pool is None,
+    else each on the one-thread pool while the steps after it go on. A
+    probe is joined before the next one is submitted, so warm starts and
+    rows keep their order."""
+
+    def __init__(self, trace, pool):
+        self.trace, self.pool, self.taken, self._pending = trace, pool, 0, None
+
+    def take(self, job):
+        if self.pool is None:
+            self.trace.put_probe(self.taken, job())
+        else:
+            self.settle()
+            # the copied context carries run's errstate into the worker
+            self._pending = self.taken, self.pool.submit(contextvars.copy_context().run, job)
+        self.taken += 1
+
+    def settle(self):
+        """Join the probe in flight and store its row; raises what it raised."""
+        if self._pending is not None:
+            j, future = self._pending
+            self._pending = None
+            self.trace.put_probe(j, future.result())
+
+
 @np.errstate(all="ignore")  # non-finite steps are recorded as divergence, not warned
 def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         sched: LrSchedule = CONSTANT_LR, plan: MitigationPlan = NO_MITIGATION,
@@ -181,6 +221,15 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     Divergence (a step _diverged reports, or an evaluation overflow, the
     start's included) is recorded as status=diverged, the trace ending
     unprobed at the diverged step with loss inf; it is never raised.
+
+    A probed run of at least OVERLAP_MIN_PARAMS parameters takes each probe
+    on a second thread while the steps after it run, with the loaded
+    OpenBLAS held at one thread for the whole run and restored after it, so
+    its bytes are those of a one-thread run. A probe reads only its own
+    step's theta, gradient and D_t and the previous probe's warm vectors,
+    and no step reads a probe, so the rows are those of inline probes. A
+    probe's exception is raised from run ahead of anything a later step
+    raised or returned. With an unknown BLAS the probes run inline.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -188,9 +237,6 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         raise ConfigError(f"unknown optimizer kind {kind!r}")
     if not theta0.is_finite():
         raise ConfigError("theta0 must be finite")
-    state = OptimizerState.fresh(kind, theta0.dim)
-    theta = theta0.values.copy()
-    warm = ProbeWarmStart()
 
     config = dict(config_echo or {})
     config.setdefault("optimizer.kind", kind)
@@ -202,12 +248,36 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         eta_t=np.empty(n_steps),
         vhat=np.empty((n_steps, 1 + len(theta0.blocks))) if RULES[kind].v != "none" else None,
         probes=np.empty(len(range(0, n_steps, probes.every)) if probes.every else 0, PROBE_DTYPE))
-    n_probes = 0
+
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if probes.every and obj.param_dim >= OVERLAP_MIN_PARAMS:
+            from concurrent.futures import ThreadPoolExecutor  # only wide probed runs load it
+
+            threads = blas.set_threads(1)
+            if threads is not None:
+                stack.callback(blas.set_threads, threads)  # after the pool's shutdown
+                pool = stack.enter_context(ThreadPoolExecutor(1))
+        rows = _ProbeRows(trace, pool)
+        try:
+            kept, status = _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes,
+                                  seed, trace, rows)
+        finally:
+            rows.settle()
+    return trace.end(kept, rows.taken, status)
+
+
+def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, rows):
+    """run's steps, filling trace's step columns and handing each probe to
+    rows; returns (steps kept, status)."""
+    state = OptimizerState.fresh(kind, theta0.dim)
+    theta = theta0.values.copy()
+    warm = ProbeWarmStart()
     try:
         trace.initial_loss = obj.loss(theta)
         _, g = obj.loss_and_gradient(theta)
     except DivergedEvaluation:
-        return trace.end(0, 0, "diverged")
+        return 0, "diverged"
     for i in range(n_steps):
         theta_new, eta_t, pre = _advance(theta, state, hyper, sched, plan, g)
         trace.grad_norm[i], trace.eta_t[i] = norm(g), eta_t
@@ -215,13 +285,11 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         if pre.root is not None:
             trace.vhat[i] = norms = _vhat_norms(pre.root, theta0.blocks)
         if _diverged(theta_new, norms):
-            return trace.end(i + 1, n_probes, "diverged")
+            return i + 1, "diverged"
         if probes.every and i % probes.every == 0:
-            trace.put_probe(n_probes, compute_probe(
-                obj, theta, pre, g, eta_t, i, seed, warm,
-                max_iters=probes.max_iters, tol=probes.tol,
-            ))
-            n_probes += 1
+            # theta, g and pre.root are never written after this step
+            rows.take(partial(compute_probe, obj, theta, pre, g, eta_t, i, seed, warm,
+                              max_iters=probes.max_iters, tol=probes.tol))
         theta = theta_new
         try:
             if i + 1 < n_steps:
@@ -229,5 +297,5 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
             else:
                 trace.loss[i] = obj.loss(theta)
         except DivergedEvaluation:
-            return trace.end(i + 1, n_probes, "diverged")
-    return trace.end(n_steps, n_probes, "completed")
+            return i + 1, "diverged"
+    return n_steps, "completed"

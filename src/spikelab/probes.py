@@ -6,6 +6,10 @@ the symmetric similar operator D^(1/2) H D^(1/2), which shares the spectrum.
 When D is a scalar c (no second moment), it is c times the raw Hessian's
 largest eigenvalue, which power iteration computes. The directional
 curvature is the Euclidean Rayleigh quotient of D H along the gradient.
+
+A probe reads only its step's theta, gradient and D and the previous
+probe's warm vectors, and writes only its ProbeWarmStart, so the run loop
+may take it on another thread than the steps that follow it.
 """
 
 import math

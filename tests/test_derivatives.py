@@ -3,12 +3,15 @@ central finite-difference HVP and dense Hessian, and the FNN's in-place
 evaluation against the allocating expressions it replaced."""
 
 import resource
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, MitigationPlan, ParamVector,
-                      QuadraticSpec, central_fd_hvp, default_fd_step, dense_hessian,
+                      QuadraticSpec, blas, central_fd_hvp, default_fd_step, dense_hessian,
                       make_quadratic, run)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
 from spikelab.objectives import BLOCK_ENTRIES
@@ -189,6 +192,39 @@ def test_fnn_closure_survives_later_calls_on_the_shared_buffers(fig6_fnn):
     assert np.array_equal(before, kept) and np.array_equal(g, g_kept)
     assert np.array_equal(second(v), other)
     assert np.array_equal(other, _reference_hvp(obj, th2, v))
+
+
+def test_fnn_closure_on_a_second_thread_matches_serial_calls(fig6_fnn):
+    # a wide run's probe products run on a second thread beside the
+    # objective's gradients; neither may write what the other reads
+    obj = fig6_fnn
+    rng = np.random.default_rng(16)
+    th, *points = rng.normal(0.0, 0.05, (4, obj.param_dim))
+    vecs = rng.standard_normal((6, obj.param_dim))
+    threads = blas.set_threads(1)  # as run holds it, so no BLAS split moves a bit
+    switch = sys.getswitchinterval()
+    try:
+        hvp = obj.hvp_at(th)
+        want_h = [hvp(v) for v in vecs]
+        want_g = [obj.loss_and_gradient(p) for p in points]
+        got_h, got_g = [], []
+        sys.setswitchinterval(1e-5)
+        worker = threading.Thread(target=lambda: got_h.extend(hvp(v) for v in vecs))
+        worker.start()
+        deadline = time.monotonic() + 60
+        while not got_g or worker.is_alive() and time.monotonic() < deadline:
+            got_g += [obj.loss_and_gradient(p) for p in points]
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+        if threads is not None:
+            blas.set_threads(threads)
+    assert not worker.is_alive()
+    assert len(got_h) == len(vecs)
+    assert all(np.array_equal(a, b) for a, b in zip(got_h, want_h))
+    for k, (val, g) in enumerate(got_g):
+        want_val, want_g_k = want_g[k % len(points)]
+        assert val == want_val and np.array_equal(g, want_g_k)
 
 
 def _minor_faults_per_call(fn, calls=20, warmup=3):

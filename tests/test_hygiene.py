@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, no module imports another
-module's private name, every name the benchmarks read exists, and importing
-the package loads no process pool."""
+module's private name, every name the benchmarks read exists, importing the
+package loads no process or thread pool, and the package never writes the
+environment."""
 
 import ast
 import importlib
@@ -124,10 +125,54 @@ def test_benchmark_tracer_installs_and_uninstalls():
 
 
 def test_import_does_not_load_the_process_pool():
-    """Only run_sweep needs multiprocessing, so importing spikelab, which
-    every run pays for, does not load it."""
+    """Only run_sweep needs multiprocessing, and only a wide probed run a
+    thread pool, so importing spikelab, which every run pays for, loads
+    neither."""
     code = ("import sys, spikelab; "
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert out.stdout.strip() == "[]"
+
+
+ENV_WRITERS = {"putenv", "unsetenv", "__setitem__", "__delitem__", "update", "setdefault",
+               "pop", "popitem", "clear"}
+
+
+def _environ_writes(tree):
+    """Lines that set or delete an environment variable of the process."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("putenv", "unsetenv"):
+            yield node.lineno
+        if not (isinstance(node, ast.Attribute) and node.attr == "environ"
+                or isinstance(node, ast.Name) and node.id == "environ"):
+            continue
+        up = parents.get(node)
+        if (isinstance(up, ast.Subscript) and not isinstance(up.ctx, ast.Load)
+                or isinstance(up, ast.Attribute) and up.attr in ENV_WRITERS
+                or isinstance(up, (ast.Assign, ast.AugAssign)) and node is not up.value):
+            yield node.lineno
+
+
+def test_library_never_writes_the_environment():
+    """Thread counts are set through the BLAS's C API (spikelab.blas), never
+    through os.environ, which every later child process would inherit."""
+    writes = [f"{p.name}:{line}" for p in MODULES + [SRC / "__init__.py"]
+              for line in _environ_writes(ast.parse(p.read_text()))]
+    assert not writes, writes
+
+
+@pytest.mark.parametrize("code", [
+    "os.environ['X'] = '1'", "del os.environ['X']", "os.environ.update(X='1')",
+    "os.environ.setdefault('X', '1')", "os.putenv('X', '1')", "environ['X'] = '1'",
+    "os.environ = {}",
+])
+def test_environment_writes_are_found(code):
+    assert list(_environ_writes(ast.parse(code))) == [1]
+
+
+def test_environment_reads_are_not_writes():
+    code = "os.environ.get('X'); dict(os.environ, X='1'); os.environ['X']"
+    assert not list(_environ_writes(ast.parse(code)))
