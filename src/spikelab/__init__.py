@@ -32,7 +32,7 @@ from .probes import (PowerResult, Preconditioner, ProbeRecord, ProbeWarmStart,
 from .rngs import stream
 from .scenarios import (PRESETS, Scenario, build_scenario, load_config_file,
                         preset_config)
-from .trace import (SCHEMA_VERSION, RunTrace, StepRecord, read_trace_csv,
-                    trace_columns, write_json, write_trace_csv)
+from .trace import (SCHEMA_VERSION, RunTrace, StepRecord, trace_columns, write_json,
+                    write_trace_csv)
 
 __version__ = "0.1.0"

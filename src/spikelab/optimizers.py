@@ -1,7 +1,8 @@
 """Optimizer steppers, one RULES entry per kind (GD, heavy-ball, Adam,
 RMSProp, Adagrad, Adafactor), and the run loop that produces RunTraces.
-A wide probed run takes each probe on a second thread, beside the steps
-that follow it, with the same bytes as inline probes at one BLAS thread.
+Every run holds OpenBLAS at one thread, and a wide probed run takes each
+probe on a second thread, beside the steps that follow it, with the same
+bytes as inline probes.
 
 Update-rule conventions: epsilon is added after the square root; the v floor
 clips raw v before bias correction; the epsilon bump replaces epsilon from
@@ -222,14 +223,15 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     start's included) is recorded as status=diverged, the trace ending
     unprobed at the diverged step with loss inf; it is never raised.
 
-    A probed run of at least OVERLAP_MIN_PARAMS parameters takes each probe
-    on a second thread while the steps after it run, with the loaded
-    OpenBLAS held at one thread for the whole run and restored after it, so
-    its bytes are those of a one-thread run. A probe reads only its own
-    step's theta, gradient and D_t and the previous probe's warm vectors,
-    and no step reads a probe, so the rows are those of inline probes. A
-    probe's exception is raised from run ahead of anything a later step
-    raised or returned. With an unknown BLAS the probes run inline.
+    Every run holds the loaded OpenBLAS at one thread and restores the old
+    count when it returns or raises, so its bytes are those of a one-thread
+    run whatever OPENBLAS_NUM_THREADS says; an unknown BLAS keeps its own
+    count. A probed run of at least OVERLAP_MIN_PARAMS parameters takes each
+    probe on a second thread while the steps after it run. A probe reads
+    only its own step's theta, gradient and D_t and the previous probe's
+    warm vectors, and no step reads a probe, so the rows are those of inline
+    probes. A probe's exception is raised from run ahead of anything a later
+    step raised or returned. With an unknown BLAS the probes run inline.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -250,14 +252,14 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         probes=np.empty(len(range(0, n_steps, probes.every)) if probes.every else 0, PROBE_DTYPE))
 
     with contextlib.ExitStack() as stack:
+        threads = blas.set_threads(1)
+        if threads is not None:
+            stack.callback(blas.set_threads, threads)  # after the pool's shutdown
         pool = None
-        if probes.every and obj.param_dim >= OVERLAP_MIN_PARAMS:
+        if threads is not None and probes.every and obj.param_dim >= OVERLAP_MIN_PARAMS:
             from concurrent.futures import ThreadPoolExecutor  # only wide probed runs load it
 
-            threads = blas.set_threads(1)
-            if threads is not None:
-                stack.callback(blas.set_threads, threads)  # after the pool's shutdown
-                pool = stack.enter_context(ThreadPoolExecutor(1))
+            pool = stack.enter_context(ThreadPoolExecutor(1))
         rows = _ProbeRows(trace, pool)
         try:
             kept, status = _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes,

@@ -4,7 +4,8 @@ The preconditioned Hessian is D_t H_t with D_t = c_t diag(1/(sqrt(v_hat)+eps)).
 Its largest eigenvalue is the top Ritz value of a restarted Lanczos solve on
 the symmetric similar operator D^(1/2) H D^(1/2), which shares the spectrum.
 When D is a scalar c (no second moment), it is c times the raw Hessian's
-largest eigenvalue, which power iteration computes. The directional
+largest eigenvalue, which power iteration computes (Lanczos, when the
+eigenvalue largest in magnitude is negative). The directional
 curvature is the Euclidean Rayleigh quotient of D H along the gradient.
 
 A probe reads only its step's theta, gradient and D and the previous
@@ -198,15 +199,10 @@ class ProbeWarmStart:
 
 def _raw_top(hvp, v0, cold, max_iters, tol) -> PowerResult:
     """Largest eigenvalue of H by power iteration from v0. When the dominant
-    one is a negative lambda, the top of H is lambda plus the dominant
-    eigenvalue of H - lambda I, solved from the cold vector."""
+    one is negative, the top of H is Lanczos's top Ritz value from the cold
+    vector."""
     res = power_iteration(hvp, v0, max_iters, tol)
-    shift = res.value
-    if not shift < 0:
-        return res
-    top = power_iteration(lambda w: hvp(w) - shift * w, cold(), max_iters, tol)
-    return PowerResult(top.value + shift, top.vector, res.converged and top.converged,
-                       res.iters_used + top.iters_used)
+    return lanczos(hvp, cold(), max_iters, tol) if res.value < 0 else res
 
 
 def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,

@@ -206,15 +206,6 @@ def write_trace_csv(trace: RunTrace, path):
                 missing if trace.stage is None else map(_cell, trace.stage[a:b])))
 
 
-def read_trace_csv(path) -> dict:
-    """Columns as lists; numeric cells parsed to float, empty cells to None."""
-    with open(path, newline="") as fh:
-        header, *body = csv.reader(fh)
-    parse = {"step": int, "stage": str}
-    return {name: [parse.get(name, float)(c) if c else None for c in col]
-            for name, col in zip(header, zip(*body) if body else [()] * len(header))}
-
-
 # === JSON ===================================================================
 
 

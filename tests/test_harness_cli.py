@@ -1,6 +1,7 @@
 """Harness run directories, sweeps, and the command-line front end."""
 
 import concurrent.futures
+import csv
 import json
 import os
 import warnings
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikelab import (build_scenario, preset_config, read_trace_csv,
-                      run_scenario, write_run_dir, write_trace_csv)
+from spikelab import (build_scenario, preset_config, run_scenario, write_run_dir,
+                      write_trace_csv)
 from spikelab.analysis import detect_spikes_series, pre_spike_index
 from spikelab import harness
 from spikelab.cli import main
@@ -138,19 +139,24 @@ def test_run_sweep_layout_and_recompute():
 
     # every summary cell is recomputable from the child's own files
     child = res.sweep_dir / "optimizer.eta=0.1"
-    cols = read_trace_csv(child / "trace.csv")
+    with open(child / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+
+    def col(name):
+        return [float(row[name]) if row[name] else None for row in rows]
+
     cfg = json.loads((child / "config.json").read_text())
-    losses = np.array(cols["loss"])
+    losses = np.array(col("loss"))
     events = detect_spikes_series(losses, rho=cfg["analysis.rho"],
                                   window=cfg["analysis.window"])
     onset = events[0].onset_step
     pre = pre_spike_index(losses, onset)
     assert good["onset_step"] == onset
-    assert good["vhat_at_spike"] == cols["vhat_norm_total"][pre]
+    assert good["vhat_at_spike"] == col("vhat_norm_total")[pre]
     assert good["eta_over_vhat_at_spike"] == pytest.approx(
-        cols["eta_t"][pre] / cols["vhat_norm_total"][pre], rel=1e-12)
+        col("eta_t")[pre] / col("vhat_norm_total")[pre], rel=1e-12)
     assert good["max_lambda_grad"] == max(
-        v for v in cols["lambda_grad_Hhat"] if v is not None)
+        v for v in col("lambda_grad_Hhat") if v is not None)
 
     # summary csv round trips the same row
     lines = (res.sweep_dir / "sweep_summary.csv").read_text().splitlines()

@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used, no module imports another
 module's private name, every name the benchmarks read exists, importing the
-package loads no process or thread pool, and the package never writes the
-environment."""
+package loads no process or thread pool, the package never writes the
+environment, and only optimizers.run sets the BLAS thread count."""
 
 import ast
 import importlib
@@ -176,3 +176,32 @@ def test_environment_writes_are_found(code):
 def test_environment_reads_are_not_writes():
     code = "os.environ.get('X'); dict(os.environ, X='1'); os.environ['X']"
     assert not list(_environ_writes(ast.parse(code)))
+
+
+def _users(tree, name):
+    """The innermost function (or <module>) around each use of `name`, as a
+    bare name, an attribute or an imported name."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            continue
+        while node in parents and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node = parents[node]
+        yield getattr(node, "name", "<module>")
+
+
+def test_only_run_sets_the_blas_threads():
+    """Every run holds OpenBLAS at one thread, so the thread rule lives in
+    optimizers.run alone."""
+    users = {f"{p.stem}.{user}" for p in MODULES + [SRC / "__init__.py"] if p.name != "blas.py"
+             for user in _users(ast.parse(p.read_text()), "set_threads")}
+    assert users == {"optimizers.run"}
+
+
+def test_blas_thread_users_are_found():
+    code = ("from .blas import set_threads\n"
+            "def f():\n    blas.set_threads(1)\n"
+            "def g():\n    def h():\n        stack.callback(set_threads, 2)\n")
+    assert sorted(_users(ast.parse(code), "set_threads")) == ["<module>", "f", "h"]
