@@ -4,21 +4,21 @@ Both objective kinds expose the same surface: loss, gradient,
 loss_and_gradient, and an exact Hessian-vector product; callers use these
 methods directly. hvp_at(theta) returns an HVP closure at one point, and
 hvp(theta, vec) is that closure called once. The FNN closure keeps the
-factors that depend only on theta, so many products at one point (a probe's
-power iterations, a dense Hessian's columns) pay for one forward pass. An
-FNN objective owns two n x m work buffers and one row-block scratch that its
-loss and gradient calls fill in place, and each FNN closure owns the buffers
-its products fill, so a closure may run on one thread beside its objective's
-loss and gradient calls on another. Every elementwise chain between
-two matrix products runs one block of rows at a time, so a block's
-intermediates stay in cache for the whole chain; the products and the
-column sums run on whole arrays, whose summation order fixes the bits. The
-chains with outer products run under a smaller ufunc buffer (OUTER_BUFSIZE),
-so numpy multiplies a broadcast column in place instead of copying it. FNN
-derivatives are closed form (reverse mode for the gradient, a
-forward-over-reverse sweep for the HVP) on one shared forward pass, and the
-tests cross-check them against oracles.central_fd_hvp and
-oracles.dense_hessian.
+factors that depend only on theta, 1 - H^2 among them, so many products at
+one point (a probe's eigensolves, a dense Hessian's columns) pay for one
+forward pass and one tanh derivative. An FNN objective owns two n x m work
+buffers and one row-block scratch that its loss and gradient calls fill in
+place, and each FNN closure owns the buffers its products fill, so a closure
+may run on one thread beside its objective's loss and gradient calls on
+another. Every elementwise chain between two matrix products runs one block
+of rows at a time, so a block's intermediates stay in cache for the whole
+chain; the products and the column sums run on whole arrays, whose summation
+order fixes the bits. The chains with outer products run under a smaller
+ufunc buffer (OUTER_BUFSIZE), so numpy multiplies a broadcast column in
+place instead of copying it. FNN derivatives are closed form (reverse mode
+for the gradient, a forward-over-reverse sweep for the HVP) on one shared
+forward pass, and the tests cross-check them against oracles.central_fd_hvp
+and oracles.dense_hessian.
 """
 
 import math
@@ -145,7 +145,7 @@ class QuadraticObjective:
         if not np.isfinite(theta).all():
             raise DivergedEvaluation("quadratic hvp point is non-finite")
         lam = self.lam
-        return lambda vec: lam * np.asarray(vec, dtype=float)
+        return lambda vec: lam * vec
 
     def lambda_max(self) -> float:
         return float(self.lam.max())
@@ -250,21 +250,21 @@ class FnnObjective:
     def hvp_at(self, theta):
         """Closure vec -> Hessian(theta) @ vec, by a forward-over-reverse sweep.
 
-        The forward pass, the scaled residual r and the curvature factor
-        2 (r W2) H depend only on theta; they are computed once here and
-        kept by the closure, which recomputes 1 - H^2 one row block at a
-        time rather than keep a fourth n x m array. Each closure owns an
-        n x m buffer for R(H), whose rows R(dZ) overwrites one block at a
-        time once the products that read R(H) have run, and two block
-        scratches. It writes nothing its objective or another closure
-        writes, so it may run on one thread while the objective's loss and
-        gradient run on another; one closure is never called from two
-        threads at once. Each call returns a fresh vector.
+        The forward pass, the scaled residual r, the curvature factor
+        2 (r W2) H and the tanh derivative S = 1 - H^2 depend only on theta;
+        they are computed once here and kept by the closure, so each product
+        reads S instead of recomputing it. Each closure owns an n x m buffer
+        for R(H), whose rows R(dZ) overwrites one block at a time once the
+        products that read R(H) have run, and two block scratches. It writes
+        nothing its objective or another closure writes, so it may run on
+        one thread while the objective's loss and gradient run on another;
+        one closure is never called from two threads at once. Each call
+        returns a fresh vector.
         """
         X = self.X
         n, m = self._work[0].shape
         md = m * X.shape[1]
-        H, A2, RH = (np.empty((n, m)) for _ in range(3))
+        H, A2, S, RH = (np.empty((n, m)) for _ in range(4))
         blocks = _row_blocks(n, m, 2)
         W2, e = self._forward(theta, H)
         W2 = W2.copy()  # a view into theta; the closure must not follow later edits
@@ -276,14 +276,15 @@ class FnnObjective:
                 np.multiply(r[s, None], W2[None, :], out=a2)
                 np.multiply(2.0, a2, out=a2)
                 np.multiply(a2, H[s], out=a2)
+                _one_minus_square(H[s], S[s])
 
         def hvp(vec):
             V1, c1, V2, c2 = self._unpack(np.asarray(vec, dtype=float))
             np.matmul(X, V1.T, out=RH)
-            for s, t, _ in blocks:
+            for s, _, _ in blocks:
                 rh = RH[s]
                 np.add(rh, c1, out=rh)
-                np.multiply(_one_minus_square(H[s], t), rh, out=rh)
+                np.multiply(S[s], rh, out=rh)
             Rr = (RH @ W2 + H @ V2 + c2) / n
             out = np.empty(self.param_dim)
             out[md + m : md + 2 * m] = H.T @ Rr + RH.T @ r
@@ -297,7 +298,7 @@ class FnnObjective:
                     np.multiply(Rr[s, None], W2[None, :], out=rdz)
                     np.multiply(r[s, None], V2[None, :], out=t)
                     np.add(rdz, t, out=rdz)
-                    np.multiply(rdz, _one_minus_square(H[s], t), out=rdz)
+                    np.multiply(rdz, S[s], out=rdz)
                     np.subtract(rdz, u, out=rdz)
             np.matmul(RdZ.T, X, out=out[:md].reshape(m, -1))
             np.sum(RdZ, axis=0, out=out[md : md + m])

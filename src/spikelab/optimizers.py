@@ -132,9 +132,12 @@ def _diverged(theta, norms) -> bool:
     (theta froze under an inf v_hat; norms is empty without v), or a
     parameter is NaN or beyond DIVERGE_LIMIT. min and max allocate nothing;
     np.abs(theta) raised a figD8 step's minor page faults from 16 to 156.
+    The ufunc reductions skip the Python wrappers of theta.min() and
+    theta.max(), which cost more than the reduction at small d.
     """
     return (bool(norms) and not math.isfinite(norms[0])
-            or not -DIVERGE_LIMIT <= theta.min() <= theta.max() <= DIVERGE_LIMIT)
+            or not -DIVERGE_LIMIT <= np.minimum.reduce(theta)
+            <= np.maximum.reduce(theta) <= DIVERGE_LIMIT)
 
 
 @np.errstate(all="ignore")  # a diverged step raises DivergedRun below, unwarned

@@ -63,19 +63,6 @@ def dense_hessian(obj, point) -> np.ndarray:
     return 0.5 * (cols + cols.T)
 
 
-def lambda_grad_weighted(pre, obj, theta, g) -> float:
-    """Gradient quotient in the D^(-1) inner product; bounded by lambda_max.
-
-    Validates the symmetrized geometry of the probes, whose trace column
-    carries the Euclidean form (probes.lambda_grad).
-    """
-    g = np.asarray(g, dtype=float)
-    denom = float(np.sum(g * g / pre.diag()))
-    if denom == 0.0:
-        raise ZeroGradient("lambda_grad needs a nonzero gradient")
-    return float(g @ obj.hvp(theta, g)) / denom
-
-
 # === descent estimate (GD on quadratics) ====================================
 
 

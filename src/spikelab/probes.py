@@ -31,8 +31,7 @@ _ONE = np.ones(1)  # the Ritz vector of a one-vector basis
 # === preconditioner =========================================================
 
 
-@dataclass(frozen=True)
-class Preconditioner:
+class Preconditioner(NamedTuple):
     """Diagonal scaling D = scale * diag(1/(root+epsilon)), root = sqrt(v_hat).
 
     root + epsilon is the denominator the step divided by (root is None, and
@@ -57,12 +56,19 @@ class Preconditioner:
             c /= 1.0 - beta1 ** t
         return Preconditioner(np.sqrt(v_hat), epsilon, c)
 
-    def diag(self) -> np.ndarray:
-        """D's diagonal (a scalar when root is None), positive and finite."""
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError("preconditioner scale must be positive and finite")
-        d = self.scale / (1.0 if self.root is None else self.root + self.epsilon)
-        if not np.all(np.isfinite(d)) or not np.all(d > 0):
+    def diag(self):
+        """D's diagonal (the scalar scale when root is None), positive finite.
+
+        One min and one max check the diagonal: a NaN entry makes the min
+        NaN. They are ufunc reductions, as in optimizers._diverged.
+        """
+        scale = self.scale
+        if not 0.0 < scale < math.inf:
+            raise ConfigError("preconditioner scale must be positive finite")
+        if self.root is None:
+            return scale
+        d = scale / (self.root + self.epsilon)
+        if not (np.minimum.reduce(d) > 0.0 and np.maximum.reduce(d) < math.inf):
             raise ConfigError("preconditioner diagonal must be positive finite")
         return d
 
@@ -85,11 +91,10 @@ def _usable(v0) -> bool:
 
 def _unit(v0, solver) -> np.ndarray:
     """v0 scaled to unit norm; refuses a start that is not a nonzero 1-D array."""
-    v = np.asarray(v0, dtype=float)
-    n0 = norm(v) if v.ndim == 1 else 0.0
+    n0 = norm(v0) if isinstance(v0, np.ndarray) and v0.ndim == 1 else 0.0
     if not n0 > 0:
         raise ConfigError(f"{solver} needs a nonzero start vector")
-    return v / n0
+    return v0 / n0
 
 
 def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
@@ -105,7 +110,7 @@ def power_iteration(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResul
         nw = norm(w)
         if nw == 0.0:
             return PowerResult(0.0, v, True, k + 1)
-        lam_new = float(v @ w)
+        lam_new = float(v.dot(w))
         v = w / nw
         if k > 0 and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return PowerResult(lam_new, v, True, k + 1)
@@ -135,29 +140,32 @@ def lanczos(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
     for used in range(1, max_iters + 1):
         w = apply(basis[m])
         m += 1
-        c = basis[:m] @ w
-        # np.dot, not @: matmul with one basis row is several times slower
-        w = w - np.dot(c, basis[:m])
-        w -= np.dot(basis[:m] @ w, basis[:m])
-        tri[m - 1, m - 1], b = c[-1], norm(w)
-        if not math.isfinite(c[-1] + b):  # eigh can raise on a non-finite matrix
+        known = basis[:m]
+        # .dot, not @: the same bits, and matmul costs more per call
+        c = known.dot(w)
+        w = w - c.dot(known)
+        w -= known.dot(w).dot(known)
+        a, b = float(c[-1]), norm(w)
+        if not math.isfinite(a + b):  # eigh can raise on a non-finite matrix
             return PowerResult(math.nan, q, False, used)
+        tri[m - 1, m - 1] = a
         if m == 1:  # one Krylov vector: its Rayleigh quotient, no gap
-            theta, s, gap = float(c[0]), _ONE, 0.0
+            theta, s, gap = a, _ONE, 0.0
         else:
             ritz, vecs = np.linalg.eigh(tri[:m, :m])
-            theta, s, gap = float(ritz[-1]), vecs[:, -1], ritz[-1] - ritz[-2]
-        res = b * abs(s[-1])
+            theta, s, gap = float(ritz[-1]), vecs[:, -1], float(ritz[-1] - ritz[-2])
+        last = float(s[-1])
+        res = b * abs(last)
         bound = tol * abs(theta)
-        converged = bool(res <= bound or res * res <= bound * gap)
+        converged = res <= bound or res * res <= bound * gap
         if converged or used == max_iters:
-            y = np.dot(s, basis[:m])
+            y = s.dot(known)
             return PowerResult(theta, y / norm(y), converged, used)
         off = b
         if m == len(basis):  # restart: A y = theta y + res * sign(s[-1]) * w / b
-            y = np.dot(s, basis)
+            y = s.dot(basis)
             basis[0] = y / norm(y)
-            tri[0, 0], m, off, b = theta, 1, res, math.copysign(b, s[-1])
+            tri[0, 0], m, off, b = theta, 1, res, math.copysign(b, last)
         tri[m - 1, m] = tri[m, m - 1] = off
         np.divide(w, b, out=basis[m])
 
@@ -167,11 +175,10 @@ def lanczos(apply, v0, max_iters=PI_MAX_ITERS, tol=PI_TOL) -> PowerResult:
 
 def lambda_grad(d, hvp, g) -> float:
     """Rayleigh quotient of diag(d) H along the gradient; hvp(v) = H v."""
-    g = np.asarray(g, dtype=float)
-    gn2 = float(g @ g)
+    gn2 = float(g.dot(g))
     if gn2 == 0.0:
         raise ZeroGradient("lambda_grad needs a nonzero gradient")
-    return float(g @ (d * hvp(g))) / gn2
+    return float(g.dot(d * hvp(g))) / gn2
 
 
 # === probe records ==========================================================
@@ -231,9 +238,10 @@ def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
         prec = lanczos(lambda w: sq * hvp(sq * w),
                        warm.pre if _usable(warm.pre) else cold(), max_iters, tol)
         warm.pre = prec.vector
-    lg = None
-    if float(np.dot(g, g)) > 0.0:
+    try:  # lambda_grad takes g.g once and refuses a zero gradient
         lg = lambda_grad(d, hvp, g)
+    except ZeroGradient:
+        lg = None
     return ProbeRecord(
         step=step,
         lambda_max_H=raw.value,

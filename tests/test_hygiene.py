@@ -1,11 +1,13 @@
 """Source hygiene: every imported name is used, no module imports another
-module's private name, every name the benchmarks read exists, importing the
-package loads no process or thread pool, the package never writes the
-environment, and only optimizers.run sets the BLAS thread count."""
+module's private name, every name the benchmarks read exists, the probe and
+optimizer layers add no public function, importing the package loads no
+process or thread pool, the package never writes the environment, and only
+optimizers.run sets the BLAS thread count."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -105,6 +107,24 @@ def test_chained_benchmark_names_are_resolved():
     import spikelab
     assert _resolves(spikelab, "Preconditioner.for_adam")
     assert not _resolves(spikelab, "Preconditioner.for_adamw")
+
+
+# benchmarks/spans.py wraps every public module-level function of a layer
+# module, so a public helper called per probe or per step would change what a
+# traced run measures; such helpers stay private
+PUBLIC_FUNCTIONS = {
+    "probes": {"compute_probe", "lambda_grad", "lanczos", "power_iteration"},
+    "optimizers": {"run"},
+}
+
+
+@pytest.mark.parametrize("layer", sorted(PUBLIC_FUNCTIONS))
+def test_hot_layers_keep_their_public_functions(layer):
+    mod = importlib.import_module(f"spikelab.{layer}")
+    public = {name for name, fn in vars(mod).items()
+              if not name.startswith("_") and inspect.isfunction(fn)
+              and fn.__module__ == mod.__name__}
+    assert public == PUBLIC_FUNCTIONS[layer]
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

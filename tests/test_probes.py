@@ -7,7 +7,6 @@ from spikelab import (AdamHyper, Preconditioner, ProbePlan, ProbeWarmStart, Quad
                       compute_probe, dense_hessian, lambda_grad, lanczos, make_quadratic,
                       power_iteration, preset_config, run, stream)
 from spikelab.errors import ConfigError, ZeroGradient
-from spikelab.oracles import lambda_grad_weighted
 
 # === power iteration ========================================================
 
@@ -122,10 +121,29 @@ def test_preconditioner_validation():
         Preconditioner.for_adam(0.0, 0.999, 0, np.ones(2), 0.0)
     with pytest.raises(ConfigError, match="non-negative"):
         Preconditioner.for_adam(0.0, 0.999, 1, -np.ones(2), 0.0)
-    with pytest.raises(ConfigError, match="scale"):
-        Preconditioner(np.ones(2), 0.0, 0.0).diag()
+
+
+@pytest.mark.parametrize("root,epsilon,scale", [
+    ([1.0, np.nan], 1e-8, 1.0), ([np.inf, 1.0], 1e-8, 1.0), ([1.0, -np.inf], 1e-8, 1.0),
+    ([2.0, -3.0], 1e-8, 1.0), ([1.0, 0.0], 0.0, 1.0),
+    ([1.0, 2.0], 1e-8, 0.0), ([1.0, 2.0], 1e-8, -1.0), ([1.0, 2.0], 1e-8, np.nan),
+    ([1.0, 2.0], 1e-8, np.inf), (None, 0.0, 0.0), (None, 0.0, -1.0), (None, 0.0, np.nan),
+    (None, 0.0, np.inf),
+], ids=["nan-root", "inf-root", "minus-inf-root", "negative-root", "zero-denominator",
+        "scale-0", "scale-minus-1", "scale-nan", "scale-inf", "scalar-0", "scalar-minus-1",
+        "scalar-nan", "scalar-inf"])
+@np.errstate(divide="ignore")  # as run's probes are: a zero denominator gives inf
+def test_preconditioner_diag_refuses_what_is_not_positive_finite(root, epsilon, scale):
+    pre = Preconditioner(None if root is None else np.array(root), epsilon, scale)
     with pytest.raises(ConfigError, match="positive finite"):
-        Preconditioner(np.array([1.0, np.inf]), 0.0, 1.0).diag()
+        pre.diag()
+
+
+def test_preconditioner_diag_is_the_quotient_and_a_scalar_is_its_scale():
+    root = np.exp(np.random.default_rng(7).standard_normal(5))
+    pre = Preconditioner(root, 1e-8, 0.3)
+    assert pre.diag().tobytes() == (0.3 / (root + 1e-8)).tobytes()
+    assert Preconditioner(None, 0.0, 0.9 / 1.1).diag() == 0.9 / 1.1
 
 
 # === preconditioned spectrum ================================================
@@ -165,7 +183,8 @@ def test_lambda_grad_zero_gradient(quad3):
 
 
 def test_weighted_quotient_bounded_by_lambda_max(quad3):
-    # the D^(-1) inner product makes the bound exact, not just approximate
+    # g^T H g / g^T D^(-1) g, the gradient quotient in the D^(-1) inner
+    # product: that inner product makes the bound exact, not just approximate
     rng = np.random.default_rng(4)
     for _ in range(10):
         d = np.exp(rng.standard_normal(3))
@@ -177,7 +196,7 @@ def test_weighted_quotient_bounded_by_lambda_max(quad3):
         lam = compute_probe(quad3, th, pre, g, eta_t=0.1, step=0, seed=0,
                             warm=ProbeWarmStart(), max_iters=1000,
                             tol=1e-12).lambda_max_Hhat
-        got = lambda_grad_weighted(pre, quad3, th, g)
+        got = float(g @ quad3.hvp(th, g)) / float(np.sum(g * g / pre.diag()))
         assert got <= lam * (1.0 + 1e-8)
 
 
