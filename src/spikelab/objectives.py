@@ -2,11 +2,13 @@
 
 Both objective kinds expose the same surface: loss, gradient,
 loss_and_gradient, and an exact Hessian-vector product; callers use these
-methods directly. hvp_at(theta) returns an HVP closure at one point, and
-hvp(theta, vec) is that closure called once. The FNN closure keeps the
-factors that depend only on theta, 1 - H^2 among them, so many products at
-one point (a probe's eigensolves, a dense Hessian's columns) pay for one
-forward pass and one tanh derivative. An FNN objective owns two n x m work
+methods directly. A one-parameter quadratic's loss and loss_and_gradient
+also take a Python float point (the run loop's one-parameter path) and give
+the bits of the one-element array. hvp_at(theta) returns an HVP closure at
+one point, and hvp(theta, vec) is that closure called once. The FNN closure
+keeps the factors that depend only on theta, 1 - H^2 among them, so many
+products at one point (a probe's eigensolves, a dense Hessian's columns) pay
+for one forward pass and one tanh derivative. An FNN objective owns two n x m work
 buffers and one row-block scratch that its loss and gradient calls fill in
 place, and each FNN closure owns the buffers its products fill, so a closure
 may run on one thread beside its objective's loss and gradient calls on
@@ -104,6 +106,11 @@ class QuadraticObjective:
     1.0, as in the scalar presets). run records the start and last losses
     through loss and every other loss through loss_and_gradient, so changing
     either order alone moves figD12-gd-delay's trace bytes.
+
+    Both also take a Python float point when param_dim is 1, the run loop's
+    one-parameter path, and evaluate it in the same order on Python floats:
+    lam * (d*d) and d * (lam*d). A one-element dot is its one product, so
+    the float gives the bits of the one-element array.
     """
 
     kind = "quadratic"
@@ -113,12 +120,19 @@ class QuadraticObjective:
         self.lam = np.array(spec.eigenvalues, dtype=float)
         self.off = np.array(spec.offset, dtype=float)
         self.param_dim = self.lam.size
+        # lam and offset as Python floats, for a float point (param_dim 1)
+        self._scalar = (*spec.eigenvalues, *spec.offset) if self.param_dim == 1 else None
         self.blocks = (("theta", 0, self.param_dim),)
         self.dataset = None
 
     def loss(self, theta: np.ndarray) -> float:
-        d = np.asarray(theta, dtype=float) - self.off
-        val = 0.5 * float(self.lam @ (d * d))
+        if isinstance(theta, float):
+            lam, off = self._scalar
+            d = theta - off
+            val = 0.5 * (lam * (d * d))
+        else:
+            d = np.asarray(theta, dtype=float) - self.off
+            val = 0.5 * float(self.lam @ (d * d))
         if not math.isfinite(val):
             raise DivergedEvaluation("quadratic loss is non-finite")
         return val
@@ -130,9 +144,15 @@ class QuadraticObjective:
         return g
 
     def loss_and_gradient(self, theta):
-        d = np.asarray(theta, dtype=float) - self.off
-        g = self.lam * d
-        val = 0.5 * float(d @ g)
+        if isinstance(theta, float):
+            lam, off = self._scalar
+            d = theta - off
+            g = lam * d
+            val = 0.5 * (d * g)
+        else:
+            d = np.asarray(theta, dtype=float) - self.off
+            g = self.lam * d
+            val = 0.5 * float(d @ g)
         if not math.isfinite(val):  # a non-finite g_i makes d_i * g_i, so val, non-finite
             raise DivergedEvaluation("quadratic evaluation is non-finite")
         return val, g

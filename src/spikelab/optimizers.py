@@ -2,7 +2,11 @@
 RMSProp, Adagrad, Adafactor), and the run loop that produces RunTraces.
 Every run holds OpenBLAS at one thread, and a wide probed run takes each
 probe on a second thread, beside the steps that follow it, with the same
-bytes as inline probes.
+bytes as inline probes. A one-parameter run steps Python floats, with the
+bytes of one-element arrays: _advance and _steps are written in operations
+floats and arrays share (*= and += update an array in place and rebind a
+float), and the few calls numpy makes only for arrays have helpers that take
+both.
 
 Update-rule conventions: epsilon is added after the square root; the v floor
 clips raw v before bias correction; the epsilon bump replaces epsilon from
@@ -63,8 +67,41 @@ RULES = {
 OPTIMIZER_KINDS = tuple(RULES)
 
 
-def _rms(x: np.ndarray) -> float:
-    return norm(x) / math.sqrt(x.size)
+def _rms(x) -> float:
+    """Root mean square of an array, or |x| (as norm takes it) of a float."""
+    return norm(x) if isinstance(x, float) else norm(x) / math.sqrt(x.size)
+
+
+# _advance's calls that numpy makes only for arrays, each taking a Python
+# float too (run's one-parameter state) with the bits of a one-element array.
+# A float never raises where numpy returns inf or NaN under run's errstate.
+
+
+def _sqrt(x):
+    if not isinstance(x, float):
+        return np.sqrt(x)
+    # math.sqrt refuses what is negative; numpy's NaN is returned for it
+    return math.sqrt(x) if x >= 0.0 else float(np.sqrt(x))
+
+
+def _floored(v, floor):
+    """np.maximum(v, floor), in place for an array. On a one-element array
+    numpy keeps the floor on a tie (so -0.0 against 0.0) and keeps a NaN."""
+    if not isinstance(v, float):
+        return np.maximum(v, floor, out=v)
+    return v if v > floor or v != v else floor
+
+
+def _quotient(a, b):
+    """a / b, written into a when a is an array, so a must be a temporary of
+    the caller's: numpy reuses such a temporary in `x * y / z`, and a fresh
+    quotient cost a figD8 step about 230 minor page faults. A float division
+    by zero gives numpy's inf or NaN, not a raise."""
+    try:
+        a /= b
+    except ZeroDivisionError:
+        return float(np.divide(a, b))
+    return a
 
 
 # === single-step updates ====================================================
@@ -97,15 +134,14 @@ def _advance(theta, state, hyper, sched, plan, g):
         else:
             state.v *= hyper.beta2
             state.v += (1.0 - hyper.beta2) * g * g
-        floor = plan.v_floor
-        if floor is not None:
-            np.maximum(state.v, floor, out=state.v)
+        if plan.v_floor is not None:
+            state.v = _floored(state.v, plan.v_floor)
         vhat = state.v
         if rule.bias_correction and hyper.bias_correction:
             bias1 = 1.0 - hyper.beta1 ** (t + 1)
             d, scale = d / bias1, scale / bias1
             vhat = vhat / (1.0 - hyper.beta2 ** (t + 1))
-        root = np.sqrt(vhat)
+        root = _sqrt(vhat)
         if rule.factored:
             eps = ADAFACTOR_EPS1
             u = d / (root + eps)
@@ -114,17 +150,18 @@ def _advance(theta, state, hyper, sched, plan, g):
             upd = (eta_t * scale) * u
         else:
             eps = plan.epsilon_at(t, hyper.epsilon)
-            upd = eta_t * d / (root + eps)
+            upd = _quotient(eta_t * d, root + eps)
     state.t = t + 1
     return theta - upd, eta_t, Preconditioner(root, eps, scale)
 
 
-def _vhat_norms(root, blocks) -> list:
-    """Norm of sqrt(vhat), then its norm over each block."""
+def _vhat_norms(root, blocks) -> tuple:
+    """Norm of sqrt(vhat), then its norm over each block (a tuple fills a
+    trace row faster than a list)."""
     total = norm(root)
     if len(blocks) == 1:  # blocks tile the vector, so the one block is all of it
-        return [total, total]
-    return [total] + [norm(root[off:off + length]) for _, off, length in blocks]
+        return total, total
+    return (total, *(norm(root[off:off + length]) for _, off, length in blocks))
 
 
 def _diverged(theta, norms) -> bool:
@@ -133,11 +170,14 @@ def _diverged(theta, norms) -> bool:
     parameter is NaN or beyond DIVERGE_LIMIT. min and max allocate nothing;
     np.abs(theta) raised a figD8 step's minor page faults from 16 to 156.
     The ufunc reductions skip the Python wrappers of theta.min() and
-    theta.max(), which cost more than the reduction at small d.
+    theta.max(), which cost more than the reduction at small d. A float
+    theta is its own min and max.
     """
+    lo = hi = theta
+    if not isinstance(theta, float):
+        lo, hi = np.minimum.reduce(theta), np.maximum.reduce(theta)
     return (bool(norms) and not math.isfinite(norms[0])
-            or not -DIVERGE_LIMIT <= np.minimum.reduce(theta)
-            <= np.maximum.reduce(theta) <= DIVERGE_LIMIT)
+            or not -DIVERGE_LIMIT <= lo <= hi <= DIVERGE_LIMIT)
 
 
 @np.errstate(all="ignore")  # a diverged step raises DivergedRun below, unwarned
@@ -152,7 +192,7 @@ def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=CONSTANT_LR,
     _, g = obj.loss_and_gradient(theta.values)
     step_index = state.t
     theta_new, eta_t, pre = _advance(theta.values, state, hyper, sched, plan, g)
-    norms = () if pre.root is None else tuple(_vhat_norms(pre.root, theta.blocks))
+    norms = () if pre.root is None else _vhat_norms(pre.root, theta.blocks)
     if _diverged(theta_new, norms):
         raise DivergedRun(f"non-finite v_hat or theta, or |theta| > {DIVERGE_LIMIT:g}, "
                           f"after step {step_index}")
@@ -235,6 +275,15 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     warm vectors, and no step reads a probe, so the rows are those of inline
     probes. A probe's exception is raised from run ahead of anything a later
     step raised or returned. With an unknown BLAS the probes run inline.
+
+    A run of an objective with param_dim 1 holds theta, g, m and v as Python
+    floats, decided once before its first step, because a float operation
+    costs a small fraction of a ufunc call on a one-element array. The
+    objective evaluates a float point, and each step does the IEEE operations
+    numpy would do on the one element, in the same order, so the bytes are
+    those of one-element arrays. Where numpy returns inf or NaN under this
+    errstate, a float step returns numpy's value instead of raising. A probe
+    step hands compute_probe one-element arrays, so the probes are unchanged.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -272,11 +321,24 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     return trace.end(kept, rows.taken, status)
 
 
+def _probe_args(theta, pre, g):
+    """theta, D_t and g as compute_probe takes them: one-element arrays on
+    the float path (a new array each, so nothing later writes them)."""
+    if not isinstance(theta, float):
+        return theta, pre, g
+    if pre.root is not None:
+        pre = pre._replace(root=np.array([pre.root]))
+    return np.array([theta]), pre, np.array([g])
+
+
 def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, rows):
     """run's steps, filling trace's step columns and handing each probe to
-    rows; returns (steps kept, status)."""
-    state = OptimizerState.fresh(kind, theta0.dim)
-    theta = theta0.values.copy()
+    rows; returns (steps kept, status). A one-parameter run holds theta, g,
+    m and v as Python floats (see run)."""
+    if obj.param_dim == 1:
+        theta, state = float(theta0.values[0]), OptimizerState(kind, 0, 0.0, 0.0)
+    else:
+        theta, state = theta0.values.copy(), OptimizerState.fresh(kind, theta0.dim)
     warm = ProbeWarmStart()
     try:
         trace.initial_loss = obj.loss(theta)
@@ -293,8 +355,8 @@ def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, 
             return i + 1, "diverged"
         if probes.every and i % probes.every == 0:
             # theta, g and pre.root are never written after this step
-            rows.take(partial(compute_probe, obj, theta, pre, g, eta_t, i, seed, warm,
-                              max_iters=probes.max_iters, tol=probes.tol))
+            rows.take(partial(compute_probe, obj, *_probe_args(theta, pre, g), eta_t, i,
+                              seed, warm, max_iters=probes.max_iters, tol=probes.tol))
         theta = theta_new
         try:
             if i + 1 < n_steps:

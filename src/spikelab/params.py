@@ -14,8 +14,12 @@ Blocks = tuple  # of (name, offset, length)
 
 def norm(x) -> float:
     """Euclidean norm of a 1-D float array as sqrt(x.dot(x)): for a contiguous
-    one, the bits np.linalg.norm computes, without its wrapper's cost. Every
-    norm outside oracles.py goes through it."""
+    one, the bits np.linalg.norm computes, without its wrapper's cost. A
+    Python float x, the run loop's one-parameter state, gives sqrt(x * x),
+    the bits of a one-element array's dot. Every norm outside oracles.py goes
+    through it."""
+    if isinstance(x, float):
+        return math.sqrt(x * x)
     return math.sqrt(x.dot(x))
 
 

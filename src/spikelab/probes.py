@@ -84,16 +84,15 @@ class PowerResult:
     iters_used: int
 
 
-def _usable(v0) -> bool:
-    """Whether a warm vector can start an eigensolve."""
-    return v0 is not None and norm(v0) > 0
+class _NoStart(ConfigError):
+    """An eigensolver's start is not a nonzero 1-D array."""
 
 
 def _unit(v0, solver) -> np.ndarray:
     """v0 scaled to unit norm; refuses a start that is not a nonzero 1-D array."""
     n0 = norm(v0) if isinstance(v0, np.ndarray) and v0.ndim == 1 else 0.0
     if not n0 > 0:
-        raise ConfigError(f"{solver} needs a nonzero start vector")
+        raise _NoStart(f"{solver} needs a nonzero start vector")
     return v0 / n0
 
 
@@ -204,11 +203,20 @@ class ProbeWarmStart:
     pre: np.ndarray = None
 
 
+def _solve(solver, apply, v0, cold, max_iters, tol) -> PowerResult:
+    """solver from the warm vector v0, or from the cold draw cold() where v0
+    is None or has no positive norm. The solver's _unit takes v0's one norm."""
+    try:
+        return solver(apply, v0, max_iters, tol)
+    except _NoStart:
+        return solver(apply, cold(), max_iters, tol)
+
+
 def _raw_top(hvp, v0, cold, max_iters, tol) -> PowerResult:
-    """Largest eigenvalue of H by power iteration from v0. When the dominant
-    one is negative, the top of H is Lanczos's top Ritz value from the cold
-    vector."""
-    res = power_iteration(hvp, v0, max_iters, tol)
+    """Largest eigenvalue of H by power iteration from v0 (see _solve). When
+    the dominant one is negative, the top of H is Lanczos's top Ritz value
+    from the cold vector."""
+    res = _solve(power_iteration, hvp, v0, cold, max_iters, tol)
     return lanczos(hvp, cold(), max_iters, tol) if res.value < 0 else res
 
 
@@ -228,15 +236,14 @@ def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
         return stream(stream(seed, "probe", step).integers(0, 2 ** 62),
                       "power-iteration").standard_normal(theta.size)
 
-    raw = _raw_top(hvp, warm.raw if _usable(warm.raw) else cold(), cold, max_iters, tol)
+    raw = _raw_top(hvp, warm.raw, cold, max_iters, tol)
     warm.raw = raw.vector
     d = pre.diag()
     if pre.root is None:
         prec = PowerResult(d * raw.value, None, raw.converged, raw.iters_used)
     else:
         sq = np.sqrt(d)
-        prec = lanczos(lambda w: sq * hvp(sq * w),
-                       warm.pre if _usable(warm.pre) else cold(), max_iters, tol)
+        prec = _solve(lanczos, lambda w: sq * hvp(sq * w), warm.pre, cold, max_iters, tol)
         warm.pre = prec.vector
     try:  # lambda_grad takes g.g once and refuses a zero gradient
         lg = lambda_grad(d, hvp, g)

@@ -5,7 +5,7 @@ import pytest
 
 from spikelab import (FnnObjective, FnnTaskSpec, QuadraticSpec,
                       export_dataset_rows, make_quadratic)
-from spikelab.errors import ConfigError
+from spikelab.errors import ConfigError, DivergedEvaluation
 
 # === quadratic ==============================================================
 
@@ -30,6 +30,24 @@ def test_quadratic_initial_point_length_checked():
     obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 2.0)))
     with pytest.raises(ConfigError):
         obj.initial_point([1.0, 2.0, 3.0])
+
+
+def test_quadratic_float_point_gives_one_element_array_bits():
+    # run's one-parameter path evaluates Python floats; each method keeps its
+    # own order, which the random lambdas make round apart on some draws
+    rng = np.random.default_rng(5)
+    apart = 0
+    for lam, off, theta in rng.standard_normal((2000, 3)) * [10.0, 1.0, 100.0]:
+        obj = make_quadratic(QuadraticSpec(eigenvalues=(lam,), offset=(off,)))
+        arr = np.array([theta])
+        loss, (val, g) = obj.loss(float(theta)), obj.loss_and_gradient(float(theta))
+        assert isinstance(loss, float) and isinstance(val, float) and isinstance(g, float)
+        val_a, g_a = obj.loss_and_gradient(arr)
+        assert loss == obj.loss(arr) and (val, g) == (val_a, g_a[0])
+        apart += loss != val
+    assert apart > 0
+    with pytest.raises(DivergedEvaluation):
+        make_quadratic(QuadraticSpec(eigenvalues=(1.0,))).loss_and_gradient(1e200)
 
 
 def test_quadratic_spec_validation():

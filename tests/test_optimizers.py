@@ -7,11 +7,12 @@ import pytest
 
 from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, LrSchedule,
                       MitigationPlan, OptimizerState, ParamVector, ProbePlan,
-                      QuadraticSpec, make_quadratic, run, step_adafactor,
-                      step_adagrad, step_adam, step_gd, step_heavy_ball,
-                      step_rmsprop)
+                      QuadraticObjective, QuadraticSpec, make_quadratic, run,
+                      step_adafactor, step_adagrad, step_adam, step_gd,
+                      step_heavy_ball, step_rmsprop)
 from spikelab.errors import ConfigError, DivergedRun
-from spikelab.optimizers import OPTIMIZER_KINDS, _advance
+from spikelab.optimizers import OPTIMIZER_KINDS, _advance, _floored, _quotient, _sqrt
+from spikelab.params import CONSTANT_LR
 
 
 STEPS = {"gd": step_gd, "heavy-ball": step_heavy_ball, "adam": step_adam,
@@ -171,7 +172,8 @@ def _hand_step(kind, h, t, theta, g, m, denom):
     return theta - h.eta * d / denom
 
 
-PLANS = {"none": MitigationPlan(), "v_floor": MitigationPlan(v_floor=0.5),
+NO_PLAN = MitigationPlan()
+PLANS = {"none": NO_PLAN, "v_floor": MitigationPlan(v_floor=0.5),
          "epsilon_bump": MitigationPlan(epsilon_bump=(1, 0.5))}
 CASES = [(kind, plan, True) for kind in OPTIMIZER_KINDS for plan in PLANS]
 CASES += [("adam", plan, False) for plan in PLANS]
@@ -193,25 +195,51 @@ def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
         theta = theta_new
 
 
-@pytest.mark.parametrize("kind,plan", [(kind, plan) for kind in OPTIMIZER_KINDS
-                                       for plan in PLANS])
-def test_steps_match_run_columns_bit_for_bit(kind, plan):
+class _LastLossPoint(QuadraticObjective):
+    """A quadratic that keeps the point of its last loss call: run's last
+    call is the loss at its final theta."""
+
+    def loss(self, theta):
+        self.point = theta
+        return super().loss(theta)
+
+
+# one setting per plan under the default hyper and schedule, and two that
+# change one of them
+SETTINGS = {plan: (True, CONSTANT_LR, PLANS[plan]) for plan in PLANS}
+SETTINGS["no-bias-correction"] = (False, CONSTANT_LR, PLANS["none"])
+SETTINGS["power-decay"] = (True, LrSchedule("power-decay", alpha=0.5), PLANS["none"])
+
+
+@pytest.mark.parametrize("kind,setting,dim", [
+    pytest.param(kind, setting, dim, id=f"{kind}-{setting}" + ("-d1" if dim == 1 else ""))
+    for kind in OPTIMIZER_KINDS for setting in SETTINGS for dim in (3, 1)])
+def test_steps_match_run_columns_bit_for_bit(kind, setting, dim):
     # step_<kind> and the run loop share _advance, _vhat_norms and the
-    # divergence rule, so k steps give run(n_steps=k)'s columns exactly
-    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 10.0)))
-    theta0 = obj.initial_point((1.0, -0.5, 0.25))
-    h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99)
+    # divergence rule, so k steps give run(n_steps=k)'s columns exactly. At
+    # d=1 run steps Python floats and step_<kind> one-element arrays.
+    bias_correction, sched, plan = SETTINGS[setting]
+    eig, point = ((3.0,), (0.7,)) if dim == 1 else ((1.0, 4.0, 10.0), (1.0, -0.5, 0.25))
+    obj = _LastLossPoint(QuadraticSpec(eigenvalues=eig))
+    theta0 = obj.initial_point(point)
+    h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99, bias_correction=bias_correction)
     k = 6
-    trace = run(obj, theta0, kind, h, plan=PLANS[plan], n_steps=k)
+    trace = run(obj, theta0, kind, h, sched=sched, plan=plan, n_steps=k)
     assert trace.status == "completed"
+    final = obj.point
+    assert isinstance(final, float) == (dim == 1)  # the float path is run's at d=1
     th, st = theta0, OptimizerState.fresh(kind, theta0.dim)
     for i in range(k):
-        th, st, rec = STEPS[kind](obj, th, st, h, plan=PLANS[plan])
+        th, st, rec = STEPS[kind](obj, th, st, h, sched=sched, plan=plan)
         assert rec.grad_norm == trace.grad_norm[i] and rec.eta_t == trace.eta_t[i]
         if trace.vhat is None:
             assert rec.vhat_norm_total is None and rec.vhat_norm_blocks == ()
         else:
             assert (rec.vhat_norm_total, *rec.vhat_norm_blocks) == tuple(trace.vhat[i])
+    # both take the last loss in loss's order; the others run takes from
+    # loss_and_gradient, whose order may round apart
+    assert rec.loss == trace.loss[-1]
+    assert np.array_equal(th.values, np.atleast_1d(final))
 
 
 # === guards =================================================================
@@ -342,6 +370,53 @@ def test_run_beyond_the_divergence_limit_ends_unprobed():
     assert trace.status == "diverged"
     assert len(trace.records) == 1 and trace.probes.size == 0
     assert trace.records[0].loss == math.inf
+
+
+# One-parameter runs whose first step meets what Python float arithmetic
+# refuses and numpy returns as inf or NaN under run's errstate: 0/0 and x/0
+# (ZeroDivisionError) and g*g past the largest float (g ** 2 would raise
+# OverflowError), and a NaN v floor. Each diverges after one step, as the
+# array steps do: (kind, lam, theta0, hyper, plan, |g|, vhat norm).
+FLOAT_EDGES = {
+    "0/0-rmsprop": ("rmsprop", 1.0, 0.0, {"epsilon": 0.0}, NO_PLAN, 0.0, 0.0),
+    "0/0-adagrad": ("adagrad", 1.0, 0.0, {"epsilon": 0.0}, NO_PLAN, 0.0, 0.0),
+    "0/0-adam": ("adam", 1.0, 0.0, {"epsilon": 0.0}, NO_PLAN, 0.0, 0.0),
+    "x/0-rmsprop": ("rmsprop", 1.0, 1e-170, {"epsilon": 0.0}, NO_PLAN, 0.0, 0.0),
+    "square-overflow-rmsprop": ("rmsprop", 1e100, 1e60, {}, NO_PLAN, math.inf, math.inf),
+    "square-overflow-adafactor": ("adafactor", 1e100, 1e60, {}, NO_PLAN, math.inf, math.inf),
+    "nan-floor": ("adam", 1.0, 1.0, {}, MitigationPlan(v_floor=math.nan), 1.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_EDGES)
+def test_one_parameter_runs_diverge_where_numpy_gives_inf_or_nan(case):
+    kind, lam, theta0, hyper, plan, gnorm, vnorm = FLOAT_EDGES[case]
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(lam,)))
+    h = AdamHyper(eta=0.1, **hyper)
+    for every in (1, 0):
+        trace = run(obj, obj.initial_point(theta0), kind, h, plan=plan, n_steps=5,
+                    probes=ProbePlan(every=every))
+        assert trace.status == "diverged" and len(trace) == 1 and trace.probes.size == 0
+        assert trace.loss[0] == math.inf and trace.grad_norm[0] == gnorm
+        np.testing.assert_array_equal(trace.vhat[0], [vnorm, vnorm])
+    th, st = start(kind, theta0)
+    with pytest.raises(DivergedRun):
+        STEPS[kind](obj, th, st, h, plan=plan)
+
+
+@pytest.mark.parametrize("x", [-1.0, -math.inf, -0.0, 0.0, 5e-324, 2.0, math.inf, math.nan])
+@pytest.mark.parametrize("floor", [0.0, -0.0, 1.0, math.nan])
+def test_float_calls_give_one_element_array_bits(x, floor):
+    # _advance's array-only calls on a float, against numpy on [x]: sqrt of a
+    # negative is NaN (math.sqrt raises), a float divided by zero is inf or
+    # NaN (/ raises), and the floor keeps numpy's ties and NaNs
+    arr = np.array([x])
+    with np.errstate(all="ignore"):
+        for got, want in ((_sqrt(x), np.sqrt(arr)), (_quotient(floor, x), floor / arr),
+                          (_floored(x, floor), np.maximum(arr, floor))):
+            assert isinstance(got, float)
+            assert np.array([got]).tobytes() == want.tobytes()
+    assert _floored(arr, floor) is arr  # an array is floored in place
 
 
 def test_run_overflowing_start_diverges_at_step_zero():

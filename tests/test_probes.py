@@ -6,6 +6,7 @@ import pytest
 from spikelab import (AdamHyper, Preconditioner, ProbePlan, ProbeWarmStart, QuadraticSpec,
                       compute_probe, dense_hessian, lambda_grad, lanczos, make_quadratic,
                       power_iteration, preset_config, run, stream)
+from spikelab import probes
 from spikelab.errors import ConfigError, ZeroGradient
 
 # === power iteration ========================================================
@@ -216,6 +217,31 @@ def test_compute_probe_record(quad3):
     assert rec.lambda_grad_Hhat is not None
     assert rec.converged
     assert warm.raw is not None and warm.pre is not None
+
+
+def test_compute_probe_takes_each_warm_norm_once(quad3, monkeypatch):
+    # a warm vector is normed once, by the solver; one without a positive
+    # norm (None, zero, NaN) gives the cold probe's record
+    th = np.array([1.0, -0.5, 0.25])
+    g, pre = quad3.gradient(th), Preconditioner(np.array([1.0, 2.0, 3.0]), 1e-8, 0.5)
+
+    def probe(warm):
+        return compute_probe(quad3, th, pre, g, eta_t=0.1, step=3, seed=0, warm=warm)
+
+    cold = probe(ProbeWarmStart())
+    for bad in (np.zeros(3), np.full(3, np.nan)):
+        assert probe(ProbeWarmStart(bad, bad.copy())) == cold
+    warm = ProbeWarmStart(np.array([1.0, 2.0, 2.0]), np.array([2.0, 1.0, 2.0]))
+    starts, seen = (warm.raw, warm.pre), []
+    real = probes.norm
+
+    def norm(x):
+        seen.extend(i for i, v in enumerate(starts) if x is v)
+        return real(x)
+
+    monkeypatch.setattr(probes, "norm", norm)
+    probe(warm)
+    assert sorted(seen) == [0, 1]
 
 
 def test_compute_probe_skips_grad_quotient_at_minimum(quad3):
