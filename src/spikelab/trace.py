@@ -4,6 +4,12 @@ trace.csv layout is fixed: step,loss,grad_norm,vhat_norm_total,
 vhat_norm_block_<name>...,eta_t,lambda_max_H,lambda_max_Hhat,
 lambda_grad_Hhat,lambda_grad_sustained,stage. Unsampled cells stay empty;
 the header is always present. Identical configs reproduce identical bytes.
+
+No trace.csv cell needs quoting (float reprs, ints, empty cells, stage
+labels), so write_trace_csv joins each row's cells with "," and writes the
+bytes csv.writer would; it reprs each distinct float bit pattern of a chunk
+once. write_csv keeps csv.writer, since sweep_summary.csv rows carry error
+text that may need quoting.
 """
 
 import csv
@@ -161,7 +167,10 @@ def trace_columns(block_names) -> list:
 
 
 def write_csv(path, header, rows):
-    """Header row, then one row per sequence of values, each cell by _cell."""
+    """Header row, then one row per sequence of values, each cell by _cell.
+
+    csv.writer quotes what needs it: sweep_summary.csv rows carry error text.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -179,31 +188,41 @@ def _sparse_cells(steps, values, a, b):
 
 
 def write_trace_csv(trace: RunTrace, path):
-    """The trace's rows, formatted CSV_CHUNK_ROWS at a time, a column at once.
+    """The trace's rows, CSV_CHUNK_ROWS at a time, as the bytes csv.writer
+    makes of each row's _cell values.
 
-    A cell is what _cell makes of its value: a column's tolist() yields the
-    Python floats and ints whose repr _cell writes, and a missing cell is "".
+    Each row is its cells joined by "," and ended by csv.writer's CRLF, and
+    each chunk is written as one string. A chunk's dense float columns are
+    copied into one block and each distinct bit pattern in it is repr'd once,
+    so -0.0 and 0.0 stay apart, and a constant eta_t or a v-hat total equal
+    to its one block costs one repr per value, not per cell.
     """
     n = len(trace)
-    dense = [trace.loss, trace.grad_norm]
-    dense += [None] * (1 + len(trace.block_names)) if trace.vhat is None else list(trace.vhat.T)
-    dense.append(trace.eta_t)
+    dense = [trace.loss, trace.grad_norm,
+             *(() if trace.vhat is None else trace.vhat.T), trace.eta_t]
+    no_vhat = 1 + len(trace.block_names) if trace.vhat is None else 0
     sparse = [trace.probe_series(name)
               for name in ("lambda_max_H", "lambda_max_Hhat", "lambda_grad_Hhat")]
     # contiguous steps, as searchsorted copies a strided field view per call
     sparse = [(np.ascontiguousarray(steps), np.asarray(values))
               for steps, values in sparse + [trace.sustained]]
+    block = np.empty((CSV_CHUNK_ROWS, len(dense)))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(trace_columns(trace.block_names))
+        fh.write(",".join(trace_columns(trace.block_names)) + "\r\n")
         for a in range(0, n, CSV_CHUNK_ROWS):
             b = min(a + CSV_CHUNK_ROWS, n)
+            rows = block[:b - a]
+            for j, c in enumerate(dense):
+                rows[:, j] = c[a:b]
+            bits, inverse = np.unique(rows.view(np.uint64), return_inverse=True)
+            reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            loss, grad_norm, *vhat, eta_t = reprs[inverse.reshape(rows.shape).T].tolist()
             missing = [""] * (b - a)
-            w.writerows(zip(
-                map(str, range(a, b)),
-                *(missing if c is None else map(repr, c[a:b].tolist()) for c in dense),
+            cells = zip(
+                map(str, range(a, b)), loss, grad_norm, *vhat, *[missing] * no_vhat, eta_t,
                 *(_sparse_cells(steps, values, a, b) for steps, values in sparse),
-                missing if trace.stage is None else map(_cell, trace.stage[a:b])))
+                missing if trace.stage is None else map(_cell, trace.stage[a:b]))
+            fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 
 # === JSON ===================================================================

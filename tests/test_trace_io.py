@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from spikelab import (AdamHyper, ProbePlan, ProbeRecord, QuadraticSpec,
-                      RunTrace, make_quadratic, run, trace_columns, write_trace_csv)
+                      RunTrace, build_scenario, make_quadratic, preset_config, run,
+                      run_scenario, trace_columns, write_trace_csv)
 from spikelab.trace import CSV_CHUNK_ROWS, PROBE_DTYPE, write_csv, write_json
 
 # === columns ================================================================
@@ -119,11 +120,19 @@ def _shaped_trace(shape, n):
     rng = np.random.default_rng(n)
     col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     col[:4] = [math.inf, -0.0, math.nan, 1e-320][:n]
-    blocks = ("W1", "b1") if shape != "gd" else ("theta",)
+    blocks = ("W1", "b1") if shape not in ("gd", "aliased") else ("theta",)
     trace = RunTrace(config={}, status="completed", block_names=blocks,
                      initial_loss=1.0, loss=col, grad_norm=np.abs(col[::-1]).copy(),
                      eta_t=np.full(n, 0.1),
-                     vhat=None if shape == "gd" else rng.random((n, 3)))
+                     vhat=None if shape == "gd" else rng.random((n, 1 + len(blocks))))
+    if shape == "aliased":
+        # cells the writer shares between columns and rows: a v-hat total
+        # bit-equal to its one block, 0.0 beside -0.0 in every chunk, and
+        # losses that repeat grad-norm cells (eta_t is constant throughout)
+        v = trace.vhat[:, 0]
+        v[::3], v[1::3] = 0.0, -0.0
+        trace.vhat[:, 1] = v
+        trace.loss[1::2] = trace.grad_norm[: n // 2]
     if shape in ("probes", "missing_lambda_grad"):
         steps = sorted({0, n - 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, *range(3, n, 97)} & set(range(n)))
         trace.probes = np.empty(len(steps), PROBE_DTYPE)
@@ -138,7 +147,8 @@ def _shaped_trace(shape, n):
     return trace
 
 
-SHAPES = ["gd", "dense", "probes", "missing_lambda_grad", "sustained", "stage"]
+SHAPES = ["gd", "dense", "probes", "missing_lambda_grad", "sustained", "stage",
+          "aliased"]
 
 
 @pytest.mark.parametrize("n", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
@@ -152,9 +162,28 @@ def test_chunked_writer_matches_rowwise_reference(tmp_path, shape, n):
     assert text.count(b"\r\n") == n + 1
 
 
+def test_segmented_preset_cells_need_no_quoting(tmp_path):
+    # trace.csv joins its cells unquoted: a stage label or any other cell
+    # holding a delimiter, quote or line break would silently break the file
+    result = run_scenario(build_scenario(preset_config("fig3-spike")))
+    trace = result.trace
+    assert set(trace.stage) == {None, "1", "2", "3", "4", "5"}
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    text = path.read_bytes().decode()
+    lines = text.split("\r\n")
+    assert lines.pop() == "" and len(lines) == len(trace) + 1
+    assert not any(set(line) & set('"\r\n') for line in lines)
+    # a cell holding "," would add a cell to its row
+    cells = [line.split(",") for line in lines]
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == cells
+    assert {len(row) for row in cells} == {len(trace_columns(trace.block_names))}
+
+
 def test_writing_a_long_trace_holds_one_chunk_of_cells(tmp_path):
     # the row-wise writer held four n-long object columns, 3.4 MB at 1e5
-    # rows; the chunked writer holds one chunk's cells at a time (0.23 MB)
+    # rows; the chunked writer holds one chunk's cells at a time (0.27 MB)
     n = 100_000
     rng = np.random.default_rng(0)
     trace = RunTrace(config={}, status="completed", block_names=("theta",),
@@ -171,7 +200,7 @@ def test_writing_a_long_trace_holds_one_chunk_of_cells(tmp_path):
 
 def test_writing_a_trace_probed_every_step_copies_only_probe_fields(tmp_path):
     # masking whole 50-byte probe rows for lambda_grad_Hhat peaked at 9.8 MB
-    # at 1e5 rows; masking its step and value fields peaks at 5.2 MB
+    # at 1e5 rows; masking its step and value fields peaks at 5.3 MB
     n = 100_000
     rng = np.random.default_rng(0)
     probes = np.zeros(n, PROBE_DTYPE)
