@@ -283,7 +283,8 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     numpy would do on the one element, in the same order, so the bytes are
     those of one-element arrays. Where numpy returns inf or NaN under this
     errstate, a float step returns numpy's value instead of raising. A probe
-    step hands compute_probe one-element arrays, so the probes are unchanged.
+    step hands compute_probe its floats, which it probes in closed form with
+    the bits its solvers give on a one-element array.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -321,16 +322,6 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     return trace.end(kept, rows.taken, status)
 
 
-def _probe_args(theta, pre, g):
-    """theta, D_t and g as compute_probe takes them: one-element arrays on
-    the float path (a new array each, so nothing later writes them)."""
-    if not isinstance(theta, float):
-        return theta, pre, g
-    if pre.root is not None:
-        pre = pre._replace(root=np.array([pre.root]))
-    return np.array([theta]), pre, np.array([g])
-
-
 def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, rows):
     """run's steps, filling trace's step columns and handing each probe to
     rows; returns (steps kept, status). A one-parameter run holds theta, g,
@@ -355,8 +346,8 @@ def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, 
             return i + 1, "diverged"
         if probes.every and i % probes.every == 0:
             # theta, g and pre.root are never written after this step
-            rows.take(partial(compute_probe, obj, *_probe_args(theta, pre, g), eta_t, i,
-                              seed, warm, max_iters=probes.max_iters, tol=probes.tol))
+            rows.take(partial(compute_probe, obj, theta, pre, g, eta_t, i, seed, warm,
+                              max_iters=probes.max_iters, tol=probes.tol))
         theta = theta_new
         try:
             if i + 1 < n_steps:

@@ -7,6 +7,8 @@ When D is a scalar c (no second moment), it is c times the raw Hessian's
 largest eigenvalue, which power iteration computes (Lanczos, when the
 eigenvalue largest in magnitude is negative). The directional
 curvature is the Euclidean Rayleigh quotient of D H along the gradient.
+A one-parameter run's probe takes its Python floats and is closed form,
+with the bits the solvers give on a one-element array.
 
 A probe reads only its step's theta, gradient and D and the previous
 probe's warm vectors, and writes only its ProbeWarmStart, so the run loop
@@ -35,7 +37,8 @@ class Preconditioner(NamedTuple):
     """Diagonal scaling D = scale * diag(1/(root+epsilon)), root = sqrt(v_hat).
 
     root + epsilon is the denominator the step divided by (root is None, and
-    D the scalar scale, without a second moment), and scale the scalar it
+    D the scalar scale, without a second moment; root is a Python float on a
+    one-parameter run's float path), and scale the scalar it
     multiplied by. The optimizer step returns the D it applied. Only diag()
     checks, so building D never raises where run records a divergence.
     """
@@ -57,7 +60,8 @@ class Preconditioner(NamedTuple):
         return Preconditioner(np.sqrt(v_hat), epsilon, c)
 
     def diag(self):
-        """D's diagonal (the scalar scale when root is None), positive finite.
+        """D's diagonal (the scalar scale when root is None), positive finite;
+        a float when root is a float (a one-parameter run's).
 
         One min and one max check the diagonal: a NaN entry makes the min
         NaN. They are ufunc reductions, as in optimizers._diverged.
@@ -67,8 +71,12 @@ class Preconditioner(NamedTuple):
             raise ConfigError("preconditioner scale must be positive finite")
         if self.root is None:
             return scale
-        d = scale / (self.root + self.epsilon)
-        if not (np.minimum.reduce(d) > 0.0 and np.maximum.reduce(d) < math.inf):
+        try:
+            d = scale / (self.root + self.epsilon)
+        except ZeroDivisionError:  # a float root, where numpy's quotient is inf
+            d = math.inf
+        lo, hi = (d, d) if isinstance(d, float) else (np.minimum.reduce(d), np.maximum.reduce(d))
+        if not (lo > 0.0 and hi < math.inf):
             raise ConfigError("preconditioner diagonal must be positive finite")
         return d
 
@@ -191,7 +199,7 @@ class ProbeRecord(NamedTuple):
     lambda_max_Hhat: float
     lambda_grad_Hhat: float  # None when the gradient vanished
     threshold: float  # 2 / eta_t
-    power_iters_used: int  # products of the solve that gave lambda_max_Hhat
+    power_iters_used: int  # products of the solve that gave lambda_max_Hhat; 0 in closed form
     converged: bool
 
 
@@ -220,6 +228,20 @@ def _raw_top(hvp, v0, cold, max_iters, tol) -> PowerResult:
     return lanczos(hvp, cold(), max_iters, tol) if res.value < 0 else res
 
 
+def _closed_form(lam, pre, g, eta_t, step) -> ProbeRecord:
+    """compute_probe on a one-parameter run's floats, whose Hessian is the
+    number lam: the bits the solvers give on the 1x1 operator, no product
+    taken. Power iteration reads a zero operator as +0.0 (-0.0 + 0.0), and
+    Lanczos's one product on D^(1/2) H D^(1/2) is sqrt(d) (lam sqrt(d)), NaN
+    and unconverged where it is not finite."""
+    d, raw = pre.diag(), lam + 0.0
+    hat = d * raw if pre.root is None else math.sqrt(d) * (lam * math.sqrt(d))
+    ok = pre.root is None or math.isfinite(hat)
+    gn2 = g * g  # lambda_grad's g.g; None where it is 0
+    lg = g * (d * (lam * g)) / gn2 if gn2 != 0.0 else None
+    return ProbeRecord(step, raw, hat if ok else math.nan, lg, 2.0 / eta_t, 0, ok)
+
+
 def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
                   max_iters=PI_MAX_ITERS, tol=PI_TOL) -> ProbeRecord:
     """Full probe at one step; mutates `warm` with the new eigenvectors.
@@ -228,8 +250,12 @@ def compute_probe(obj, theta, pre, g, eta_t, step, seed, warm,
     solve without a usable warm vector starts from the step's seeded cold
     draw. A scalar D = c gives lambda_max(D H) = c lambda_max(H) without a
     second solve; power_iters_used counts the products of the solve that
-    gave lambda_max_Hhat.
+    gave lambda_max_Hhat. A float theta (with a float g and root) is a
+    one-parameter quadratic's, probed in closed form from obj.lambda_max()
+    with no HVP, solve or warm vector, and power_iters_used 0.
     """
+    if isinstance(theta, float):
+        return _closed_form(obj.lambda_max(), pre, g, eta_t, step)
     hvp = obj.hvp_at(theta)
 
     def cold():

@@ -273,9 +273,21 @@ def test_t1_scan_is_linear_on_a_long_run():
     segmented, with_scan = run_s(True)
     _, without = run_s(False)
     assert with_scan < without + 1.0
-    t0 = time.perf_counter()
-    segment_stages(segmented.trace, segmented.scenario.hyper)
-    assert time.perf_counter() - t0 < 0.25
+
+    # against a trace a fifth as long, so the box's load divides out. The
+    # screen's cost is its confirming fits: 578 tails of the 4e3-step trace
+    # pass it, 23 of the 2e4-step one, and the 2e4-step call took 0.35-0.47
+    # times the 4e3-step one; the old refit was 3.6-4.3 times slower at 2e4
+    def segment_s(res):
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            segment_stages(res.trace, res.scenario.hyper)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    short = run_scenario(build_scenario({**preset_config("figD9-adagrad"), "n_steps": 4000}))
+    assert segment_s(segmented) < 2.0 * segment_s(short)
 
 
 # === first crossings ========================================================

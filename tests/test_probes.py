@@ -1,11 +1,15 @@
 """Spectral probes against dense linear-algebra oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from spikelab import (AdamHyper, Preconditioner, ProbePlan, ProbeWarmStart, QuadraticSpec,
-                      compute_probe, dense_hessian, lambda_grad, lanczos, make_quadratic,
-                      power_iteration, preset_config, run, stream)
+from spikelab import (OPTIMIZER_KINDS, AdamHyper, Preconditioner, ProbePlan, ProbeWarmStart,
+                      QuadraticObjective, QuadraticSpec, build_scenario, compute_probe,
+                      dense_hessian, lambda_grad, lanczos, make_quadratic, power_iteration,
+                      preset_config, run, run_scenario, stream)
 from spikelab import probes
 from spikelab.errors import ConfigError, ZeroGradient
 
@@ -288,3 +292,98 @@ def test_lambda_max_is_the_top_eigenvalue_not_the_dominant_one():
     for col in ("lambda_max_H", "lambda_max_Hhat"):
         assert trace.probes[col] == pytest.approx(1.0, rel=1e-6)
     assert trace.probes["converged"].all()
+
+
+# === closed-form probes at one parameter ====================================
+
+# lambda, the root of v_hat (None: D is the scalar scale), epsilon, scale and
+# g. Each |lambda| squares to a normal float, where the one-element solvers
+# take no rounding step (see the test after this one). |lambda| >= 1e100 under
+# a root of 1e-300 and no epsilon makes sqrt(d) (lambda sqrt(d)) overflow; a root of 0
+# or -0.0 with no epsilon is a zero denominator; g = 1e-170 squares to 0 and
+# g = 1e200 to inf.
+CLOSED_LAMS = (1.0, 0.37, 100.0, 2.0 ** 511, -3.0, -1e150, 0.0, -0.0, 1e100)
+CLOSED_ROOTS = (None, 0.0, -0.0, 1e-300, 0.3, 2.0, 1e5)
+CLOSED_EPSILONS = (0.0, 1e-8, 1e-3)
+CLOSED_SCALES = (1.0, 0.9 / 1.1, 0.1 / 1.9 / 0.1, 1e-3)
+CLOSED_GRADS = (0.0, -0.0, 1.0, -0.731, 1e-170, 1e200)
+
+
+@pytest.mark.parametrize("lam", CLOSED_LAMS)
+@np.errstate(all="ignore")  # as run's probes are
+def test_closed_form_probe_has_the_one_element_solvers_bits(lam):
+    # compute_probe on floats against compute_probe on one-element arrays,
+    # whose solvers run: power iteration, Lanczos where lambda < 0, and a
+    # second Lanczos under a v_hat root. The array probes share one warm start,
+    # cold for the first probe and warm after, as in a run.
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(lam,)))
+    warm, seen = ProbeWarmStart(), {"nan": 0, "no-grad": 0, "refused": 0}
+    for root, eps, scale, g in itertools.product(CLOSED_ROOTS, CLOSED_EPSILONS,
+                                                 CLOSED_SCALES, CLOSED_GRADS):
+        if root is None and eps:
+            continue  # epsilon is unread without a root
+        pre = Preconditioner(root, eps, scale)
+        pre_arr = pre if root is None else Preconditioner(np.array([root]), eps, scale)
+        try:
+            arr = compute_probe(obj, np.array([0.7]), pre_arr, np.array([g]), 0.1, 4, 0, warm)
+        except ConfigError as err:
+            with pytest.raises(ConfigError, match=str(err)):
+                compute_probe(obj, 0.7, pre, g, 0.1, 4, 0, ProbeWarmStart())
+            seen["refused"] += 1
+            continue
+        got = compute_probe(obj, 0.7, pre, g, 0.1, 4, 0, ProbeWarmStart())
+        assert got.power_iters_used == 0
+        assert repr(got._replace(power_iters_used=None)) == repr(
+            arr._replace(power_iters_used=None)), (root, eps, scale, g)
+        seen["nan"] += math.isnan(got.lambda_max_Hhat) and not got.converged
+        seen["no-grad"] += got.lambda_grad_Hhat is None
+    assert seen["no-grad"] and seen["refused"]
+    assert bool(seen["nan"]) == (abs(lam) >= 1e100)  # d reaches 1e300
+
+
+@pytest.mark.parametrize("lam", [1e200, -1e200, 1e-160, 1e-300])
+def test_closed_form_reads_lambda_where_the_one_element_solvers_round(lam):
+    # power iteration's norm squares lambda: past 2^512 the square overflows
+    # and the solve reads 0.0; below 2^-511 it loses bits or underflows
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(lam,)))
+    pre = Preconditioner(None, 0.0, 1.0)
+    with np.errstate(all="ignore"):
+        arr = compute_probe(obj, np.array([0.7]), pre, np.array([1.0]), 0.1, 0, 0,
+                            ProbeWarmStart())
+    got = compute_probe(obj, 0.7, pre, 1.0, 0.1, 0, 0, ProbeWarmStart())
+    assert got.lambda_max_H == lam != arr.lambda_max_H
+    assert got.converged
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_one_parameter_probes_take_no_product_or_solve(kind, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-parameter probe took a product or a solve")
+
+    monkeypatch.setattr(QuadraticObjective, "hvp_at", refuse)
+    monkeypatch.setattr(probes, "power_iteration", refuse)
+    monkeypatch.setattr(probes, "lanczos", refuse)
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(3.0,)))
+    trace = run(obj, obj.initial_point(0.7), kind, AdamHyper(eta=0.05), n_steps=30,
+                probes=ProbePlan(every=2))
+    assert trace.status == "completed" and trace.probes.size == 15
+    assert trace.probes["converged"].all() and not trace.probes["power_iters_used"].any()
+
+
+def test_many_parameter_probes_still_take_the_solvers(monkeypatch):
+    # figD12 (100 parameters) probes through the HVP closure and the solvers
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((QuadraticObjective, "hvp_at"), (probes, "power_iteration")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    res = run_scenario(build_scenario({**preset_config("figD12-gd-delay"), "n_steps": 5}))
+    assert res.trace.probes.size == 5 and res.trace.probes["power_iters_used"].all()
+    # the first probe calls power_iteration twice: its missing warm vector is
+    # refused and the cold draw taken
+    assert calls.count("hvp_at") == 5 and calls.count("power_iteration") == 6
