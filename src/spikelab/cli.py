@@ -18,9 +18,9 @@ from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
-from .oracles import (DENSE_ORACLE_CAP, check_descent_lemma, momentum_boundary,
-                      momentum_stability_classify, real_spectrum_check,
-                      spike_iff_check)
+from .oracles import (DENSE_ORACLE_CAP, check_descent_lemma, evidence_verdict,
+                      momentum_boundary, momentum_stability_classify,
+                      real_spectrum_check, spike_iff_check)
 from .rngs import stream
 from .scenarios import (PRESETS, apply_overrides, build_scenario, load_config_file,
                         preset_config, read_floats)
@@ -106,20 +106,15 @@ def cmd_sweep(args) -> int:
 # === verify =================================================================
 
 
-def _verdict(evidence: int, holds: bool) -> str:
-    """PASS or FAIL over `evidence` checked steps; with none, no verdict."""
-    return ("PASS" if holds else "FAIL") if evidence else "SKIPPED (no evidence)"
-
-
 def _verify_five_stage(theta0, eta, beta2, max_steps):
-    cert, payload = five_stage_check(theta0, eta, beta2, max_steps)
-    if cert is None:
-        return payload, f": {payload['reason']}"
-    if not cert.hypothesis_ok:
-        return payload, ""
-    b = cert.simulated_boundaries
+    cert = five_stage_check(theta0, eta, beta2, max_steps)
+    if "reason" in cert:
+        return cert, f": {cert['reason']}"
+    if not cert["hypothesis"]["ok"]:
+        return cert, ""
+    b = cert["boundaries"]
     bounds = " ".join(f"{k}={b[k]}" for k in ("t0", "t1", "t2", "t3", "t4", "t5"))
-    return payload, f" worst_slack={payload['worst_slack']:.3g} {bounds}"
+    return cert, f" worst_slack={cert['worst_slack']:.3g} {bounds}"
 
 
 def _verify_momentum_boundary(eta, beta1, margin, lam):
@@ -155,18 +150,10 @@ def _verify_descent(eta, eigenvalues, steps, theta0):
     }
     sc = build_scenario(flat)
     result = run_scenario(sc)
-    report = check_descent_lemma(result.trace, sc.objective)
-    payload = {
-        "theorem": "descent",
-        "verdict": _verdict(report.checked_steps, report.holds),
-        "worst_slack": report.worst_slack,
-        "checked_steps": report.checked_steps,
-        "skipped_steps": report.skipped_steps,
-        "violations": report.violations,
-        "params": {"eta": eta, "eigenvalues": eigenvalues, "steps": steps},
-    }
-    return payload, (f" worst_slack={report.worst_slack:.3g} "
-                     f"checked={report.checked_steps} skipped={report.skipped_steps}")
+    cert = dict(check_descent_lemma(result.trace, sc.objective),
+                params={"eta": eta, "eigenvalues": eigenvalues, "steps": steps})
+    return cert, (f" worst_slack={cert['worst_slack']:.3g} "
+                  f"checked={cert['checked_steps']} skipped={cert['skipped_steps']}")
 
 
 @np.errstate(all="ignore")  # a diverging iterate raises DivergedEvaluation, unwarned
@@ -192,7 +179,7 @@ def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
     frac = consistent / determinate if determinate else None
     payload = {
         "theorem": "spike-iff",
-        "verdict": _verdict(determinate, frac is not None and frac >= min_consistency),
+        "verdict": evidence_verdict(determinate, frac is not None and frac >= min_consistency),
         "consistent_fraction": frac,
         "determinate_steps": determinate,
         "total_steps": steps,
@@ -203,10 +190,10 @@ def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
 
 
 def _verify_lr_decay(theta0, eta0, alpha, beta2, max_steps):
-    report, payload = lr_decay_check(theta0, eta0, alpha, beta2, max_steps)
-    if report is None:
-        return payload, f": {payload['reason']}"
-    return payload, f" step={report.step} checked={report.checked_steps}"
+    cert = lr_decay_check(theta0, eta0, alpha, beta2, max_steps)
+    if "reason" in cert:
+        return cert, f": {cert['reason']}"
+    return cert, f" step={cert['witness_step']} checked={cert['checked_steps']}"
 
 
 def _verify_real_spectrum(dim, seed):
@@ -214,17 +201,9 @@ def _verify_real_spectrum(dim, seed):
     a = rng.normal(size=(dim, dim))
     H = 0.5 * (a + a.T)
     d = np.exp(rng.normal(size=dim))
-    report = real_spectrum_check(H, d)
-    payload = {
-        "theorem": "real-spectrum",
-        "verdict": "PASS" if report.holds else "FAIL",
-        "max_imag_ratio": report.max_imag_ratio,
-        "max_rel_mismatch": report.max_rel_mismatch,
-        "spectral_radius": report.spectral_radius,
-        "params": {"dim": dim, "seed": seed},
-    }
-    return payload, (f" max_imag_ratio={report.max_imag_ratio:.3g} "
-                     f"max_rel_mismatch={report.max_rel_mismatch:.3g}")
+    cert = dict(real_spectrum_check(H, d), params={"dim": dim, "seed": seed})
+    return cert, (f" max_imag_ratio={cert['max_imag_ratio']:.3g} "
+                  f"max_rel_mismatch={cert['max_rel_mismatch']:.3g}")
 
 
 # A domain is (what a value must be, its test); None admits any value.

@@ -118,16 +118,16 @@ def _empty_trace(sc: Scenario) -> RunTrace:
                     block_names=("theta",), initial_loss=0.5 * sc.theta0 * sc.theta0)
 
 
-def _theorem_trace(sc: Scenario, cert) -> RunTrace:
+def _theorem_trace(sc: Scenario, params: dict) -> RunTrace:
     """Trace of the beta1=0 scalar recursion, probes synthesized exactly.
 
     Record i covers theta_i -> theta_{i+1}; the preconditioned curvature at
     step i is 1/sqrt(v_i) because the recursion applies the delayed second
     moment, and the raw curvature of the scalar objective is 1.
     """
-    eta = cert.eta
-    n = cert.max_steps
-    th, v = theorem_recursion(cert.theta0, eta, cert.beta2, n)
+    eta = params["eta"]
+    n = params["max_steps"]
+    th, v = theorem_recursion(params["theta0"], eta, params["beta2"], n)
     rv = np.sqrt(v)
     lam, yes = 1.0 / rv[:n], np.ones(n, bool)
     probes = np.rec.fromarrays([np.arange(n), np.ones(n), lam, lam, np.full(n, 2.0 / eta),
@@ -144,15 +144,14 @@ def _theorem_trace(sc: Scenario, cert) -> RunTrace:
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
-    cert, payload = five_stage_check(sc.theta0, sc.hyper.eta, sc.hyper.beta2,
-                                     sc.n_steps or None)
-    ok = cert is not None and cert.hypothesis_ok
-    trace = _theorem_trace(sc, cert) if ok else _empty_trace(sc)
+    cert = five_stage_check(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
+    ok = not cert["verdict"].startswith("SKIPPED")  # refused, or outside the hypothesis
+    trace = _theorem_trace(sc, cert["params"]) if ok else _empty_trace(sc)
     analysis = _analyze(trace, sc)
 
     if ok and analysis.get("segmentation"):
         segb = analysis["segmentation"]["boundaries"]
-        certb = cert.simulated_boundaries
+        certb = cert["boundaries"]
         checks = {
             "t2_matches": segb["t2"] == certb["t2"],
             "t3_follows_t2": (certb["t2"] is not None
@@ -166,74 +165,39 @@ def _five_stage_mode(sc: Scenario) -> RunResult:
         analysis["theorem_consistency"] = dict(
             checks, all_consistent=all(checks.values()))
 
-    return RunResult(scenario=sc, trace=trace, analysis=analysis,
-                     certificate=payload)
-
-
-def five_stage_check(theta0, eta, beta2, max_steps):
-    """(certificate, certificate.json body) for the five-stage theorem.
-
-    The certificate is None when the oracle refuses the input; the body then
-    gives the refusal as a SKIPPED (hypothesis) verdict and its reason.
-    """
-    try:
-        cert = five_stage_certificate(theta0, eta, beta2, max_steps=max_steps)
-    except PreconditionViolation as exc:
-        return None, _skipped("five-stage", exc)
-    if not cert.hypothesis_ok:
-        verdict = "SKIPPED (hypothesis)"
-    else:
-        verdict = "PASS" if cert.all_hold() else "FAIL"
-    return cert, {
-        "theorem": "five-stage",
-        "verdict": verdict,
-        "params": {"theta0": cert.theta0, "eta": cert.eta,
-                   "beta2": cert.beta2, "max_steps": cert.max_steps},
-        "hypothesis": {"ok": cert.hypothesis_ok, "lhs": cert.hypothesis_lhs,
-                       "rhs": cert.hypothesis_rhs},
-        "t1_formula": cert.t1_formula,
-        "s": cert.s,
-        "delta": cert.delta,
-        "q": cert.q,
-        "t5_kind": cert.t5_kind,
-        "boundaries": cert.simulated_boundaries,
-        "checks": cert.per_stage_inequalities,
-        "worst_slack": cert.worst_slack(),
-    }
+    return RunResult(scenario=sc, trace=trace, analysis=analysis, certificate=cert)
 
 
 def _lr_decay_mode(sc: Scenario) -> RunResult:
-    report, payload = lr_decay_check(sc.theta0, sc.hyper.eta, sc.alpha,
-                                     sc.hyper.beta2, sc.n_steps)
+    cert = lr_decay_check(sc.theta0, sc.hyper.eta, sc.alpha, sc.hyper.beta2, sc.n_steps)
     trace = _empty_trace(sc)
-    witness = None if report is None else {
-        "found": report.found, "step": report.step, "checked_steps": report.checked_steps}
+    witness = None if "reason" in cert else {
+        "found": cert["verdict"] == "WITNESS-FOUND", "step": cert["witness_step"],
+        "checked_steps": cert["checked_steps"]}
     analysis = dict(_analyze(trace, sc), crossings={}, witness=witness)
-    return RunResult(scenario=sc, trace=trace, analysis=analysis,
-                     certificate=payload)
+    return RunResult(scenario=sc, trace=trace, analysis=analysis, certificate=cert)
 
 
-def lr_decay_check(theta0, eta0, alpha, beta2, max_steps):
-    """(report, certificate.json body) for the lr-decay witness search.
-
-    As in five_stage_check, the report is None when the oracle refuses.
-    """
+def five_stage_check(theta0, eta, beta2, max_steps) -> dict:
+    """five_stage_certificate's certificate.json body; a refusal of its input
+    becomes a SKIPPED (hypothesis) body that gives the reason."""
     try:
-        report = lr_decay_witness(theta0, eta0, alpha, beta2, max_steps=max_steps)
+        return five_stage_certificate(theta0, eta, beta2, max_steps=max_steps)
     except PreconditionViolation as exc:
-        return None, _skipped("lr-decay", exc)
-    return report, {
-        "theorem": "lr-decay",
-        "verdict": "WITNESS-FOUND" if report.found else "NO-WITNESS",
-        "params": report.params,
-        "witness_step": report.step,
-        "checked_steps": report.checked_steps,
-    }
+        return _refused("five-stage", exc)
 
 
-def _skipped(theorem: str, exc: PreconditionViolation) -> dict:
-    return {"theorem": theorem, "verdict": "SKIPPED (hypothesis)",
-            "reason": str(exc)}
+def lr_decay_check(theta0, eta0, alpha, beta2, max_steps) -> dict:
+    """lr_decay_witness's certificate.json body, or its refusal as in
+    five_stage_check."""
+    try:
+        return lr_decay_witness(theta0, eta0, alpha, beta2, max_steps=max_steps)
+    except PreconditionViolation as exc:
+        return _refused("lr-decay", exc)
+
+
+def _refused(theorem: str, exc: PreconditionViolation) -> dict:
+    return {"theorem": theorem, "verdict": "SKIPPED (hypothesis)", "reason": str(exc)}
 
 
 # === run directories ========================================================

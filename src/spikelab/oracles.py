@@ -4,6 +4,11 @@ iff spike condition via the averaged Hessian, and decaying-LR instability;
 plus the derivative oracles the tests hold the objectives to: a central
 finite-difference HVP and a dense Hessian capped at small sizes.
 
+The descent, real-spectrum, five-stage and lr-decay oracles return the body
+of their certificate.json: the theorem, its verdict and the numbers behind
+it. A caller adds only what the oracle cannot know, such as the command-line
+text it was given.
+
 Theorem-mode recursions here use beta1=0, epsilon=0, no bias correction, and
 the delayed second moment (the step at time t uses v_t, then v updates).
 The production Adam in the optimizers module differs; the two are never
@@ -11,7 +16,7 @@ conflated.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,16 +71,12 @@ def dense_hessian(obj, point) -> np.ndarray:
 # === descent estimate (GD on quadratics) ====================================
 
 
-@dataclass(frozen=True)
-class DescentReport:
-    holds: bool
-    worst_slack: float
-    checked_steps: int
-    skipped_steps: int
-    violations: int
+def evidence_verdict(evidence: int, holds: bool) -> str:
+    """PASS or FAIL over `evidence` checked steps; with none, no verdict."""
+    return ("PASS" if holds else "FAIL") if evidence else "SKIPPED (no evidence)"
 
 
-def check_descent_lemma(trace, obj) -> DescentReport:
+def check_descent_lemma(trace, obj) -> dict:
     """Per-step descent inequality for GD on a quadratic with known lambda_max."""
     if obj.kind != "quadratic":
         raise OracleMisuse("descent check requires a quadratic objective")
@@ -91,8 +92,10 @@ def check_descent_lemma(trace, obj) -> DescentReport:
     bound = prev - eta * (1.0 - eta * lam / 2.0) * trace.grad_norm[checked] ** 2
     slack = bound + DESCENT_TOL * np.abs(prev) - loss
     violations = int((slack < 0).sum())
-    return DescentReport(violations == 0, float(slack.min()) if slack.size else 0.0,
-                         slack.size, len(trace) - slack.size, violations)
+    return {"theorem": "descent", "verdict": evidence_verdict(slack.size, violations == 0),
+            "worst_slack": float(slack.min()) if slack.size else 0.0,
+            "checked_steps": slack.size, "skipped_steps": len(trace) - slack.size,
+            "violations": violations}
 
 
 # === momentum stability (heavy-ball three-term recursion) ===================
@@ -129,15 +132,7 @@ def momentum_stability_classify(lam: float, eta: float, beta1: float,
 # === real spectrum of D H ===================================================
 
 
-@dataclass(frozen=True)
-class RealSpectrumReport:
-    holds: bool
-    max_imag_ratio: float
-    max_rel_mismatch: float
-    spectral_radius: float
-
-
-def real_spectrum_check(H: np.ndarray, d: np.ndarray) -> RealSpectrumReport:
+def real_spectrum_check(H: np.ndarray, d: np.ndarray) -> dict:
     """eig(diag(d) H) must be real and match eig(diag(sqrt(d)) H diag(sqrt(d)))."""
     H = np.asarray(H, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -157,40 +152,13 @@ def real_spectrum_check(H: np.ndarray, d: np.ndarray) -> RealSpectrumReport:
     scale = max(radius, 1e-300)
     mismatch = float(np.abs(a - b).max()) / scale
     imag_ratio = max_imag / scale
-    return RealSpectrumReport(
-        holds=imag_ratio <= 1e-8 and mismatch <= 1e-8,
-        max_imag_ratio=imag_ratio,
-        max_rel_mismatch=mismatch,
-        spectral_radius=radius,
-    )
+    return {"theorem": "real-spectrum",
+            "verdict": "PASS" if imag_ratio <= 1e-8 and mismatch <= 1e-8 else "FAIL",
+            "max_imag_ratio": imag_ratio, "max_rel_mismatch": mismatch,
+            "spectral_radius": radius}
 
 
 # === five-stage certificate =================================================
-
-
-@dataclass(frozen=True)
-class FiveStageCertificate:
-    theta0: float
-    eta: float
-    beta2: float
-    hypothesis_ok: bool
-    t1_formula: float
-    s: float
-    delta: float
-    simulated_boundaries: dict
-    per_stage_inequalities: list
-    q: float = None
-    t5_kind: str = None  # reviolation | trace-end
-    max_steps: int = 0
-    hypothesis_lhs: float = 0.0
-    hypothesis_rhs: float = 0.0
-
-    def all_hold(self) -> bool:
-        return self.hypothesis_ok and all(e["holds"] for e in self.per_stage_inequalities)
-
-    def worst_slack(self) -> float:
-        slacks = [e["worst_slack"] for e in self.per_stage_inequalities]
-        return min(slacks) if slacks else 0.0
 
 
 def theorem_recursion(theta0, eta, beta2, n_steps):
@@ -206,8 +174,13 @@ def theorem_recursion(theta0, eta, beta2, n_steps):
 
 
 def five_stage_certificate(theta0: float, eta: float, beta2: float,
-                           max_steps: int = None) -> FiveStageCertificate:
-    """Simulate the beta1=0 scalar recursion and certify the stage structure."""
+                           max_steps: int = None) -> dict:
+    """Simulate the beta1=0 scalar recursion and certify the stage structure.
+
+    The verdict is PASS when every check holds and FAIL when one does not.
+    Outside the hypothesis lhs > rhs it is SKIPPED (hypothesis), with no
+    simulation, no boundaries and no checks.
+    """
     if not (eta > 0 and 0.0 < beta2 < 1.0):
         raise PreconditionViolation("need eta > 0 and beta2 in (0, 1)")
     if not math.isfinite(theta0 * theta0):
@@ -231,12 +204,14 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     if max_steps is None:
         max_steps = max(1000, int(math.ceil(horizon)))
 
+    body = {"theorem": "five-stage", "verdict": "SKIPPED (hypothesis)",
+            "params": {"theta0": theta0, "eta": eta, "beta2": beta2, "max_steps": max_steps},
+            "hypothesis": {"ok": hypothesis_ok, "lhs": lhs, "rhs": rhs},
+            "t1_formula": t1_formula, "s": s, "delta": delta, "q": None,
+            "t5_kind": None,  # reviolation | trace-end
+            "boundaries": {}, "checks": [], "worst_slack": 0.0}
     if not hypothesis_ok:
-        return FiveStageCertificate(
-            theta0=theta0, eta=eta, beta2=beta2, hypothesis_ok=False,
-            t1_formula=t1_formula, s=s, delta=delta,
-            simulated_boundaries={}, per_stage_inequalities=[],
-            max_steps=max_steps, hypothesis_lhs=lhs, hypothesis_rhs=rhs)
+        return body
 
     th, v = theorem_recursion(theta0, eta, beta2, max_steps)
     rv = np.sqrt(v)
@@ -298,12 +273,10 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
                    "holds": bool(finite and min(gaps) > 0),
                    "worst_slack": float(min(gaps))})
 
-    return FiveStageCertificate(
-        theta0=theta0, eta=eta, beta2=beta2, hypothesis_ok=True,
-        t1_formula=t1_formula, s=s, delta=delta,
-        simulated_boundaries=boundaries, per_stage_inequalities=checks,
-        q=q, t5_kind=t5_kind, max_steps=max_steps,
-        hypothesis_lhs=lhs, hypothesis_rhs=rhs)
+    body.update(verdict="PASS" if all(c["holds"] for c in checks) else "FAIL",
+                q=q, t5_kind=t5_kind, boundaries=boundaries, checks=checks,
+                worst_slack=min(c["worst_slack"] for c in checks))
+    return body
 
 
 # === exact iff condition via the averaged Hessian ===========================
@@ -361,21 +334,13 @@ def spike_iff_check(obj, theta_t, eta: float,
 # === decaying learning rate =================================================
 
 
-@dataclass(frozen=True)
-class LrDecayReport:
-    found: bool
-    step: int  # None when no witness within max_steps
-    checked_steps: int
-    params: dict = field(default_factory=dict)
-
-
 def lr_decay_witness(theta0: float, eta0: float, alpha: float, beta2: float,
-                     max_steps: int = 10 ** 6) -> LrDecayReport:
+                     max_steps: int = 10 ** 6) -> dict:
     """First step where |1 - eta_t/sqrt(v_t)| >= 1 under eta_t = eta0 (t+1)^-alpha.
 
-    Reports a witness or its absence within max_steps; existence is only
-    claimed by the theory for beta2 close to 1, so absence is never asserted
-    as a theorem violation.
+    The verdict is WITNESS-FOUND or NO-WITNESS within max_steps; existence is
+    only claimed by the theory for beta2 close to 1, so absence is never
+    asserted as a theorem violation.
     """
     if not 0.0 < alpha < 1.0:
         raise PreconditionViolation("need alpha in (0, 1)")
@@ -388,18 +353,16 @@ def lr_decay_witness(theta0: float, eta0: float, alpha: float, beta2: float,
     a0 = abs(theta0)
     if a0 <= 2.0 * eta0:
         raise PreconditionViolation("need |theta0| > 2 eta0 (equality refused)")
-    params = {"theta0": theta0, "eta0": eta0, "alpha": alpha,
-              "beta2": beta2, "max_steps": max_steps}
+    body = {"theorem": "lr-decay", "params": {"theta0": theta0, "eta0": eta0, "alpha": alpha,
+                                              "beta2": beta2, "max_steps": max_steps}}
     th = float(theta0)
     v = th * th
     for t in range(max_steps):
         eta_t = eta0 * float(t + 1) ** (-alpha)
         ratio = eta_t / math.sqrt(v)
         if abs(1.0 - ratio) >= 1.0:
-            return LrDecayReport(found=True, step=t, checked_steps=t + 1,
-                                 params=params)
+            return dict(body, verdict="WITNESS-FOUND", witness_step=t, checked_steps=t + 1)
         th_new = (1.0 - ratio) * th
         v = beta2 * v + (1.0 - beta2) * th * th
         th = th_new
-    return LrDecayReport(found=False, step=None, checked_steps=max_steps,
-                         params=params)
+    return dict(body, verdict="NO-WITNESS", witness_step=None, checked_steps=max_steps)

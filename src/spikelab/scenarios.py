@@ -48,26 +48,33 @@ def load_config_file(path) -> dict:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    flat = {}
+    flat, line_of = {}, {}
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, value = body.partition("=")
-        flat[key.strip()] = parse_scalar(value)
+        key, value = _pair(body, f"{path}:{lineno}: expected key = value")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: {key} is set again (first on line "
+                              f"{line_of[key]})")
+        flat[key], line_of[key] = value, lineno
     return flat
 
 
 def apply_overrides(flat: dict, pairs) -> dict:
+    """flat with each 'key=value' override applied in turn; the last one wins."""
     out = dict(flat)
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} must look like key=value")
-        key, _, value = pair.partition("=")
-        out[key.strip()] = parse_scalar(value)
+    out.update(_pair(p, f"override {p!r} must look like key=value") for p in pairs)
     return out
+
+
+def _pair(text: str, problem: str):
+    """(key, parsed value) of one 'key = value' text; ConfigError(problem)
+    when it has no '='."""
+    if "=" not in text:
+        raise ConfigError(problem)
+    key, _, value = text.partition("=")
+    return key.strip(), parse_scalar(value)
 
 
 def _int(flat, key, default):

@@ -120,14 +120,14 @@ def test_criterion_05_certificate_grid():
         for eta in (0.08, 0.1, 0.15, 0.2):
             for beta2 in (0.98, 0.985, 0.99):
                 cert = five_stage_certificate(theta0, eta, beta2)
-                b = cert.simulated_boundaries
+                b = cert["boundaries"]
                 seq = [b.get(k) for k in ("t0", "t1", "t2", "t3", "t4", "t5")]
                 ordered = (all(v is not None for v in seq)
                            and all(x < y for x, y in zip(seq, seq[1:])))
-                if cert.hypothesis_ok and cert.all_hold() and ordered \
-                        and cert.worst_slack() >= -1e-12:
+                if cert["hypothesis"]["ok"] and cert["verdict"] == "PASS" and ordered \
+                        and cert["worst_slack"] >= -1e-12:
                     passed += 1
-                    worst = min(worst, cert.worst_slack())
+                    worst = min(worst, cert["worst_slack"])
                 else:
                     bad.append((theta0, eta, beta2))
     dt = time.monotonic() - t0
@@ -299,10 +299,11 @@ def test_criterion_12_lr_decay_witness():
     report = lr_decay_witness(1.0, 0.1, 0.5, 0.9999)
     control = lr_decay_witness(1.0, 0.1, 0.5, 0.5)
     dt = time.monotonic() - t0
-    ok = report.found and report.step == 180984 and dt < 30.0
-    _gate(12, ok, f"beta2=0.9999 witness at step {report.step}; control "
-                  f"beta2=0.5 reported found={control.found} "
-                  f"step={control.step} (not asserted), {dt:.1f}s")
+    ok = (report["verdict"] == "WITNESS-FOUND" and report["witness_step"] == 180984
+          and dt < 30.0)
+    _gate(12, ok, f"beta2=0.9999 witness at step {report['witness_step']}; control "
+                  f"beta2=0.5 reported {control['verdict']} "
+                  f"step={control['witness_step']} (not asserted), {dt:.1f}s")
 
 
 # === 13: numerical hygiene ==================================================
@@ -346,7 +347,7 @@ def test_criterion_13_hygiene(quad3, small_fnn, fnn_point):
 
     a = rng.normal(size=(40, 40))
     spec = real_spectrum_check(0.5 * (a + a.T), np.exp(rng.normal(size=40)))
-    if not spec.holds:
+    if spec["verdict"] != "PASS":
         failures.append("real-spectrum")
 
     dt = time.monotonic() - t0

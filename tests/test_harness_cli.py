@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikelab import (build_scenario, preset_config, run_scenario, write_run_dir,
-                      write_trace_csv)
+from spikelab import (SCHEMA_VERSION, AdamHyper, QuadraticSpec, build_scenario,
+                      check_descent_lemma, five_stage_certificate, lr_decay_witness,
+                      make_quadratic, preset_config, real_spectrum_check, run, run_scenario,
+                      stream, write_run_dir, write_trace_csv)
 from spikelab.analysis import detect_spikes_series, pre_spike_index
 from spikelab import harness
 from spikelab.cli import main
@@ -356,6 +358,13 @@ def test_cli_run_config_file(tmp_path, capsys):
     assert "seed=4" in capsys.readouterr().out
 
 
+def test_cli_run_config_file_with_a_repeated_key_exits_one(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("optimizer.kind = gd\noptimizer.eta = 0.1\noptimizer.eta = 0.2\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "optimizer.eta is set again (first on line 2)" in capsys.readouterr().err
+
+
 def test_cli_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -524,6 +533,63 @@ def test_cli_verify_real_spectrum(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("real-spectrum: PASS")
+
+
+def _descent_body():
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 5.0, 10.0)))
+    trace = run(obj, obj.initial_point(1.0), "gd", AdamHyper(eta=0.15), n_steps=100)
+    return dict(check_descent_lemma(trace, obj),
+                params={"eta": 0.15, "eigenvalues": "1.0,5.0,10.0", "steps": 100})
+
+
+def _real_spectrum_body():
+    rng = stream(0, "verify")
+    a = rng.normal(size=(40, 40))
+    body = real_spectrum_check(0.5 * (a + a.T), np.exp(rng.normal(size=40)))
+    return dict(body, params={"dim": 40, "seed": 0})
+
+
+def _thmD4_body():
+    sc = build_scenario(preset_config("thmD4"))
+    return five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
+
+
+def _thmD6_body():
+    sc = build_scenario(preset_config("thmD6"))
+    return lr_decay_witness(sc.theta0, sc.hyper.eta, sc.alpha, sc.hyper.beta2, sc.n_steps)
+
+
+FIVE_STAGE_KEYS = {"theorem", "verdict", "params", "hypothesis", "t1_formula", "s", "delta",
+                   "q", "t5_kind", "boundaries", "checks", "worst_slack"}
+LR_DECAY_KEYS = {"theorem", "verdict", "params", "witness_step", "checked_steps"}
+
+
+@pytest.mark.parametrize("argv,body,keys", [
+    (["verify", "descent"], _descent_body,
+     {"theorem", "verdict", "worst_slack", "checked_steps", "skipped_steps", "violations",
+      "params"}),
+    (["verify", "real-spectrum"], _real_spectrum_body,
+     {"theorem", "verdict", "max_imag_ratio", "max_rel_mismatch", "spectral_radius",
+      "params"}),
+    (["verify", "five-stage"], lambda: five_stage_certificate(10.0, 0.15, 0.99),
+     FIVE_STAGE_KEYS),
+    (["verify", "lr-decay"], lambda: lr_decay_witness(1.0, 0.1, 0.5, 0.99, 10 ** 6),
+     LR_DECAY_KEYS),
+    (["run", "--scenario", "thmD4"], _thmD4_body, FIVE_STAGE_KEYS),
+    (["run", "--scenario", "thmD6"], _thmD6_body, LR_DECAY_KEYS),
+], ids=["descent", "real-spectrum", "five-stage", "lr-decay", "thmD4", "thmD6"])
+def test_certificate_file_is_the_oracle_body(argv, body, keys, capsys):
+    """Each certificate.json is its oracle's return value, plus the params
+    only the command line knows, and nothing built beside it."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "verify":
+        cert = _cert_from(out)
+    else:
+        cert = json.loads((Path(out.split("dir=", 1)[1].strip()) / "certificate.json")
+                          .read_text())
+    assert cert == dict(harness._clean(body()), schema_version=SCHEMA_VERSION)
+    assert set(cert) == keys | {"schema_version"}
 
 
 # === cli: sweep =============================================================

@@ -21,10 +21,10 @@ def test_descent_lemma_holds_on_stable_gd():
     trace = run(obj, obj.initial_point(1.0), "gd", AdamHyper(eta=0.05),
                 n_steps=50)
     report = check_descent_lemma(trace, obj)
-    assert report.holds
-    assert report.checked_steps > 0
-    assert report.violations == 0
-    assert report.worst_slack >= 0.0
+    assert report["verdict"] == "PASS"
+    assert report["checked_steps"] > 0
+    assert report["violations"] == 0
+    assert report["worst_slack"] >= 0.0
 
 
 def test_descent_lemma_rejects_wrong_optimizer():
@@ -74,9 +74,9 @@ def test_preconditioned_spectrum_is_real():
     H = 0.5 * (a + a.T)
     d = np.exp(rng.standard_normal(30))
     report = real_spectrum_check(H, d)
-    assert report.holds
-    assert report.max_imag_ratio <= 1e-8
-    assert report.max_rel_mismatch <= 1e-8
+    assert report["verdict"] == "PASS"
+    assert report["max_imag_ratio"] <= 1e-8
+    assert report["max_rel_mismatch"] <= 1e-8
 
 
 def test_real_spectrum_guards():
@@ -91,27 +91,27 @@ def test_real_spectrum_guards():
 
 def test_certificate_frozen_reference_case():
     cert = five_stage_certificate(10.0, 0.15, 0.99)
-    assert cert.hypothesis_ok
-    assert cert.hypothesis_lhs == pytest.approx(99.49916247342153, rel=1e-12)
-    assert cert.hypothesis_rhs == pytest.approx(1.6470748069599828, rel=1e-12)
-    assert cert.t1_formula == pytest.approx(837.221194205736, rel=1e-12)
-    assert cert.s == pytest.approx(0.985, rel=1e-12)
-    assert cert.delta == pytest.approx(3.207191753041487e-05, rel=1e-10)
-    assert cert.simulated_boundaries == {
+    assert cert["hypothesis"]["ok"]
+    assert cert["hypothesis"]["lhs"] == pytest.approx(99.49916247342153, rel=1e-12)
+    assert cert["hypothesis"]["rhs"] == pytest.approx(1.6470748069599828, rel=1e-12)
+    assert cert["t1_formula"] == pytest.approx(837.221194205736, rel=1e-12)
+    assert cert["s"] == pytest.approx(0.985, rel=1e-12)
+    assert cert["delta"] == pytest.approx(3.207191753041487e-05, rel=1e-10)
+    assert cert["boundaries"] == {
         "t0": 0, "t1": 837, "t2": 1010, "t3": 1374, "t4": 1377, "t5": 1959}
-    assert cert.t5_kind == "reviolation"
-    assert cert.q > 1.0
-    assert cert.all_hold()
-    assert cert.worst_slack() >= -1e-12
+    assert cert["t5_kind"] == "reviolation"
+    assert cert["q"] > 1.0
+    assert cert["verdict"] == "PASS"
+    assert cert["worst_slack"] >= -1e-12
 
 
 def test_certificate_hypothesis_can_fail():
     cert = five_stage_certificate(10.0, 0.15, 0.5)
-    assert not cert.hypothesis_ok
-    assert cert.hypothesis_lhs == pytest.approx(1.4426950408889634, rel=1e-12)
-    assert cert.hypothesis_lhs < cert.hypothesis_rhs
-    assert cert.simulated_boundaries == {}
-    assert not cert.all_hold()
+    assert not cert["hypothesis"]["ok"]
+    assert cert["hypothesis"]["lhs"] == pytest.approx(1.4426950408889634, rel=1e-12)
+    assert cert["hypothesis"]["lhs"] < cert["hypothesis"]["rhs"]
+    assert cert["boundaries"] == {}
+    assert cert["verdict"] == "SKIPPED (hypothesis)"
 
 
 def test_certificate_preconditions():
@@ -129,11 +129,11 @@ def test_certificate_preconditions():
 def test_certificate_honors_max_steps():
     # 1500 covers t4 = 1377 but ends before the reviolation at 1959
     cert = five_stage_certificate(10.0, 0.15, 0.99, max_steps=1500)
-    assert cert.max_steps == 1500
-    assert cert.simulated_boundaries["t4"] == 1377
-    assert cert.simulated_boundaries["t5"] == 1500
-    assert cert.t5_kind == "trace-end"
-    assert cert.all_hold()
+    assert cert["params"]["max_steps"] == 1500
+    assert cert["boundaries"]["t4"] == 1377
+    assert cert["boundaries"]["t5"] == 1500
+    assert cert["t5_kind"] == "trace-end"
+    assert cert["verdict"] == "PASS"
 
 
 # === exact iff condition ====================================================
@@ -181,16 +181,16 @@ def test_iff_needs_a_gradient():
 
 def test_lr_decay_witness_frozen():
     report = lr_decay_witness(1.0, 0.1, 0.5, 0.9999)
-    assert report.found
-    assert report.step == 180984
-    assert report.checked_steps == 180985
+    assert report["verdict"] == "WITNESS-FOUND"
+    assert report["witness_step"] == 180984
+    assert report["checked_steps"] == 180985
 
 
 def test_lr_decay_control_is_reported_not_asserted():
     report = lr_decay_witness(1.0, 0.1, 0.5, 0.5)
-    assert isinstance(report.found, bool)
-    assert report.checked_steps >= 1
-    assert report.params["beta2"] == 0.5
+    assert report["verdict"] in ("WITNESS-FOUND", "NO-WITNESS")
+    assert report["checked_steps"] >= 1
+    assert report["params"]["beta2"] == 0.5
 
 
 def test_lr_decay_preconditions():

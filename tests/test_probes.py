@@ -208,29 +208,46 @@ def test_weighted_quotient_bounded_by_lambda_max(quad3):
 # === full probe =============================================================
 
 
-def test_compute_probe_record(quad3):
+class _RotatedQuadratic:
+    """0.5 x.A x for A = Q diag(1, 5, 10) Q', whose Hessian is not diagonal."""
+
+    def __init__(self):
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+        self.A = q @ np.diag([1.0, 5.0, 10.0]) @ q.T
+
+    def gradient(self, x):
+        return self.A @ x
+
+    def hvp_at(self, x):
+        return lambda v: self.A @ v
+
+
+def test_compute_probe_record():
+    obj = _RotatedQuadratic()
+    top = float(np.linalg.eigvalsh(obj.A)[-1])
     th = np.array([1.0, 1.0, 1.0])
-    g = quad3.gradient(th)
+    g = obj.gradient(th)
     pre = Preconditioner(np.ones(3), 0.0, 1.0)
     warm = ProbeWarmStart()
-    rec = compute_probe(quad3, th, pre, g, eta_t=0.1, step=7, seed=0, warm=warm)
+    rec = compute_probe(obj, th, pre, g, eta_t=0.1, step=7, seed=0, warm=warm)
     assert rec.step == 7
     assert rec.threshold == pytest.approx(20.0)
-    assert rec.lambda_max_H == pytest.approx(10.0, rel=1e-4)
-    assert rec.lambda_max_Hhat == pytest.approx(10.0, rel=1e-4)
+    assert rec.lambda_max_H == pytest.approx(top, rel=1e-4)
+    assert rec.lambda_max_Hhat == pytest.approx(top, rel=1e-4)
     assert rec.lambda_grad_Hhat is not None
     assert rec.converged
     assert warm.raw is not None and warm.pre is not None
 
 
-def test_compute_probe_takes_each_warm_norm_once(quad3, monkeypatch):
+def test_compute_probe_takes_each_warm_norm_once(monkeypatch):
     # a warm vector is normed once, by the solver; one without a positive
     # norm (None, zero, NaN) gives the cold probe's record
+    obj = _RotatedQuadratic()
     th = np.array([1.0, -0.5, 0.25])
-    g, pre = quad3.gradient(th), Preconditioner(np.array([1.0, 2.0, 3.0]), 1e-8, 0.5)
+    g, pre = obj.gradient(th), Preconditioner(np.array([1.0, 2.0, 3.0]), 1e-8, 0.5)
 
     def probe(warm):
-        return compute_probe(quad3, th, pre, g, eta_t=0.1, step=3, seed=0, warm=warm)
+        return compute_probe(obj, th, pre, g, eta_t=0.1, step=3, seed=0, warm=warm)
 
     cold = probe(ProbeWarmStart())
     for bad in (np.zeros(3), np.full(3, np.nan)):

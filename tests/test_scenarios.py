@@ -44,9 +44,19 @@ def test_load_config_file_reports_bad_line(tmp_path):
         load_config_file(path)
 
 
+def test_load_config_file_refuses_a_repeated_key(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("optimizer.eta = 0.1\nn_steps = 5\noptimizer.eta=0.2  # again\n")
+    with pytest.raises(ConfigError, match=r"twice.cfg:3: optimizer.eta is set again "
+                                          r"\(first on line 1\)"):
+        load_config_file(path)
+
+
 def test_apply_overrides():
     out = apply_overrides({"a": 1}, ["a=2", "optimizer.eta=0.5"])
     assert out == {"a": 2, "optimizer.eta": 0.5}
+    # an override may repeat a key: the last one wins
+    assert apply_overrides({}, ["a = 1", "a=true"]) == {"a": True}
     with pytest.raises(ConfigError):
         apply_overrides({}, ["no-equals-sign"])
 
