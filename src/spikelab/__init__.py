@@ -5,9 +5,8 @@ preconditioned curvature against the 2/eta stability boundary, detect and
 segment loss spikes, and certify the supporting theory numerically.
 """
 
-from .analysis import (DecayFit, SpikeEvent, StageSegmentation,
-                       crossing_summary, detect_spikes_series, fill_sustained,
-                       fit_decay, pre_spike_index, segment_stages)
+from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
+                       fit_decay, pre_spike_index, segment_stages, stage_labels)
 from .errors import (ConfigError, DivergedEvaluation, DivergedRun,
                      Indeterminate, InvalidDirection, InvalidSeries,
                      OracleMisuse, OracleSizeExceeded, PreconditionViolation,
@@ -21,8 +20,8 @@ from .optimizers import (OPTIMIZER_KINDS, ProbePlan, run, step_adafactor,
                          step_rmsprop)
 from .oracles import (IffCheckResult, central_fd_hvp, check_descent_lemma,
                       default_fd_step, dense_hessian, five_stage_certificate,
-                      lr_decay_witness, momentum_boundary, momentum_stability_classify,
-                      real_spectrum_check, spike_iff_check)
+                      lr_decay_witness, momentum_boundary, momentum_boundary_check,
+                      momentum_stability_classify, real_spectrum_check, spike_iff_check)
 from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
                      OptimizerState, ParamVector)
 from .probes import (PowerResult, Preconditioner, ProbeRecord, ProbeWarmStart,

@@ -5,10 +5,13 @@ exceeds rho times the median of the previous `window` losses, and the event
 closes at the first later step whose loss is again below its own trailing
 median. Segmentation assigns the stage boundaries strictly sequentially, so
 a missing earlier boundary leaves all later ones absent.
+
+detect_spikes_series, fit_decay and segment_stages return the bodies that
+analysis.json records: the spike list, the decay fit and the segmentation
+block. stage_labels turns the boundaries into the trace's stage column.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,27 +26,14 @@ STAGE1_R2 = 0.95
 STAGE1_ALPHA_BAND = 0.05
 STAGE1_SCREEN_MARGIN = 1e-6  # slack of the O(1) window screen, whose rounding measured < 1e-13
 MEDIAN_BLOCK_ROWS = 512  # trailing windows per np.median call; bounds its copy
+BOUNDARIES = ("t0", "t1", "t2", "t3", "t4", "t5")
 
 # === spike detection ========================================================
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
-    """One loss excursion: onset, peak, recovery, and its height ratio."""
-
-    onset_step: int
-    peak_step: int
-    recovery_step: int
-    peak_ratio: float
-    recovery_at_end: bool = False
-
-    def __post_init__(self):
-        if not self.onset_step <= self.peak_step <= self.recovery_step:
-            raise ConfigError("spike event must satisfy onset <= peak <= recovery")
-
-
 def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list:
-    """Trailing-median excursion detector on a raw loss series."""
+    """Trailing-median excursion detector on a raw loss series: one spike
+    body per event, onset <= peak <= recovery."""
     losses = np.asarray(losses, dtype=float)
     n = losses.size
     if rho <= 1:
@@ -68,7 +58,8 @@ def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list
         peak = onset + int(np.argmax(losses[onset:rec + 1]))
         base = baseline[onset - window]
         ratio = float(losses[peak] / base) if base > 0 else math.inf
-        events.append(SpikeEvent(onset, peak, rec, ratio, bool(at_end)))
+        events.append({"onset_step": onset, "peak_step": peak, "recovery_step": rec,
+                       "peak_ratio": ratio, "recovery_at_end": bool(at_end)})
         t = rec + 1
     return events
 
@@ -76,17 +67,9 @@ def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list
 # === decay fit ==============================================================
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Exponential-decay fit of sqrt(v_t) over a window: sqrt(v_t) ~ C alpha^t."""
-
-    window: tuple
-    alpha_hat: float
-    r_squared: float
-
-
-def fit_decay(v_series, window) -> DecayFit:
-    """Least-squares fit of log sqrt(v_t) against t over window=(start, end).
+def fit_decay(v_series, window) -> dict:
+    """Least-squares fit of log sqrt(v_t) against t over window=(start, end):
+    {alpha_hat, r_squared, window} for sqrt(v_t) ~ C alpha_hat^t.
 
     The input is the second-moment series (v-valued); the square root is
     taken inside, so an exact v_t = beta2^t yields alpha_hat = sqrt(beta2).
@@ -106,35 +89,23 @@ def fit_decay(v_series, window) -> DecayFit:
     resid = y - (ym + slope * dt)
     ss_tot = float(((y - ym) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-    return DecayFit(window=(int(start), int(end)), alpha_hat=math.exp(slope),
-                    r_squared=r2)
+    return {"alpha_hat": math.exp(slope), "r_squared": r2,
+            "window": [int(start), int(end)]}
 
 
 # === stage segmentation =====================================================
 
 
-@dataclass
-class StageSegmentation:
-    """Boundary steps t0..t5 (None when absent) plus per-stage verdicts."""
-
-    boundaries: dict
-    verdicts: list = field(default_factory=list)
-
-    def ordered(self) -> bool:
-        vals = [self.boundaries[k] for k in ("t0", "t1", "t2", "t3", "t4", "t5")]
-        present = [v for v in vals if v is not None]
-        return all(a < b for a, b in zip(present, present[1:]))
-
-    def stage_labels(self, n: int) -> list:
-        """Per-step labels '1'..'5'; empty outside detected stages."""
-        labels = [None] * n
-        b = [self.boundaries.get(k) for k in ("t0", "t1", "t2", "t3", "t4", "t5")]
-        for k in range(5):
-            if b[k] is None:
-                break
-            stop = n if b[k + 1] is None else min(b[k + 1], n)
-            labels[b[k]:stop] = [str(k + 1)] * (stop - b[k])
-        return labels
+def stage_labels(boundaries, n: int) -> list:
+    """Per-step labels '1'..'5' from boundaries t0..t5; empty outside detected stages."""
+    labels = [None] * n
+    b = [boundaries[k] for k in BOUNDARIES]
+    for k in range(5):
+        if b[k] is None:
+            break
+        stop = n if b[k + 1] is None else min(b[k + 1], n)
+        labels[b[k]:stop] = [str(k + 1)] * (stop - b[k])
+    return labels
 
 
 def _first(steps, mask, after=-1):
@@ -175,13 +146,15 @@ def _stage1_start(v_sq, anchor, target):
             > STAGE1_ALPHA_BAND * target + STAGE1_SCREEN_MARGIN)
     for i in np.flatnonzero(maybe[:anchor - STAGE1_MIN_TAIL - lo + 1]) + lo:
         fit = fit_decay(v_sq, (int(i), anchor))
-        if fit.r_squared > STAGE1_R2 and abs(fit.alpha_hat - target) <= STAGE1_ALPHA_BAND * target:
+        if (fit["r_squared"] > STAGE1_R2
+                and abs(fit["alpha_hat"] - target) <= STAGE1_ALPHA_BAND * target):
             return int(i), fit
     return None, None
 
 
-def segment_stages(trace, hyper) -> StageSegmentation:
-    """Assign t0..t5 from probe crossings, v-norm decay, and loss movement."""
+def segment_stages(trace, hyper) -> dict:
+    """Assign t0..t5 from probe crossings, v-norm decay, and loss movement:
+    the segmentation body {boundaries, verdicts, ordered}."""
     n = len(trace)
     losses = trace.losses()
     vnorm = trace.vhat_norms()
@@ -190,8 +163,8 @@ def segment_stages(trace, hyper) -> StageSegmentation:
     lg_steps, lg_vals = trace.probe_series("lambda_grad_Hhat")
     lm_thr = 2.0 / eta[lm_steps]
 
-    bounds = {"t0": 0 if n else None, "t1": None, "t2": None,
-              "t3": None, "t4": None, "t5": None}
+    bounds = dict.fromkeys(BOUNDARIES)
+    bounds["t0"] = 0 if n else None
     verdicts = []
 
     # t2 first (it anchors the Stage-1/2 decay scan).
@@ -203,9 +176,7 @@ def segment_stages(trace, hyper) -> StageSegmentation:
     verdicts.append({
         "name": "stage2-decay-fit",
         "holds": t1 is not None,
-        "detail": None if fit is None else
-        {"alpha_hat": fit.alpha_hat, "r_squared": fit.r_squared,
-         "target": target, "window": list(fit.window)},
+        "detail": None if fit is None else dict(fit, target=target),
     })
     bounds["t1"] = t1
 
@@ -223,13 +194,11 @@ def segment_stages(trace, hyper) -> StageSegmentation:
                 loss_down = losses[lm_steps] < losses[lm_steps - 1]
                 bounds["t5"] = _first(lm_steps, (lm_vals < lm_thr) & loss_down, after=t4)
 
-    present = [k for k in ("t0", "t1", "t2", "t3", "t4", "t5") if bounds[k] is not None]
-    verdicts.append({
-        "name": "boundary-ordering",
-        "holds": all(bounds[a] < bounds[b] for a, b in zip(present, present[1:])),
-        "detail": {k: bounds[k] for k in present},
-    })
-    return StageSegmentation(boundaries=bounds, verdicts=verdicts)
+    present = [k for k in BOUNDARIES if bounds[k] is not None]
+    ordered = all(bounds[a] < bounds[b] for a, b in zip(present, present[1:]))
+    verdicts.append({"name": "boundary-ordering", "holds": ordered,
+                     "detail": {k: bounds[k] for k in present}})
+    return {"boundaries": bounds, "verdicts": verdicts, "ordered": ordered}
 
 
 # === sustained predictor column =============================================

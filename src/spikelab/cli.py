@@ -13,14 +13,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DivergedEvaluation, Indeterminate, SpikelabError, ZeroGradient
+from .errors import ConfigError, DivergedEvaluation, SpikelabError, ZeroGradient
 from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
                       run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
 from .oracles import (DENSE_ORACLE_CAP, check_descent_lemma, evidence_verdict,
-                      momentum_boundary, momentum_stability_classify,
-                      real_spectrum_check, spike_iff_check)
+                      momentum_boundary_check, real_spectrum_check, spike_iff_check)
 from .rngs import stream
 from .scenarios import (PRESETS, apply_overrides, build_scenario, load_config_file,
                         preset_config, read_floats)
@@ -118,25 +117,12 @@ def _verify_five_stage(theta0, eta, beta2, max_steps):
 
 
 def _verify_momentum_boundary(eta, beta1, margin, lam):
-    boundary = momentum_boundary(eta, beta1)
-    lo, hi = boundary * (1.0 - margin), boundary * (1.0 + margin)
-    below, above = (momentum_stability_classify(x, eta, beta1) for x in (lo, hi))
-    payload = {
-        "theorem": "momentum-boundary",
-        "verdict": "PASS" if below == "stable" and above == "unstable" else "FAIL",
-        "boundary": boundary,
-        "margin": margin,
-        "bracket": {"lambda_below": lo, "classified_below": below,
-                    "lambda_above": hi, "classified_above": above},
-    }
-    if lam is not None:
-        try:
-            verdict = momentum_stability_classify(lam, eta, beta1)
-        except Indeterminate:
-            verdict = "indeterminate"
-        payload["query"] = {"lambda": lam, "classified": verdict}
-        print(f"lambda={lam:g}: {verdict}")
-    return payload, f" boundary={boundary:g} bracket=({lo:g}:{below}, {hi:g}:{above})"
+    cert = momentum_boundary_check(eta, beta1, margin, lam)
+    if "query" in cert:
+        print(f"lambda={lam:g}: {cert['query']['classified']}")
+    b = cert["bracket"]
+    return cert, (f" boundary={cert['boundary']:g} bracket=({b['lambda_below']:g}:"
+                  f"{b['classified_below']}, {b['lambda_above']:g}:{b['classified_above']})")
 
 
 def _verify_descent(eta, eigenvalues, steps, theta0):

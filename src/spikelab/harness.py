@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
-                       pre_spike_index, segment_stages)
+                       pre_spike_index, segment_stages, stage_labels)
 from .errors import ConfigError, PreconditionViolation, SpikelabError
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
@@ -67,13 +67,10 @@ def _analyze(trace: RunTrace, sc: Scenario) -> dict:
         spikes = detect_spikes_series(trace.losses(), rho=sc.analysis.rho,
                                       window=sc.analysis.window)
 
-    seg_block = fit_block = None
+    seg = None
     if sc.analysis.segment and n:
         seg = segment_stages(trace, sc.hyper)
-        trace.stage = seg.stage_labels(n)
-        seg_block = {"boundaries": seg.boundaries, "verdicts": seg.verdicts,
-                     "ordered": seg.ordered()}
-        fit_block = seg.verdicts[0]["detail"]  # stage2-decay-fit
+        trace.stage = stage_labels(seg["boundaries"], n)
 
     final_loss = float(trace.loss[-1]) if n else trace.initial_loss
     return {
@@ -83,12 +80,10 @@ def _analyze(trace: RunTrace, sc: Scenario) -> dict:
         "n_steps": n,
         "initial_loss": trace.initial_loss,
         "final_loss": final_loss,
-        "spikes": [{"onset_step": e.onset_step, "peak_step": e.peak_step,
-                    "recovery_step": e.recovery_step, "peak_ratio": e.peak_ratio,
-                    "recovery_at_end": e.recovery_at_end} for e in spikes],
+        "spikes": spikes,
         "crossings": crossing_summary(trace),
-        "decay_fit": fit_block,
-        "segmentation": seg_block,
+        "decay_fit": seg and seg["verdicts"][0]["detail"],  # stage2-decay-fit
+        "segmentation": seg,
     }
 
 

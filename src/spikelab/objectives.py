@@ -328,13 +328,8 @@ class FnnObjective:
 
         return hvp
 
-    def initial_point(self, theta0=None) -> ParamVector:
+    def initial_point(self) -> ParamVector:
         """Gaussian init, every block N(0, scale/width)."""
-        if theta0 is not None:
-            arr = np.asarray(theta0, dtype=float).ravel()
-            if arr.size != self.param_dim:
-                raise ConfigError("theta0 length does not match parameter count")
-            return ParamVector(arr, self.blocks)
         rng = stream(self.spec.seed, "init")
         # abs() maps a validated -0.0 to 0.0: numpy refuses a negative-signed scale.
         sc = math.sqrt(abs(self.spec.init_variance_scale) / self.spec.width)

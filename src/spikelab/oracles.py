@@ -4,8 +4,8 @@ iff spike condition via the averaged Hessian, and decaying-LR instability;
 plus the derivative oracles the tests hold the objectives to: a central
 finite-difference HVP and a dense Hessian capped at small sizes.
 
-The descent, real-spectrum, five-stage and lr-decay oracles return the body
-of their certificate.json: the theorem, its verdict and the numbers behind
+The descent, momentum-boundary, real-spectrum, five-stage and lr-decay
+oracles return the body of their certificate.json: the theorem, its verdict and the numbers behind
 it. A caller adds only what the oracle cannot know, such as the command-line
 text it was given.
 
@@ -127,6 +127,29 @@ def momentum_stability_classify(lam: float, eta: float, beta1: float,
             return "unstable"
     raise Indeterminate(
         f"no verdict within horizon {horizon} (lambda near the boundary)")
+
+
+def momentum_boundary_check(eta: float, beta1: float, margin: float, lam=None) -> dict:
+    """PASS when the recursion classifies the boundary less margin stable and
+    the boundary plus margin unstable; a given lam is classified as the query."""
+    boundary = momentum_boundary(eta, beta1)
+    lo, hi = boundary * (1.0 - margin), boundary * (1.0 + margin)
+    below, above = (momentum_stability_classify(x, eta, beta1) for x in (lo, hi))
+    body = {
+        "theorem": "momentum-boundary",
+        "verdict": "PASS" if below == "stable" and above == "unstable" else "FAIL",
+        "boundary": boundary,
+        "margin": margin,
+        "bracket": {"lambda_below": lo, "classified_below": below,
+                    "lambda_above": hi, "classified_above": above},
+    }
+    if lam is not None:
+        try:
+            verdict = momentum_stability_classify(lam, eta, beta1)
+        except Indeterminate:
+            verdict = "indeterminate"
+        body["query"] = {"lambda": lam, "classified": verdict}
+    return body
 
 
 # === real spectrum of D H ===================================================

@@ -190,6 +190,9 @@ def build_scenario(flat: dict) -> Scenario:
     """
     flat = _Reads(flat)
     scenario_id = str(flat.get("scenario", "custom"))
+    if scenario_id in ("", ".", "..") or "/" in scenario_id or "\\" in scenario_id:
+        raise ConfigError(f"scenario {scenario_id!r} must name one directory: not "
+                          "empty, '.' or '..', and without '/' or '\\'")
     mode = str(flat.get("mode", "run"))
     if mode not in ("run", "five-stage", "lr-decay"):
         raise ConfigError(f"unknown mode {mode!r}")

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
-                      SpikeEvent, StageSegmentation, build_scenario,
-                      crossing_summary, detect_spikes_series, fill_sustained,
-                      fit_decay, make_quadratic, pre_spike_index, preset_config,
-                      run, run_scenario, segment_stages)
+                      build_scenario, crossing_summary, detect_spikes_series,
+                      fill_sustained, fit_decay, make_quadratic, pre_spike_index,
+                      preset_config, run, run_scenario, segment_stages, stage_labels)
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
@@ -25,9 +24,9 @@ def test_detector_finds_a_planted_spike():
     events = detect_spikes_series(losses, rho=3.0, window=2)
     assert len(events) == 1
     e = events[0]
-    assert (e.onset_step, e.peak_step, e.recovery_step) == (3, 3, 4)
-    assert e.peak_ratio == pytest.approx(10.0)
-    assert not e.recovery_at_end
+    assert (e["onset_step"], e["peak_step"], e["recovery_step"]) == (3, 3, 4)
+    assert e["peak_ratio"] == pytest.approx(10.0)
+    assert not e["recovery_at_end"]
 
 
 def test_detector_flags_truncated_event():
@@ -35,8 +34,8 @@ def test_detector_flags_truncated_event():
     events = detect_spikes_series(losses, rho=3.0, window=2)
     assert len(events) == 1
     e = events[0]
-    assert e.recovery_at_end
-    assert e.recovery_step == 4 and e.peak_step == 4
+    assert e["recovery_at_end"]
+    assert e["recovery_step"] == 4 and e["peak_step"] == 4
 
 
 def test_detector_quiet_series():
@@ -50,11 +49,6 @@ def test_detector_validation():
         detect_spikes_series([1.0, 2.0], rho=3.0, window=5)
 
 
-def test_event_ordering_enforced():
-    with pytest.raises(ConfigError):
-        SpikeEvent(onset_step=5, peak_step=4, recovery_step=6, peak_ratio=2.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=30,
                 max_size=90))
@@ -65,15 +59,15 @@ def test_detector_invariants(losses):
     prev_end = -1
     arr = np.asarray(losses)
     for e in events:
-        assert window <= e.onset_step <= e.peak_step <= e.recovery_step < n
-        assert e.onset_step > prev_end
-        prev_end = e.recovery_step
+        assert window <= e["onset_step"] <= e["peak_step"] <= e["recovery_step"] < n
+        assert e["onset_step"] > prev_end
+        prev_end = e["recovery_step"]
         # the peak is the max inside the event window
-        seg = arr[e.onset_step:e.recovery_step + 1]
-        assert arr[e.peak_step] == seg.max()
+        seg = arr[e["onset_step"]:e["recovery_step"] + 1]
+        assert arr[e["peak_step"]] == seg.max()
         # onset really exceeded its trailing baseline
-        base = np.median(arr[e.onset_step - window:e.onset_step])
-        assert arr[e.onset_step] > 3.0 * base
+        base = np.median(arr[e["onset_step"] - window:e["onset_step"]])
+        assert arr[e["onset_step"]] > 3.0 * base
 
 
 def _reference_detector(losses, rho, window):
@@ -95,7 +89,8 @@ def _reference_detector(losses, rho, window):
             rec = recovery if recovery is not None else n - 1
             peak = onset + int(np.argmax(losses[onset:rec + 1]))
             ratio = float(losses[peak] / baseline) if baseline > 0 else math.inf
-            events.append(SpikeEvent(onset, peak, rec, ratio, at_end))
+            events.append({"onset_step": onset, "peak_step": peak, "recovery_step": rec,
+                           "peak_ratio": ratio, "recovery_at_end": at_end})
             t = rec + 1
         else:
             t += 1
@@ -108,8 +103,8 @@ def _outcome(detector, losses, rho, window):
         events = detector(losses, rho, window)
     except RuntimeWarning as exc:  # an overflowing peak ratio, under -W error
         return type(exc)
-    return [(e.onset_step, e.peak_step, e.recovery_step,
-             struct.pack("<d", e.peak_ratio), e.recovery_at_end) for e in events]
+    return [(e["onset_step"], e["peak_step"], e["recovery_step"],
+             struct.pack("<d", e["peak_ratio"]), e["recovery_at_end"]) for e in events]
 
 
 _LOSS = st.one_of(st.floats(min_value=0.0, max_value=1e6),
@@ -152,9 +147,9 @@ def test_fit_recovers_sqrt_beta2():
     beta2 = 0.99
     v = beta2 ** np.arange(200)
     fit = fit_decay(v, (0, 200))
-    assert fit.alpha_hat == pytest.approx(math.sqrt(beta2), rel=1e-9)
-    assert fit.r_squared == pytest.approx(1.0)
-    assert fit.window == (0, 200)
+    assert fit["alpha_hat"] == pytest.approx(math.sqrt(beta2), rel=1e-9)
+    assert fit["r_squared"] == pytest.approx(1.0)
+    assert fit["window"] == [0, 200]
 
 
 def test_fit_window_validation():
@@ -188,23 +183,13 @@ def test_walkback_clamps_at_zero():
 
 
 def test_stage_labels_extend_last_open_stage():
-    seg = StageSegmentation(boundaries={"t0": 0, "t1": 2, "t2": 4, "t3": None,
-                                        "t4": None, "t5": None})
-    labels = seg.stage_labels(6)
-    assert labels == ["1", "1", "2", "2", "3", "3"]
-    assert seg.ordered()
+    boundaries = {"t0": 0, "t1": 2, "t2": 4, "t3": None, "t4": None, "t5": None}
+    assert stage_labels(boundaries, 6) == ["1", "1", "2", "2", "3", "3"]
 
 
 def test_stage_labels_empty_when_t1_missing():
-    seg = StageSegmentation(boundaries={"t0": 0, "t1": None, "t2": None,
-                                        "t3": None, "t4": None, "t5": None})
-    assert seg.stage_labels(4) == ["1", "1", "1", "1"]
-
-
-def test_ordered_rejects_regression():
-    seg = StageSegmentation(boundaries={"t0": 0, "t1": 5, "t2": 3, "t3": None,
-                                        "t4": None, "t5": None})
-    assert not seg.ordered()
+    boundaries = {"t0": 0, "t1": None, "t2": None, "t3": None, "t4": None, "t5": None}
+    assert stage_labels(boundaries, 4) == ["1", "1", "1", "1"]
 
 
 # === the t1 scan ============================================================
@@ -222,9 +207,9 @@ def _t1_by_refitting_every_tail(trace, beta2):
         if np.any(~np.isfinite(seg)) or np.any(seg <= 0):
             continue
         fit = fit_decay(v_sq, (i, anchor))
-        if fit.r_squared > 0.95 and abs(fit.alpha_hat - target) <= 0.05 * target:
-            return i, {"alpha_hat": fit.alpha_hat, "r_squared": fit.r_squared,
-                       "target": target, "window": list(fit.window)}
+        if fit["r_squared"] > 0.95 and abs(fit["alpha_hat"] - target) <= 0.05 * target:
+            return i, {"alpha_hat": fit["alpha_hat"], "r_squared": fit["r_squared"],
+                       "target": target, "window": list(fit["window"])}
     return None, None
 
 
@@ -257,8 +242,8 @@ def test_t1_scan_matches_refitting_every_tail(case):
         trace, beta2 = run_scenario(sc).trace, sc.hyper.beta2
     seg = segment_stages(trace, AdamHyper(eta=0.1, beta2=beta2))
     t1, detail = _t1_by_refitting_every_tail(trace, beta2)
-    assert seg.boundaries["t1"] == t1
-    assert seg.verdicts[0]["detail"] == detail
+    assert seg["boundaries"]["t1"] == t1
+    assert seg["verdicts"][0]["detail"] == detail
 
 
 def test_t1_scan_is_linear_on_a_long_run():
@@ -372,8 +357,8 @@ def test_fill_sustained_skips_edge_samples():
 def test_first_crossings_on_hand_built_trace():
     trace = _hand_trace()
     seg = segment_stages(trace, AdamHyper(eta=ETA, beta2=0.99))
-    assert seg.boundaries == {"t0": 0, "t1": 1, "t2": 60, "t3": 63, "t4": 70,
-                              "t5": 74}
+    assert seg["boundaries"] == {"t0": 0, "t1": 1, "t2": 60, "t3": 63, "t4": 70,
+                                 "t5": 74}
     assert crossing_summary(trace) == {
         "first_lambda_max_crossing": 60, "lambda_max_crossing_steps": 1,
         "first_lambda_grad_crossing": 60, "lambda_grad_crossing_steps": 2,
@@ -384,8 +369,8 @@ def test_first_crossings_without_probes():
     trace = _hand_trace(probes=False)
     seg = segment_stages(trace, AdamHyper(eta=ETA, beta2=0.99))
     # with no t2 anchor the decay fit spans the jump at 70 and fails
-    assert seg.boundaries == {"t0": 0, "t1": None, "t2": None, "t3": None,
-                              "t4": None, "t5": None}
+    assert seg["boundaries"] == {"t0": 0, "t1": None, "t2": None, "t3": None,
+                                 "t4": None, "t5": None}
     assert crossing_summary(trace) == {
         "first_lambda_max_crossing": None, "lambda_max_crossing_steps": 0,
         "first_lambda_grad_crossing": None, "lambda_grad_crossing_steps": 0,

@@ -12,9 +12,10 @@ import pytest
 
 from spikelab import (SCHEMA_VERSION, AdamHyper, QuadraticSpec, build_scenario,
                       check_descent_lemma, five_stage_certificate, lr_decay_witness,
-                      make_quadratic, preset_config, real_spectrum_check, run, run_scenario,
-                      stream, write_run_dir, write_trace_csv)
-from spikelab.analysis import detect_spikes_series, pre_spike_index
+                      make_quadratic, momentum_boundary_check, preset_config,
+                      real_spectrum_check, run, run_scenario, stream, write_run_dir,
+                      write_trace_csv)
+from spikelab.analysis import detect_spikes_series, pre_spike_index, segment_stages
 from spikelab import harness
 from spikelab.cli import main
 from spikelab.errors import ConfigError
@@ -113,6 +114,32 @@ def test_diverged_analysis_is_strict_json():
     assert ana["final_loss"] == "inf"
 
 
+SPIKE_KEYS = {"onset_step", "peak_step", "recovery_step", "peak_ratio", "recovery_at_end"}
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig3-spike", "thmD4"])
+def test_analysis_blocks_are_the_function_bodies(name, tmp_path):
+    """analysis.json's spikes, segmentation and decay_fit are what the
+    analysis functions return on the run's trace, and nothing built beside."""
+    result = run_scenario(build_scenario(preset_config(name)))
+    sc, trace = result.scenario, result.trace
+    ana = json.loads((write_run_dir(result, out=tmp_path) / "analysis.json").read_text())
+    spikes = detect_spikes_series(trace.losses(), rho=sc.analysis.rho,
+                                  window=sc.analysis.window)
+    assert spikes and ana["spikes"] == harness._clean(spikes)
+    assert all(set(spike) == SPIKE_KEYS for spike in ana["spikes"])
+    if not sc.analysis.segment:
+        assert ana["segmentation"] is None and ana["decay_fit"] is None
+        return
+    seg = segment_stages(trace, sc.hyper)
+    assert ana["segmentation"] == harness._clean(seg)
+    assert set(ana["segmentation"]) == {"boundaries", "verdicts", "ordered"}
+    fit = seg["verdicts"][0]
+    assert fit["name"] == "stage2-decay-fit"
+    assert ana["decay_fit"] == harness._clean(fit["detail"])
+    assert set(ana["decay_fit"]) == {"alpha_hat", "r_squared", "window", "target"}
+
+
 def test_trace_bytes_reproducible(tmp_path):
     paths = []
     for i in range(2):
@@ -151,7 +178,7 @@ def test_run_sweep_layout_and_recompute():
     losses = np.array(col("loss"))
     events = detect_spikes_series(losses, rho=cfg["analysis.rho"],
                                   window=cfg["analysis.window"])
-    onset = events[0].onset_step
+    onset = events[0]["onset_step"]
     pre = pre_spike_index(losses, onset)
     assert good["onset_step"] == onset
     assert good["vhat_at_spike"] == col("vhat_norm_total")[pre]
@@ -562,6 +589,7 @@ def _thmD6_body():
 FIVE_STAGE_KEYS = {"theorem", "verdict", "params", "hypothesis", "t1_formula", "s", "delta",
                    "q", "t5_kind", "boundaries", "checks", "worst_slack"}
 LR_DECAY_KEYS = {"theorem", "verdict", "params", "witness_step", "checked_steps"}
+MOMENTUM_KEYS = {"theorem", "verdict", "boundary", "margin", "bracket"}
 
 
 @pytest.mark.parametrize("argv,body,keys", [
@@ -577,7 +605,12 @@ LR_DECAY_KEYS = {"theorem", "verdict", "params", "witness_step", "checked_steps"
      LR_DECAY_KEYS),
     (["run", "--scenario", "thmD4"], _thmD4_body, FIVE_STAGE_KEYS),
     (["run", "--scenario", "thmD6"], _thmD6_body, LR_DECAY_KEYS),
-], ids=["descent", "real-spectrum", "five-stage", "lr-decay", "thmD4", "thmD6"])
+    (["verify", "momentum-boundary"], lambda: momentum_boundary_check(0.15, 0.9, 0.02),
+     MOMENTUM_KEYS),
+    (["verify", "momentum-boundary", "--lam", "5.0"],
+     lambda: momentum_boundary_check(0.15, 0.9, 0.02, 5.0), MOMENTUM_KEYS | {"query"}),
+], ids=["descent", "real-spectrum", "five-stage", "lr-decay", "thmD4", "thmD6",
+        "momentum-boundary", "momentum-boundary-query"])
 def test_certificate_file_is_the_oracle_body(argv, body, keys, capsys):
     """Each certificate.json is its oracle's return value, plus the params
     only the command line knows, and nothing built beside it."""
@@ -746,6 +779,18 @@ def test_cli_refuses_seed_too_long_for_a_directory_name(argv, capsys):
     assert main(argv) == 1
     assert "error: seed must be >= 0 and <= 18446744073709551615" in capsys.readouterr().err
     assert not (_runs_root() / "fig5-gd").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--scenario", "fig3-spike"],
+    ["sweep", "--scenario", "fig2a", "--param", "optimizer.eta", "--values", "0.1"],
+])
+@pytest.mark.parametrize("name", ["../escaped", ""])
+def test_cli_keeps_the_scenario_inside_the_output_root(command, name, tmp_path, capsys):
+    argv = command + ["--set", f"scenario={name}", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: scenario {name!r} must name one directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_sweep_names_a_bad_value(capsys):

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from spikelab import PRESETS, build_scenario, load_config_file, preset_config
+from spikelab.cli import VERIFIERS
 from spikelab.errors import ConfigError
-from spikelab.scenarios import MAX_STEPS, AnalysisPlan, apply_overrides, parse_scalar
+from spikelab.harness import _child_id
+from spikelab.scenarios import (MAX_STEPS, AnalysisPlan, apply_overrides, parse_scalar,
+                                read_floats)
 
 # === scalar and file parsing ================================================
 
@@ -204,6 +207,21 @@ def test_gd_delay_spectrum_shape():
 
 
 # === build_scenario validation ==============================================
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b"])
+def test_scenario_name_must_be_one_directory(name):
+    with pytest.raises(ConfigError, match="must name one directory"):
+        build_scenario({**preset_config("fig2a"), "scenario": name})
+
+
+def test_preset_sweep_child_and_verify_names_are_directories():
+    names = list(PRESETS) + [f"verify-{theorem}" for theorem in VERIFIERS]
+    names += [_child_id(param, value) for param in ("optimizer.eta", "probes.tol")
+              for value in (*read_floats(PRESETS["fig2bc-sweep"], "sweep.values", ""),
+                            -5, 1e-300, 1e300)]
+    for name in names:
+        assert build_scenario({**preset_config("fig2a"), "scenario": name}).scenario_id == name
 
 
 def test_theta0_broadcasts_over_quadratic():
