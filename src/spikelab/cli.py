@@ -13,13 +13,14 @@ import sys
 
 import numpy as np
 
+from .analysis import BOUNDARIES
 from .errors import ConfigError, DivergedEvaluation, SpikelabError, ZeroGradient
-from .harness import (five_stage_check, fresh_dir, lr_decay_check, output_root,
-                      run_scenario, run_sweep, summary_line,
+from .harness import (fresh_dir, output_root, run_scenario, run_sweep, summary_line,
                       write_certificate_dir, write_run_dir)
 from .objectives import QuadraticSpec, export_dataset_rows, make_quadratic
 from .oracles import (DENSE_ORACLE_CAP, check_descent_lemma, evidence_verdict,
-                      momentum_boundary_check, real_spectrum_check, spike_iff_check)
+                      five_stage_certificate, lr_decay_witness, momentum_boundary_check,
+                      real_spectrum_check, spike_iff_check)
 from .rngs import stream
 from .scenarios import (PRESETS, apply_overrides, build_scenario, load_config_file,
                         preset_config, read_floats)
@@ -106,13 +107,13 @@ def cmd_sweep(args) -> int:
 
 
 def _verify_five_stage(theta0, eta, beta2, max_steps):
-    cert = five_stage_check(theta0, eta, beta2, max_steps)
+    cert = five_stage_certificate(theta0, eta, beta2, max_steps)
     if "reason" in cert:
         return cert, f": {cert['reason']}"
     if not cert["hypothesis"]["ok"]:
         return cert, ""
     b = cert["boundaries"]
-    bounds = " ".join(f"{k}={b[k]}" for k in ("t0", "t1", "t2", "t3", "t4", "t5"))
+    bounds = " ".join(f"{k}={b[k]}" for k in BOUNDARIES)
     return cert, f" worst_slack={cert['worst_slack']:.3g} {bounds}"
 
 
@@ -176,7 +177,7 @@ def _verify_spike_iff(eigenvalues, theta0, steps, eta, nodes, min_consistency):
 
 
 def _verify_lr_decay(theta0, eta0, alpha, beta2, max_steps):
-    cert = lr_decay_check(theta0, eta0, alpha, beta2, max_steps)
+    cert = lr_decay_witness(theta0, eta0, alpha, beta2, max_steps)
     if "reason" in cert:
         return cert, f": {cert['reason']}"
     return cert, f" step={cert['witness_step']} checked={cert['checked_steps']}"

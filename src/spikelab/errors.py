@@ -34,7 +34,8 @@ class InvalidSeries(SpikelabError):
 
 
 class PreconditionViolation(SpikelabError):
-    """Closed-form certificate requested outside its hypothesis domain."""
+    """Descent, momentum or real-spectrum check given input outside its domain
+    (five-stage and lr-decay return a SKIPPED (hypothesis) body instead)."""
 
 
 class OracleMisuse(SpikelabError):

@@ -1,9 +1,10 @@
 """Scenario execution: single runs, theorem modes, run directories, sweeps.
 
 A run directory holds config.json, trace.csv, analysis.json, and (for
-theorem modes) certificate.json. Sweeps write one child directory per value
-plus sweep_summary.csv; every summary row is recomputable from the child's
-trace alone.
+theorem modes) certificate.json, the oracle's body as it returned it, a
+SKIPPED (hypothesis) refusal included. Sweeps write one child directory per
+value plus sweep_summary.csv; every summary row is recomputable from the
+child's trace alone.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
                        pre_spike_index, segment_stages, stage_labels)
-from .errors import ConfigError, PreconditionViolation, SpikelabError
+from .errors import ConfigError, SpikelabError
 from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
 from .optimizers import run
 from .scenarios import Scenario, build_scenario
@@ -139,7 +140,7 @@ def _theorem_trace(sc: Scenario, params: dict) -> RunTrace:
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
-    cert = five_stage_check(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
+    cert = five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
     ok = not cert["verdict"].startswith("SKIPPED")  # refused, or outside the hypothesis
     trace = _theorem_trace(sc, cert["params"]) if ok else _empty_trace(sc)
     analysis = _analyze(trace, sc)
@@ -164,35 +165,13 @@ def _five_stage_mode(sc: Scenario) -> RunResult:
 
 
 def _lr_decay_mode(sc: Scenario) -> RunResult:
-    cert = lr_decay_check(sc.theta0, sc.hyper.eta, sc.alpha, sc.hyper.beta2, sc.n_steps)
+    cert = lr_decay_witness(sc.theta0, sc.hyper.eta, sc.alpha, sc.hyper.beta2, sc.n_steps)
     trace = _empty_trace(sc)
     witness = None if "reason" in cert else {
         "found": cert["verdict"] == "WITNESS-FOUND", "step": cert["witness_step"],
         "checked_steps": cert["checked_steps"]}
     analysis = dict(_analyze(trace, sc), crossings={}, witness=witness)
     return RunResult(scenario=sc, trace=trace, analysis=analysis, certificate=cert)
-
-
-def five_stage_check(theta0, eta, beta2, max_steps) -> dict:
-    """five_stage_certificate's certificate.json body; a refusal of its input
-    becomes a SKIPPED (hypothesis) body that gives the reason."""
-    try:
-        return five_stage_certificate(theta0, eta, beta2, max_steps=max_steps)
-    except PreconditionViolation as exc:
-        return _refused("five-stage", exc)
-
-
-def lr_decay_check(theta0, eta0, alpha, beta2, max_steps) -> dict:
-    """lr_decay_witness's certificate.json body, or its refusal as in
-    five_stage_check."""
-    try:
-        return lr_decay_witness(theta0, eta0, alpha, beta2, max_steps=max_steps)
-    except PreconditionViolation as exc:
-        return _refused("lr-decay", exc)
-
-
-def _refused(theorem: str, exc: PreconditionViolation) -> dict:
-    return {"theorem": theorem, "verdict": "SKIPPED (hypothesis)", "reason": str(exc)}
 
 
 # === run directories ========================================================
@@ -236,9 +215,8 @@ def write_run_dir(result: RunResult, out=None) -> Path:
     return d
 
 
-def write_certificate_dir(certificate: dict, scenario_id: str, out=None,
-                          seed: int = 0) -> Path:
-    d = fresh_dir(output_root(out), scenario_id, seed)
+def write_certificate_dir(certificate: dict, scenario_id: str, out=None) -> Path:
+    d = fresh_dir(output_root(out), scenario_id, 0)
     write_json(_clean(certificate), d / "certificate.json")
     return d
 

@@ -7,7 +7,8 @@ finite-difference HVP and a dense Hessian capped at small sizes.
 The descent, momentum-boundary, real-spectrum, five-stage and lr-decay
 oracles return the body of their certificate.json: the theorem, its verdict and the numbers behind
 it. A caller adds only what the oracle cannot know, such as the command-line
-text it was given.
+text it was given. Five-stage and lr-decay answer an input outside their
+hypothesis with a SKIPPED (hypothesis) body giving the reason, never a raise.
 
 Theorem-mode recursions here use beta1=0, epsilon=0, no bias correction, and
 the delayed second moment (the step at time t uses v_t, then v updates).
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import BOUNDARIES
 from .errors import (DivergedEvaluation, Indeterminate, InvalidDirection, OracleMisuse,
                      OracleSizeExceeded, PreconditionViolation, ZeroGradient)
 
@@ -184,6 +186,11 @@ def real_spectrum_check(H: np.ndarray, d: np.ndarray) -> dict:
 # === five-stage certificate =================================================
 
 
+def _refused(theorem: str, reason: str) -> dict:
+    """The certificate.json body of an input outside the theorem's hypothesis."""
+    return {"theorem": theorem, "verdict": "SKIPPED (hypothesis)", "reason": reason}
+
+
 def theorem_recursion(theta0, eta, beta2, n_steps):
     """theta_{t+1} = (1 - eta/sqrt(v_t)) theta_t; v_{t+1} = b2 v_t + (1-b2) theta_t^2."""
     th = np.empty(n_steps + 1)
@@ -202,15 +209,16 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
 
     The verdict is PASS when every check holds and FAIL when one does not.
     Outside the hypothesis lhs > rhs it is SKIPPED (hypothesis), with no
-    simulation, no boundaries and no checks.
+    simulation, no boundaries and no checks; off the recursion's domain or
+    above FIVE_STAGE_HORIZON_CAP steps, it is that verdict with only a reason.
     """
     if not (eta > 0 and 0.0 < beta2 < 1.0):
-        raise PreconditionViolation("need eta > 0 and beta2 in (0, 1)")
+        return _refused("five-stage", "need eta > 0 and beta2 in (0, 1)")
     if not math.isfinite(theta0 * theta0):
-        raise PreconditionViolation("need a finite theta0 with a finite square")
+        return _refused("five-stage", "need a finite theta0 with a finite square")
     a0 = abs(theta0)
     if a0 <= eta / 2.0:
-        raise PreconditionViolation("need |theta0| > eta/2 (equality refused)")
+        return _refused("five-stage", "need |theta0| > eta/2 (equality refused)")
 
     lhs = 1.0 / math.log(1.0 / beta2)
     rhs = 1.0 / math.log(2.0 * a0 / eta) + 1.0 / math.log(2.0)
@@ -218,9 +226,9 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     t1_formula = 2.0 * math.log(a0 / eta + 0.5) / math.log(1.0 / beta2)
     horizon = 10.0 * max(t1_formula, 1.0) if max_steps is None else max_steps
     if not (horizon <= FIVE_STAGE_HORIZON_CAP and t1_formula < math.inf):
-        raise PreconditionViolation(
-            f"need a finite t1 and a horizon of at most {FIVE_STAGE_HORIZON_CAP} "
-            f"steps, got t1={t1_formula:.4g} and {horizon:.4g} steps")
+        return _refused("five-stage", f"need a finite t1 and a horizon of at most "
+                        f"{FIVE_STAGE_HORIZON_CAP} steps, got t1={t1_formula:.4g} and "
+                        f"{horizon:.4g} steps")
     s = max(eta / (2.0 * a0), abs(1.0 - eta / a0))
     t1 = int(math.floor(t1_formula))
     delta = s ** t1 * a0
@@ -289,7 +297,7 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
         add("stage3-growth",
             np.abs(th[t2:t3]) - q ** (ts - t2) * abs(th[t2]) * (1.0 - 1e-12))
 
-    ordered = [boundaries[k] for k in ("t0", "t1", "t2", "t3", "t4", "t5")]
+    ordered = [boundaries[k] for k in BOUNDARIES]
     finite = all(b is not None for b in ordered)
     gaps = [b - a for a, b in zip(ordered, ordered[1:])] if finite else [-1]
     checks.append({"name": "boundary-ordering",
@@ -363,19 +371,19 @@ def lr_decay_witness(theta0: float, eta0: float, alpha: float, beta2: float,
 
     The verdict is WITNESS-FOUND or NO-WITNESS within max_steps; existence is
     only claimed by the theory for beta2 close to 1, so absence is never
-    asserted as a theorem violation.
+    asserted as a theorem violation. Outside the hypothesis it is SKIPPED
+    (hypothesis), with the reason and no search.
     """
     if not 0.0 < alpha < 1.0:
-        raise PreconditionViolation("need alpha in (0, 1)")
+        return _refused("lr-decay", "need alpha in (0, 1)")
     if not 0.0 < beta2 < 1.0:
-        raise PreconditionViolation("need beta2 in (0, 1)")
+        return _refused("lr-decay", "need beta2 in (0, 1)")
     if not math.isfinite(theta0):
-        raise PreconditionViolation("need a finite theta0")
+        return _refused("lr-decay", "need a finite theta0")
     if not (eta0 > 0 and math.isfinite(eta0)):
-        raise PreconditionViolation("need a positive finite eta0")
-    a0 = abs(theta0)
-    if a0 <= 2.0 * eta0:
-        raise PreconditionViolation("need |theta0| > 2 eta0 (equality refused)")
+        return _refused("lr-decay", "need a positive finite eta0")
+    if abs(theta0) <= 2.0 * eta0:
+        return _refused("lr-decay", "need |theta0| > 2 eta0 (equality refused)")
     body = {"theorem": "lr-decay", "params": {"theta0": theta0, "eta0": eta0, "alpha": alpha,
                                               "beta2": beta2, "max_steps": max_steps}}
     th = float(theta0)

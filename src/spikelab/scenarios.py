@@ -198,7 +198,7 @@ def build_scenario(flat: dict) -> Scenario:
         raise ConfigError(f"unknown mode {mode!r}")
     seed = _seed(flat)
     n_steps = _int(flat, "n_steps", 1)
-    least = 1 if mode == "run" else 0  # 0 lets the five-stage certificate choose
+    least = 0 if mode == "five-stage" else 1  # 0 lets the five-stage certificate choose
     if not least <= n_steps <= MAX_STEPS:
         raise ConfigError(f"n_steps must be in [{least}, {MAX_STEPS}]")
 

@@ -504,6 +504,16 @@ def test_cli_verify_refuses_max_steps_below_one(theorem, max_steps, capsys):
     assert "certificate:" not in captured.out
 
 
+def test_cli_thmD6_refuses_a_zero_step_search_like_verify(tmp_path, capsys):
+    """A zero-step witness search checks nothing: run exits 1, as verify does."""
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", "thmD6", "--set", "n_steps=0", "--out", str(out)]) == 1
+    assert "n_steps must be in [1, " in capsys.readouterr().err
+    assert main(["verify", "lr-decay", "--max-steps", "0", "--out", str(out)]) == 1
+    assert "--max-steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("theorem", ["descent", "spike-iff"])
 @pytest.mark.parametrize("steps", ["-5", "0"])
 def test_cli_verify_refuses_steps_below_one(theorem, steps, capsys):
@@ -576,13 +586,13 @@ def _real_spectrum_body():
     return dict(body, params={"dim": 40, "seed": 0})
 
 
-def _thmD4_body():
-    sc = build_scenario(preset_config("thmD4"))
+def _thmD4_body(sets=None):
+    sc = build_scenario(dict(preset_config("thmD4"), **(sets or {})))
     return five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
 
 
-def _thmD6_body():
-    sc = build_scenario(preset_config("thmD6"))
+def _thmD6_body(sets=None):
+    sc = build_scenario(dict(preset_config("thmD6"), **(sets or {})))
     return lr_decay_witness(sc.theta0, sc.hyper.eta, sc.alpha, sc.hyper.beta2, sc.n_steps)
 
 
@@ -590,6 +600,7 @@ FIVE_STAGE_KEYS = {"theorem", "verdict", "params", "hypothesis", "t1_formula", "
                    "q", "t5_kind", "boundaries", "checks", "worst_slack"}
 LR_DECAY_KEYS = {"theorem", "verdict", "params", "witness_step", "checked_steps"}
 MOMENTUM_KEYS = {"theorem", "verdict", "boundary", "margin", "bracket"}
+REFUSED_KEYS = {"theorem", "verdict", "reason"}
 
 
 @pytest.mark.parametrize("argv,body,keys", [
@@ -609,8 +620,17 @@ MOMENTUM_KEYS = {"theorem", "verdict", "boundary", "margin", "bracket"}
      MOMENTUM_KEYS),
     (["verify", "momentum-boundary", "--lam", "5.0"],
      lambda: momentum_boundary_check(0.15, 0.9, 0.02, 5.0), MOMENTUM_KEYS | {"query"}),
+    (["verify", "five-stage", "--eta", "-0.1"],
+     lambda: five_stage_certificate(10.0, -0.1, 0.99), REFUSED_KEYS),
+    (["verify", "lr-decay", "--alpha", "1.5"],
+     lambda: lr_decay_witness(1.0, 0.1, 1.5, 0.99, 10 ** 6), REFUSED_KEYS),
+    (["run", "--scenario", "thmD4", "--set", "optimizer.beta2=1.0"],
+     lambda: _thmD4_body({"optimizer.beta2": 1.0}), REFUSED_KEYS),
+    (["run", "--scenario", "thmD6", "--set", "optimizer.eta=-0.1"],
+     lambda: _thmD6_body({"optimizer.eta": -0.1}), REFUSED_KEYS),
 ], ids=["descent", "real-spectrum", "five-stage", "lr-decay", "thmD4", "thmD6",
-        "momentum-boundary", "momentum-boundary-query"])
+        "momentum-boundary", "momentum-boundary-query", "five-stage-refused",
+        "lr-decay-refused", "thmD4-refused", "thmD6-refused"])
 def test_certificate_file_is_the_oracle_body(argv, body, keys, capsys):
     """Each certificate.json is its oracle's return value, plus the params
     only the command line knows, and nothing built beside it."""

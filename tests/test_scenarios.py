@@ -195,8 +195,12 @@ def test_theorem_modes_refuse_negative_n_steps(name):
     cfg["n_steps"] = -5
     with pytest.raises(ConfigError, match="n_steps"):
         build_scenario(cfg)
-    cfg["n_steps"] = 0  # five-stage: the certificate chooses its own length
-    assert build_scenario(cfg).n_steps == 0
+    cfg["n_steps"] = 0
+    if name == "thmD4":  # five-stage: the certificate chooses its own length
+        assert build_scenario(cfg).n_steps == 0
+    else:  # lr-decay: a witness search of zero steps checks nothing
+        with pytest.raises(ConfigError, match=r"n_steps must be in \[1, "):
+            build_scenario(cfg)
 
 
 def test_gd_delay_spectrum_shape():
