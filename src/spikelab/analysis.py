@@ -144,6 +144,8 @@ def _stage1_start(v_sq, anchor, target):
         maybe = ~(r2 <= STAGE1_R2 - STAGE1_SCREEN_MARGIN) & ~(
             np.abs(np.exp(slope) - target)
             > STAGE1_ALPHA_BAND * target + STAGE1_SCREEN_MARGIN)
+    moving = np.flatnonzero(seg[lo:] != seg[-1])
+    maybe[moving[-1] + 1 if moving.size else 0:] = False  # a constant tail is no decay
     for i in np.flatnonzero(maybe[:anchor - STAGE1_MIN_TAIL - lo + 1]) + lo:
         fit = fit_decay(v_sq, (int(i), anchor))
         if (fit["r_squared"] > STAGE1_R2

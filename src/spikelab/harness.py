@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
                        pre_spike_index, segment_stages, stage_labels)
 from .errors import ConfigError, SpikelabError
-from .oracles import five_stage_certificate, lr_decay_witness, theorem_recursion
+from .oracles import five_stage_simulation, lr_decay_witness
 from .optimizers import run
 from .scenarios import Scenario, build_scenario
 from .trace import PROBE_DTYPE, RunTrace, write_csv, write_json, write_trace_csv
@@ -114,16 +114,15 @@ def _empty_trace(sc: Scenario) -> RunTrace:
                     block_names=("theta",), initial_loss=0.5 * sc.theta0 * sc.theta0)
 
 
-def _theorem_trace(sc: Scenario, params: dict) -> RunTrace:
-    """Trace of the beta1=0 scalar recursion, probes synthesized exactly.
+def _theorem_trace(sc: Scenario, th, v) -> RunTrace:
+    """Trace of the beta1=0 scalar recursion theta, v; probes synthesized exactly.
 
     Record i covers theta_i -> theta_{i+1}; the preconditioned curvature at
     step i is 1/sqrt(v_i) because the recursion applies the delayed second
     moment, and the raw curvature of the scalar objective is 1.
     """
-    eta = params["eta"]
-    n = params["max_steps"]
-    th, v = theorem_recursion(params["theta0"], eta, params["beta2"], n)
+    eta = sc.hyper.eta
+    n = th.size - 1
     rv = np.sqrt(v)
     lam, yes = 1.0 / rv[:n], np.ones(n, bool)
     probes = np.rec.fromarrays([np.arange(n), np.ones(n), lam, lam, np.full(n, 2.0 / eta),
@@ -140,26 +139,23 @@ def _theorem_trace(sc: Scenario, params: dict) -> RunTrace:
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
-    cert = five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
-    ok = not cert["verdict"].startswith("SKIPPED")  # refused, or outside the hypothesis
-    trace = _theorem_trace(sc, cert["params"]) if ok else _empty_trace(sc)
+    cert, simulated = five_stage_simulation(sc.theta0, sc.hyper.eta, sc.hyper.beta2,
+                                            sc.n_steps or None)
+    trace = _empty_trace(sc) if simulated is None else _theorem_trace(sc, *simulated)
     analysis = _analyze(trace, sc)
 
-    if ok and analysis.get("segmentation"):
+    if analysis["segmentation"]:  # None for the empty trace of a SKIPPED body
         segb = analysis["segmentation"]["boundaries"]
         certb = cert["boundaries"]
         checks = {
             "t2_matches": segb["t2"] == certb["t2"],
-            "t3_follows_t2": (certb["t2"] is not None
-                              and segb["t3"] == certb["t2"] + 1),
+            "t3_follows_t2": certb["t2"] is not None and segb["t3"] == certb["t2"] + 1,
             "t4_matches_growth": segb["t4"] == certb["t3"],
             "t5_matches_reviolation": segb["t5"] == certb["t4"],
-            "t1_present_before_t2": (segb["t1"] is not None
-                                     and segb["t2"] is not None
+            "t1_present_before_t2": (None not in (segb["t1"], segb["t2"])
                                      and segb["t1"] < segb["t2"]),
         }
-        analysis["theorem_consistency"] = dict(
-            checks, all_consistent=all(checks.values()))
+        analysis["theorem_consistency"] = dict(checks, all_consistent=all(checks.values()))
 
     return RunResult(scenario=sc, trace=trace, analysis=analysis, certificate=cert)
 
@@ -224,12 +220,14 @@ def write_certificate_dir(certificate: dict, scenario_id: str, out=None) -> Path
 def summary_line(result: RunResult, run_dir=None) -> str:
     a = result.analysis
     parts = [a["scenario_id"], f"seed={a['seed']}", f"status={a['status']}"]
-    if result.certificate is not None:
-        parts.append(f"verdict={result.certificate['verdict']}")
-        if "worst_slack" in result.certificate:
-            parts.append(f"worst_slack={result.certificate['worst_slack']:.3g}")
-        if "witness_step" in result.certificate:
-            parts.append(f"witness_step={result.certificate['witness_step']}")
+    cert = result.certificate
+    if cert is not None:
+        parts.append(f"verdict={cert['verdict']}"
+                     + (f": {cert['reason']}" if "reason" in cert else ""))
+        if cert.get("worst_slack") is not None:
+            parts.append(f"worst_slack={cert['worst_slack']:.3g}")
+        if "witness_step" in cert:
+            parts.append(f"witness_step={cert['witness_step']}")
     if a["n_steps"]:
         parts.append(f"steps={a['n_steps']}")
         parts.append(f"final_loss={a['final_loss']:.6g}")

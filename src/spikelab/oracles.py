@@ -4,11 +4,12 @@ iff spike condition via the averaged Hessian, and decaying-LR instability;
 plus the derivative oracles the tests hold the objectives to: a central
 finite-difference HVP and a dense Hessian capped at small sizes.
 
-The descent, momentum-boundary, real-spectrum, five-stage and lr-decay
-oracles return the body of their certificate.json: the theorem, its verdict and the numbers behind
-it. A caller adds only what the oracle cannot know, such as the command-line
-text it was given. Five-stage and lr-decay answer an input outside their
-hypothesis with a SKIPPED (hypothesis) body giving the reason, never a raise.
+The descent, momentum-boundary, real-spectrum, five-stage, spike-iff and
+lr-decay oracles return the body of their certificate.json: the theorem, its
+verdict and the numbers behind it. A caller adds only what the oracle cannot
+know, such as the command-line text it was given. Five-stage and lr-decay
+answer an input outside their hypothesis with a SKIPPED (hypothesis) body
+giving the reason, never a raise.
 
 Theorem-mode recursions here use beta1=0, epsilon=0, no bias correction, and
 the delayed second moment (the step at time t uses v_t, then v updates).
@@ -17,7 +18,6 @@ conflated.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,33 +192,42 @@ def _refused(theorem: str, reason: str) -> dict:
 
 
 def theorem_recursion(theta0, eta, beta2, n_steps):
-    """theta_{t+1} = (1 - eta/sqrt(v_t)) theta_t; v_{t+1} = b2 v_t + (1-b2) theta_t^2."""
+    """theta_{t+1} = (1 - eta/sqrt(v_t)) theta_t; v_{t+1} = b2 v_t + (1-b2) theta_t^2,
+    stepped in Python floats, which round as float64 array elements do."""
     th = np.empty(n_steps + 1)
     v = np.empty(n_steps + 1)
-    th[0] = theta0
-    v[0] = theta0 * theta0
-    for t in range(n_steps):
-        th[t + 1] = (1.0 - eta / math.sqrt(v[t])) * th[t]
-        v[t + 1] = beta2 * v[t] + (1.0 - beta2) * th[t] * th[t]
+    x = th[0] = float(theta0)
+    w = v[0] = x * x
+    for t in range(1, n_steps + 1):
+        x, w = (1.0 - eta / math.sqrt(w)) * x, beta2 * w + (1.0 - beta2) * x * x
+        th[t], v[t] = x, w
     return th, v
 
 
 def five_stage_certificate(theta0: float, eta: float, beta2: float,
                            max_steps: int = None) -> dict:
-    """Simulate the beta1=0 scalar recursion and certify the stage structure.
+    """The certificate.json body of five_stage_simulation."""
+    return five_stage_simulation(theta0, eta, beta2, max_steps)[0]
+
+
+def five_stage_simulation(theta0: float, eta: float, beta2: float, max_steps: int = None):
+    """Simulate the beta1=0 scalar recursion and certify the stage structure:
+    (certificate body, (theta, v) as theorem_recursion returns them), the
+    second None when nothing was simulated.
 
     The verdict is PASS when every check holds and FAIL when one does not.
     Outside the hypothesis lhs > rhs it is SKIPPED (hypothesis), with no
-    simulation, no boundaries and no checks; off the recursion's domain or
-    above FIVE_STAGE_HORIZON_CAP steps, it is that verdict with only a reason.
+    simulation, no boundaries, no checks and a reason naming lhs and rhs; off
+    the recursion's domain or above FIVE_STAGE_HORIZON_CAP steps, it is that
+    verdict with only a reason.
     """
     if not (eta > 0 and 0.0 < beta2 < 1.0):
-        return _refused("five-stage", "need eta > 0 and beta2 in (0, 1)")
+        return _refused("five-stage", "need eta > 0 and beta2 in (0, 1)"), None
     if not math.isfinite(theta0 * theta0):
-        return _refused("five-stage", "need a finite theta0 with a finite square")
+        return _refused("five-stage", "need a finite theta0 with a finite square"), None
     a0 = abs(theta0)
     if a0 <= eta / 2.0:
-        return _refused("five-stage", "need |theta0| > eta/2 (equality refused)")
+        return _refused("five-stage", "need |theta0| > eta/2 (equality refused)"), None
 
     lhs = 1.0 / math.log(1.0 / beta2)
     rhs = 1.0 / math.log(2.0 * a0 / eta) + 1.0 / math.log(2.0)
@@ -228,7 +237,7 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     if not (horizon <= FIVE_STAGE_HORIZON_CAP and t1_formula < math.inf):
         return _refused("five-stage", f"need a finite t1 and a horizon of at most "
                         f"{FIVE_STAGE_HORIZON_CAP} steps, got t1={t1_formula:.4g} and "
-                        f"{horizon:.4g} steps")
+                        f"{horizon:.4g} steps"), None
     s = max(eta / (2.0 * a0), abs(1.0 - eta / a0))
     t1 = int(math.floor(t1_formula))
     delta = s ** t1 * a0
@@ -240,9 +249,10 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
             "hypothesis": {"ok": hypothesis_ok, "lhs": lhs, "rhs": rhs},
             "t1_formula": t1_formula, "s": s, "delta": delta, "q": None,
             "t5_kind": None,  # reviolation | trace-end
-            "boundaries": {}, "checks": [], "worst_slack": 0.0}
+            "boundaries": {}, "checks": [], "worst_slack": None}
     if not hypothesis_ok:
-        return body
+        body["reason"] = f"need lhs > rhs, got lhs={lhs:.6g} and rhs={rhs:.6g}"
+        return body, None
 
     th, v = theorem_recursion(theta0, eta, beta2, max_steps)
     rv = np.sqrt(v)
@@ -307,23 +317,10 @@ def five_stage_certificate(theta0: float, eta: float, beta2: float,
     body.update(verdict="PASS" if all(c["holds"] for c in checks) else "FAIL",
                 q=q, t5_kind=t5_kind, boundaries=boundaries, checks=checks,
                 worst_slack=min(c["worst_slack"] for c in checks))
-    return body
+    return body, (th, v)
 
 
 # === exact iff condition via the averaged Hessian ===========================
-
-
-@dataclass(frozen=True)
-class IffCheckResult:
-    lhs: bool
-    rhs: bool
-    estimate: float
-    threshold: float
-    determinate: bool
-    residual: float  # |estimate at 2x the quadrature nodes - estimate at 1x|
-
-    def consistent(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def _averaged_quotient(obj, theta, g, gn2, eta, nodes):
@@ -338,9 +335,9 @@ def _averaged_quotient(obj, theta, g, gn2, eta, nodes):
     return total / gn2
 
 
-def spike_iff_check(obj, theta_t, eta: float,
-                    quadrature_nodes: int = QUADRATURE_NODES) -> IffCheckResult:
-    """Loss-increase after a GD step vs the averaged-Hessian curvature test."""
+def spike_iff_check(obj, theta_t, eta: float, quadrature_nodes: int = QUADRATURE_NODES) -> dict:
+    """Loss-increase after a GD step (lhs) vs the averaged-Hessian curvature
+    test (rhs), determinate outside 4 quadrature residuals of 2/eta."""
     theta = np.asarray(theta_t, dtype=float)
     g = obj.gradient(theta)
     gn2 = float(g @ g)
@@ -349,17 +346,43 @@ def spike_iff_check(obj, theta_t, eta: float,
     lhs = obj.loss(theta - eta * g) > obj.loss(theta)
     est_lo = _averaged_quotient(obj, theta, g, gn2, eta, quadrature_nodes)
     est_hi = _averaged_quotient(obj, theta, g, gn2, eta, 2 * quadrature_nodes)
-    residual = abs(est_hi - est_lo)
+    residual = abs(est_hi - est_lo)  # estimate at 2x the nodes minus at 1x
     threshold = 2.0 / eta
-    band = 4.0 * residual
-    return IffCheckResult(
-        lhs=lhs,
-        rhs=est_hi > threshold,
-        estimate=est_hi,
-        threshold=threshold,
-        determinate=abs(est_hi - threshold) > band,
-        residual=residual,
-    )
+    return {"lhs": lhs, "rhs": est_hi > threshold, "estimate": est_hi,
+            "threshold": threshold, "residual": residual,
+            "determinate": abs(est_hi - threshold) > 4.0 * residual}
+
+
+@np.errstate(all="ignore")  # a diverging iterate raises DivergedEvaluation, unwarned
+def spike_iff_certificate(obj, theta0, eta: float, steps: int,
+                          quadrature_nodes: int = QUADRATURE_NODES,
+                          min_consistency: float = 1.0) -> dict:
+    """spike_iff_check at each of `steps` GD iterates from theta0.
+
+    The walk ends early, checked_steps < steps, at a stationary point, where
+    GD stays, or at an iterate whose loss overflows: no later step gives
+    evidence. The verdict is PASS when at least min_consistency of the
+    determinate steps have lhs == rhs; SKIPPED (no evidence) when none is.
+    """
+    theta = np.asarray(theta0, dtype=float)
+    checked = consistent = 0
+    margins = []  # |estimate - 2/eta| at each determinate step
+    while checked < steps:
+        try:
+            res = spike_iff_check(obj, theta, eta, quadrature_nodes)
+        except (ZeroGradient, DivergedEvaluation):
+            break
+        checked += 1
+        if res["determinate"]:
+            consistent += res["lhs"] == res["rhs"]
+            margins.append(abs(res["estimate"] - res["threshold"]))
+        theta = theta - eta * obj.gradient(theta)
+    frac = consistent / len(margins) if margins else None
+    return {"theorem": "spike-iff",
+            "verdict": evidence_verdict(len(margins), bool(margins) and frac >= min_consistency),
+            "consistent_fraction": frac, "determinate_steps": len(margins),
+            "checked_steps": checked, "total_steps": steps,
+            "worst_margin": min(margins, default=None)}
 
 
 # === decaying learning rate =================================================

@@ -15,7 +15,7 @@ from spikelab import (build_scenario, dense_hessian, five_stage_certificate,
                       lr_decay_witness, momentum_boundary,
                       momentum_stability_classify, power_iteration,
                       preset_config, real_spectrum_check, run_scenario,
-                      spike_iff_check)
+                      spike_iff_certificate)
 from spikelab.harness import run_sweep
 from spikelab.rngs import stream
 
@@ -160,32 +160,23 @@ def test_criterion_06_classifier_matches_threshold():
 # === 7: exact iff condition along GD trajectories ===========================
 
 
-def _iff_fractions(obj, theta, eta, n_steps):
-    det = cons = 0
-    for _ in range(n_steps):
-        res = spike_iff_check(obj, theta, eta)
-        if res.determinate:
-            det += 1
-            cons += res.consistent()
-        theta = theta - eta * obj.gradient(theta)
-    return det, cons
-
-
 def test_criterion_07_iff_along_gd(quad3):
+    # every step must be checked: a walk that ends early fails the gate
     t0 = time.monotonic()
     quad_ok = True
     for eta in (0.15, 0.19, 0.22):
-        det, cons = _iff_fractions(quad3, np.ones(3), eta, 100)
-        quad_ok = quad_ok and det == 100 and cons == 100
+        cert = spike_iff_certificate(quad3, np.ones(3), eta, 100)
+        quad_ok = (quad_ok and cert["checked_steps"] == 100
+                   and cert["determinate_steps"] == 100 and cert["consistent_fraction"] == 1.0)
 
     sc = build_scenario(preset_config("fig5-gd"))
-    det, cons = _iff_fractions(sc.objective, sc.theta0.values.copy(),
-                               sc.hyper.eta, 300)
-    frac = cons / det if det else 0.0
+    cert = spike_iff_certificate(sc.objective, sc.theta0.values, sc.hyper.eta, 300)
+    det, frac = cert["determinate_steps"], cert["consistent_fraction"] or 0.0
     dt = time.monotonic() - t0
-    ok = quad_ok and frac >= 0.99 and dt < 120.0
-    _gate(7, ok, f"quadratic 300/300 consistent, fnn {cons}/{det} "
-                 f"({100 * frac:.1f}%) determinate steps, {dt:.1f}s")
+    ok = quad_ok and cert["checked_steps"] == 300 and frac >= 0.99 and dt < 120.0
+    _gate(7, ok, f"quadratic 300/300 consistent, fnn {round(frac * det)}/{det} "
+                 f"({100 * frac:.1f}%) determinate steps of {cert['checked_steps']} "
+                 f"checked, {dt:.1f}s")
 
 
 # === 8-9: 50-d crossing order and sustained predictor =======================

@@ -13,6 +13,7 @@ from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
                       build_scenario, crossing_summary, detect_spikes_series,
                       fill_sustained, fit_decay, make_quadratic, pre_spike_index,
                       preset_config, run, run_scenario, segment_stages, stage_labels)
+from spikelab import analysis
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
@@ -204,7 +205,7 @@ def _t1_by_refitting_every_tail(trace, beta2):
     v_sq, target = trace.vhat_norms() ** 2, math.sqrt(beta2)
     for i in range(1, anchor - 50 + 1):
         seg = v_sq[i:anchor]
-        if np.any(~np.isfinite(seg)) or np.any(seg <= 0):
+        if np.any(~np.isfinite(seg)) or np.any(seg <= 0) or np.all(seg == seg[-1]):
             continue
         fit = fit_decay(v_sq, (i, anchor))
         if fit["r_squared"] > 0.95 and abs(fit["alpha_hat"] - target) <= 0.05 * target:
@@ -246,7 +247,7 @@ def test_t1_scan_matches_refitting_every_tail(case):
     assert seg["verdicts"][0]["detail"] == detail
 
 
-def test_t1_scan_is_linear_on_a_long_run():
+def test_t1_scan_is_linear_on_a_long_run(monkeypatch):
     # figD9's v never decays, so the scan screens every tail up to the end:
     # refitting each one took 0.7 s at 2e4 steps and grew with the square
     def run_s(segment):
@@ -259,20 +260,29 @@ def test_t1_scan_is_linear_on_a_long_run():
     _, without = run_s(False)
     assert with_scan < without + 1.0
 
-    # against a trace a fifth as long, so the box's load divides out. The
-    # screen's cost is its confirming fits: 578 tails of the 4e3-step trace
-    # pass it, 23 of the 2e4-step one, and the 2e4-step call took 0.35-0.47
-    # times the 4e3-step one; the old refit was 3.6-4.3 times slower at 2e4
+    # against a trace a fifth as long, so the box's load divides out. Its v is
+    # exactly constant from step 528: such a tail is no decay, so neither
+    # trace has a t1, and the screen leaves the same two tails (526 and 527)
+    # for fit_decay at either length. Per step, the longer trace segments in
+    # 1.3-1.7 times the shorter one's time (cache); a quadratic scan reads 5
+    fits = []
+    monkeypatch.setattr(analysis, "fit_decay",
+                        lambda *a: fits.append(a[1]) or fit_decay(*a))
+
     def segment_s(res):
         best = math.inf
         for _ in range(3):
+            fits.clear()
             t0 = time.perf_counter()
-            segment_stages(res.trace, res.scenario.hyper)
+            seg = segment_stages(res.trace, res.scenario.hyper)
             best = min(best, time.perf_counter() - t0)
-        return best
+        assert seg["boundaries"]["t1"] is None
+        return best / len(res.trace), sorted(w[0] for w in fits)
 
     short = run_scenario(build_scenario({**preset_config("figD9-adagrad"), "n_steps": 4000}))
-    assert segment_s(segmented) < 2.0 * segment_s(short)
+    (long_s, long_fits), (short_s, short_fits) = segment_s(segmented), segment_s(short)
+    assert long_fits == short_fits == [526, 527]
+    assert long_s < 3.0 * short_s
 
 
 # === first crossings ========================================================

@@ -13,10 +13,10 @@ import pytest
 from spikelab import (SCHEMA_VERSION, AdamHyper, QuadraticSpec, build_scenario,
                       check_descent_lemma, five_stage_certificate, lr_decay_witness,
                       make_quadratic, momentum_boundary_check, preset_config,
-                      real_spectrum_check, run, run_scenario, stream, write_run_dir,
-                      write_trace_csv)
+                      real_spectrum_check, run, run_scenario, spike_iff_certificate, stream,
+                      write_run_dir, write_trace_csv)
 from spikelab.analysis import detect_spikes_series, pre_spike_index, segment_stages
-from spikelab import harness
+from spikelab import harness, oracles
 from spikelab.cli import main
 from spikelab.errors import ConfigError
 from spikelab.harness import (SWEEP_COLUMNS, fresh_dir, output_root,
@@ -424,8 +424,26 @@ def test_cli_verify_five_stage_skip(capsys):
     rc = main(["verify", "five-stage", "--beta2", "0.5"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "SKIPPED (hypothesis)" in out
-    assert _cert_from(out)["verdict"] == "SKIPPED (hypothesis)"
+    reason = "need lhs > rhs, got lhs=1.4427 and rhs=1.64707"
+    assert out.startswith(f"five-stage: SKIPPED (hypothesis): {reason}\n")
+    cert = _cert_from(out)
+    assert cert["verdict"] == "SKIPPED (hypothesis)" and cert["reason"] == reason
+    assert cert["worst_slack"] is None
+    assert main(["run", "--scenario", "thmD4", "--set", "optimizer.beta2=0.5"]) == 0
+    out = capsys.readouterr().out
+    assert f"verdict=SKIPPED (hypothesis): {reason} dir=" in out
+    assert "worst_slack" not in out
+
+
+def test_thmD4_run_simulates_the_recursion_once(monkeypatch):
+    """The trace is built from the arrays the certificate was read from."""
+    calls = []
+    recursion = oracles.theorem_recursion
+    monkeypatch.setattr(oracles, "theorem_recursion",
+                        lambda *args: calls.append(args) or recursion(*args))
+    result = run_scenario(build_scenario(preset_config("thmD4")))
+    assert calls == [(10.0, 0.15, 0.99, 8373)]
+    assert result.certificate["verdict"] == "PASS" and len(result.trace) == 8373
 
 
 @pytest.mark.parametrize("run_args,verify_args", [
@@ -591,6 +609,12 @@ def _thmD4_body(sets=None):
     return five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
 
 
+def _spike_iff_body(eigenvalues, eta, steps):
+    obj = make_quadratic(QuadraticSpec(eigenvalues=tuple(map(float, eigenvalues.split(",")))))
+    body = spike_iff_certificate(obj, obj.initial_point((1.0,)).values, eta, steps)
+    return dict(body, params={"eta": eta, "eigenvalues": eigenvalues, "quadrature_nodes": 16})
+
+
 def _thmD6_body(sets=None):
     sc = build_scenario(dict(preset_config("thmD6"), **(sets or {})))
     return lr_decay_witness(sc.theta0, sc.hyper.eta, sc.alpha, sc.hyper.beta2, sc.n_steps)
@@ -601,6 +625,8 @@ FIVE_STAGE_KEYS = {"theorem", "verdict", "params", "hypothesis", "t1_formula", "
 LR_DECAY_KEYS = {"theorem", "verdict", "params", "witness_step", "checked_steps"}
 MOMENTUM_KEYS = {"theorem", "verdict", "boundary", "margin", "bracket"}
 REFUSED_KEYS = {"theorem", "verdict", "reason"}
+SPIKE_IFF_KEYS = {"theorem", "verdict", "consistent_fraction", "determinate_steps",
+                  "checked_steps", "total_steps", "worst_margin", "params"}
 
 
 @pytest.mark.parametrize("argv,body,keys", [
@@ -628,9 +654,18 @@ REFUSED_KEYS = {"theorem", "verdict", "reason"}
      lambda: _thmD4_body({"optimizer.beta2": 1.0}), REFUSED_KEYS),
     (["run", "--scenario", "thmD6", "--set", "optimizer.eta=-0.1"],
      lambda: _thmD6_body({"optimizer.eta": -0.1}), REFUSED_KEYS),
+    (["verify", "five-stage", "--beta2", "0.5"],
+     lambda: five_stage_certificate(10.0, 0.15, 0.5), FIVE_STAGE_KEYS | {"reason"}),
+    (["run", "--scenario", "thmD4", "--set", "optimizer.beta2=0.5"],
+     lambda: _thmD4_body({"optimizer.beta2": 0.5}), FIVE_STAGE_KEYS | {"reason"}),
+    (["verify", "spike-iff"], lambda: _spike_iff_body("1.0,5.0,10.0", 0.15, 100),
+     SPIKE_IFF_KEYS),
+    (["verify", "spike-iff", "--eta", "1.0", "--eigenvalues", "2.0", "--steps", "3"],
+     lambda: _spike_iff_body("2.0", 1.0, 3), SPIKE_IFF_KEYS),
 ], ids=["descent", "real-spectrum", "five-stage", "lr-decay", "thmD4", "thmD6",
         "momentum-boundary", "momentum-boundary-query", "five-stage-refused",
-        "lr-decay-refused", "thmD4-refused", "thmD6-refused"])
+        "lr-decay-refused", "thmD4-refused", "thmD6-refused", "five-stage-skipped",
+        "thmD4-skipped", "spike-iff", "spike-iff-threshold"])
 def test_certificate_file_is_the_oracle_body(argv, body, keys, capsys):
     """Each certificate.json is its oracle's return value, plus the params
     only the command line knows, and nothing built beside it."""
@@ -733,12 +768,16 @@ def test_cli_verify_spike_iff_stops_at_an_overflowing_iterate(argv, verdict, evi
     assert captured.err == ""
     cert = _cert_from(captured.out)
     assert cert["verdict"] == verdict and cert["total_steps"] == 100
+    # every step walked before the stop is determinate
+    assert cert["checked_steps"] == cert["determinate_steps"] == int(evidence.split("/")[1])
 
 
 @pytest.mark.parametrize("argv,verdict,evidence", [
     # eta = 1/lambda lands on the minimum after one step, and GD stays there
     (["--eigenvalues", "10", "--eta", "0.1"], "PASS", "1/1"),
     (["--eigenvalues", "0"], "SKIPPED (no evidence)", "0/0"),
+    # the walk starts at the minimum
+    (["--theta0", "0"], "SKIPPED (no evidence)", "0/0"),
 ])
 def test_cli_verify_spike_iff_stops_at_a_stationary_point(argv, verdict, evidence, capsys):
     assert main(["verify", "spike-iff", *argv]) == 0
@@ -746,6 +785,8 @@ def test_cli_verify_spike_iff_stops_at_a_stationary_point(argv, verdict, evidenc
     assert out.startswith(f"spike-iff: {verdict} consistent={evidence} determinate steps")
     cert = _cert_from(out)
     assert cert["verdict"] == verdict and cert["total_steps"] == 100
+    # every step walked before the stop is determinate
+    assert cert["checked_steps"] == cert["determinate_steps"] == int(evidence.split("/")[1])
 
 
 def test_cli_verify_five_stage_refuses_long_horizon(capsys):

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used, no module imports another
 module's private name, every name the benchmarks read exists, the probe and
 optimizer layers add no public function, importing the package loads no
-process or thread pool, the package never writes the environment, and only
-optimizers.run sets the BLAS thread count."""
+process or thread pool, the package never writes the environment, only
+optimizers.run sets the BLAS thread count, and only the oracles build a
+certificate body."""
 
 import ast
 import importlib
@@ -246,6 +247,32 @@ def test_only_oracles_holds_the_hypothesis_verdict():
              for line in _skip_constants(ast.parse(p.read_text()))]
     assert not found, found
     assert _skip_constants(ast.parse((SRC / "oracles.py").read_text()))
+
+
+def _theorem_keys(tree):
+    """Lines of every dict literal or dict(...) call with a "theorem" key."""
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Dict) and any(
+                isinstance(k, ast.Constant) and k.value == "theorem" for k in n.keys)
+            or isinstance(n, ast.Call) and any(k.arg == "theorem" for k in n.keywords)]
+
+
+def test_only_oracles_builds_a_certificate_body():
+    """Every certificate.json body comes from its oracle; the command line
+    and the harness add params at most."""
+    found = [f"{p.name}:{line}" for p in MODULES + [SRC / "__init__.py"]
+             if p.name != "oracles.py"
+             for line in _theorem_keys(ast.parse(p.read_text()))]
+    assert not found, found
+    assert _theorem_keys(ast.parse((SRC / "oracles.py").read_text()))
+
+
+def test_theorem_keys_are_found():
+    code = ('body = {"theorem": "x", "verdict": "PASS"}\n'
+            'other = dict(theorem="x")\n'
+            'fine = {"theorem_note": 1, "verdict": "PASS"}\n'
+            'cert["theorem"]\n')
+    assert _theorem_keys(ast.parse(code)) == [1, 2]
 
 
 def test_hypothesis_verdict_constants_are_found():

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from spikelab import (AdamHyper, QuadraticSpec, check_descent_lemma,
-                      five_stage_certificate, lr_decay_witness, make_quadratic,
-                      momentum_boundary, momentum_stability_classify,
-                      real_spectrum_check, run, spike_iff_check)
+                      five_stage_certificate, five_stage_simulation, lr_decay_witness,
+                      make_quadratic, momentum_boundary, momentum_stability_classify,
+                      real_spectrum_check, run, spike_iff_certificate, spike_iff_check)
 from spikelab.errors import (Indeterminate, OracleMisuse, OracleSizeExceeded,
                              PreconditionViolation, ZeroGradient)
-from spikelab.oracles import FIVE_STAGE_HORIZON_CAP
+from spikelab.oracles import FIVE_STAGE_HORIZON_CAP, theorem_recursion
 
 # === descent lemma ==========================================================
 
@@ -113,6 +113,9 @@ def test_certificate_hypothesis_can_fail():
     assert cert["hypothesis"]["lhs"] < cert["hypothesis"]["rhs"]
     assert cert["boundaries"] == {}
     assert cert["verdict"] == "SKIPPED (hypothesis)"
+    # no check ran, so no slack; the reason names both sides
+    assert cert["worst_slack"] is None
+    assert cert["reason"] == "need lhs > rhs, got lhs=1.4427 and rhs=1.64707"
 
 
 def _assert_refused(body, theorem, match=""):
@@ -129,6 +132,36 @@ def test_certificate_preconditions():
     _assert_refused(five_stage_certificate(0.05, 0.15, 0.99), "five-stage")
     for theta0 in (math.inf, -math.inf, math.nan):
         _assert_refused(five_stage_certificate(theta0, 0.15, 0.99), "five-stage", "finite")
+
+
+def _numpy_recursion(theta0, eta, beta2, n_steps):
+    """theorem_recursion as a float64 array loop, one element at a time."""
+    th = np.empty(n_steps + 1)
+    v = np.empty(n_steps + 1)
+    th[0] = theta0
+    v[0] = theta0 * theta0
+    for t in range(n_steps):
+        th[t + 1] = (1.0 - eta / math.sqrt(v[t])) * th[t]
+        v[t + 1] = beta2 * v[t] + (1.0 - beta2) * th[t] * th[t]
+    return th, v
+
+
+@pytest.mark.parametrize("n_steps", [8373, 10 ** 5])  # thmD4's horizon, and longer
+def test_theorem_recursion_matches_a_numpy_loop_bit_for_bit(n_steps):
+    got = theorem_recursion(10.0, 0.15, 0.99, n_steps)
+    want = _numpy_recursion(10.0, 0.15, 0.99, n_steps)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64 and a.shape == (n_steps + 1,)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_simulation_returns_the_arrays_its_certificate_read():
+    cert, (th, v) = five_stage_simulation(10.0, 0.15, 0.99, max_steps=1500)
+    assert cert == five_stage_certificate(10.0, 0.15, 0.99, max_steps=1500)
+    want = theorem_recursion(10.0, 0.15, 0.99, 1500)
+    assert th.tobytes() == want[0].tobytes() and v.tobytes() == want[1].tobytes()
+    for args in ((10.0, 0.15, 0.5), (10.0, -0.1, 0.99)):  # outside, refused
+        assert five_stage_simulation(*args) == (five_stage_certificate(*args), None)
 
 
 def test_certificate_honors_max_steps():
@@ -163,22 +196,37 @@ class Quartic:
 def test_averaged_hessian_closed_form(eta, expected):
     # 2 int_0^1 (1-s) f''(1 - s eta) ds = 3 - 2 eta + eta^2 / 2 for the quartic
     res = spike_iff_check(Quartic(), np.array([1.0]), eta)
-    assert res.estimate == pytest.approx(expected, rel=1e-10)
-    assert res.determinate
-    assert res.consistent()
+    assert res["estimate"] == pytest.approx(expected, rel=1e-10)
+    assert res["determinate"]
+    assert res["lhs"] == res["rhs"]
 
 
 def test_iff_detects_unstable_quadratic():
     obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0,)))
     res = spike_iff_check(obj, np.array([1.0]), eta=3.0)
-    assert res.lhs and res.rhs and res.consistent()
-    assert res.threshold == pytest.approx(2.0 / 3.0)
+    assert res["lhs"] and res["rhs"]
+    assert res["threshold"] == pytest.approx(2.0 / 3.0)
+    assert set(res) == {"lhs", "rhs", "estimate", "threshold", "residual", "determinate"}
 
 
 def test_iff_needs_a_gradient():
     obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0,)))
     with pytest.raises(ZeroGradient):
         spike_iff_check(obj, np.array([0.0]), eta=0.1)
+
+
+def test_iff_walk_counts_each_step_it_checks():
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 5.0, 10.0)))
+    cert = spike_iff_certificate(obj, np.ones(3), 0.19, 100)
+    assert cert == {"theorem": "spike-iff", "verdict": "PASS", "consistent_fraction": 1.0,
+                    "determinate_steps": 100, "checked_steps": 100, "total_steps": 100,
+                    "worst_margin": cert["worst_margin"]}
+    assert cert["worst_margin"] > 0
+    # from the minimum, GD never moves: the walk checks nothing
+    cert = spike_iff_certificate(obj, np.zeros(3), 0.19, 100)
+    assert (cert["verdict"], cert["checked_steps"], cert["determinate_steps"]) == (
+        "SKIPPED (no evidence)", 0, 0)
+    assert cert["consistent_fraction"] is None and cert["worst_margin"] is None
 
 
 # === decaying learning rate =================================================
