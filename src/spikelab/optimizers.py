@@ -2,11 +2,11 @@
 RMSProp, Adagrad, Adafactor), and the run loop that produces RunTraces.
 Every run holds OpenBLAS at one thread, and a wide probed run takes each
 probe on a second thread, beside the steps that follow it, with the same
-bytes as inline probes. A one-parameter run steps Python floats, with the
-bytes of one-element arrays: _advance and _steps are written in operations
+bytes as inline probes. Each run binds its kind's rule once (_bind) into a
+closure that holds m and v; a one-parameter run steps Python floats with
+the bytes of one-element arrays, since the closure is written in operations
 floats and arrays share (*= and += update an array in place and rebind a
-float), and the few calls numpy makes only for arrays have helpers that take
-both.
+float) and the few calls numpy makes only for arrays have helpers for both.
 
 Update-rule conventions: epsilon is added after the square root; the v floor
 clips raw v before bias correction; the epsilon bump replaces epsilon from
@@ -25,7 +25,7 @@ import numpy as np
 from . import blas
 from .errors import ConfigError, DivergedEvaluation, DivergedRun
 from .params import (CONSTANT_LR, NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
-                     OptimizerState, ParamVector, norm)
+                     ParamVector, norm)
 from .probes import PI_MAX_ITERS, PI_TOL, Preconditioner, ProbeWarmStart, compute_probe
 from .trace import PROBE_DTYPE, RunTrace, StepRecord
 
@@ -72,7 +72,7 @@ def _rms(x) -> float:
     return norm(x) if isinstance(x, float) else norm(x) / math.sqrt(x.size)
 
 
-# _advance's calls that numpy makes only for arrays, each taking a Python
+# The binder's calls that numpy makes only for arrays, each taking a Python
 # float too (run's one-parameter state) with the bits of a one-element array.
 # A float never raises where numpy returns inf or NaN under run's errstate.
 
@@ -107,52 +107,56 @@ def _quotient(a, b):
 # === single-step updates ====================================================
 
 
-def _advance(theta, state, hyper, sched, plan, g):
-    """Apply one update of state.kind at time state.t.
+def _bind(kind, hyper, sched, plan, m, v):
+    """Resolve kind's RULES flags, hyper's constants, a constant schedule's
+    eta, the epsilon bump and the v floor once. Returns advance(theta, g, t)
+    -> (theta', eta_t, root, eps, scale), the step taken at time t, which
+    updates m and v in place (a float is rebound), each grouped as
+    beta * m + (1 - beta) * g (the bits of the allocating form). The last
+    three are the fields of the D_t it divided by (root None without v).
+    Adafactor's RMS clip, a scalar that can only shrink the step, is left out
+    of D_t, which on clipped steps overstates the step applied."""
+    rule = RULES[kind]
+    momentum, v_rule, factored = rule.momentum, rule.v, rule.factored
+    bias = rule.bias_correction and hyper.bias_correction
+    eta, beta1, beta2 = hyper.eta, hyper.beta1, hyper.beta2
+    keep1, keep2, m_scale = 1.0 - beta1, 1.0 - beta2, (1.0 - beta1) / (1.0 + beta1)
+    epsilon, floor = hyper.epsilon, plan.v_floor
+    decays, bumps = sched.kind != "constant", plan.epsilon_bump is not None
 
-    Returns (theta', eta_t, D_t): D_t is the Preconditioner the step divided
-    by, root + eps its denominator (root None without v) and scale its
-    scalar. Adafactor's RMS clip, a scalar that can only shrink the step, is
-    left out, so on clipped steps D_t overstates the step applied. Mutates
-    state: the step counter, and m and v in place, each grouped as
-    beta * m + (1 - beta) * g (the bits of the allocating form).
-    """
-    rule = RULES[state.kind]
-    t = state.t
-    eta_t = sched.eta_at(hyper.eta, t)
-    d, scale = g, 1.0
-    if rule.momentum:
-        state.m *= hyper.beta1
-        state.m += (1.0 - hyper.beta1) * g
-        d, scale = state.m, (1.0 - hyper.beta1) / (1.0 + hyper.beta1)
-    root, eps = None, 0.0
-    if rule.v == "none":
-        upd = eta_t * d
-    else:
-        if rule.v == "sum":
-            state.v += g * g
+    def advance(theta, g, t):
+        nonlocal m, v
+        eta_t = sched.eta_at(eta, t) if decays else eta
+        d, scale = g, 1.0
+        if momentum:
+            m *= beta1
+            m += keep1 * g
+            d, scale = m, m_scale
+        if v_rule == "none":
+            return theta - eta_t * d, eta_t, None, 0.0, scale
+        if v_rule == "sum":
+            v += g * g
         else:
-            state.v *= hyper.beta2
-            state.v += (1.0 - hyper.beta2) * g * g
-        if plan.v_floor is not None:
-            state.v = _floored(state.v, plan.v_floor)
-        vhat = state.v
-        if rule.bias_correction and hyper.bias_correction:
-            bias1 = 1.0 - hyper.beta1 ** (t + 1)
+            v *= beta2
+            v += keep2 * g * g
+        if floor is not None:
+            v = _floored(v, floor)
+        vhat = v
+        if bias:
+            bias1 = 1.0 - beta1 ** (t + 1)
             d, scale = d / bias1, scale / bias1
-            vhat = vhat / (1.0 - hyper.beta2 ** (t + 1))
+            vhat = vhat / (1.0 - beta2 ** (t + 1))
         root = _sqrt(vhat)
-        if rule.factored:
-            eps = ADAFACTOR_EPS1
-            u = d / (root + eps)
+        if factored:
+            u = d / (root + ADAFACTOR_EPS1)
             u = u / max(1.0, _rms(u) / ADAFACTOR_CLIP)
             scale = max(ADAFACTOR_EPS2, _rms(theta))
-            upd = (eta_t * scale) * u
-        else:
-            eps = plan.epsilon_at(t, hyper.epsilon)
-            upd = _quotient(eta_t * d, root + eps)
-    state.t = t + 1
-    return theta - upd, eta_t, Preconditioner(root, eps, scale)
+            return theta - (eta_t * scale) * u, eta_t, root, ADAFACTOR_EPS1, scale
+        eps = plan.epsilon_at(t, epsilon) if bumps else epsilon
+        upd = _quotient(eta_t * d, root + eps)  # freed at return: FNN runs peak lower in RSS
+        return theta - upd, eta_t, root, eps, scale
+
+    return advance
 
 
 def _vhat_norms(root, blocks) -> tuple:
@@ -164,20 +168,15 @@ def _vhat_norms(root, blocks) -> tuple:
     return (total, *(norm(root[off:off + length]) for _, off, length in blocks))
 
 
-def _diverged(theta, norms) -> bool:
-    """Whether a step diverged: its total v_hat norm norms[0] is not finite
-    (theta froze under an inf v_hat; norms is empty without v), or a
-    parameter is NaN or beyond DIVERGE_LIMIT. min and max allocate nothing;
-    np.abs(theta) raised a figD8 step's minor page faults from 16 to 156.
-    The ufunc reductions skip the Python wrappers of theta.min() and
-    theta.max(), which cost more than the reduction at small d. A float
-    theta is its own min and max.
+def _diverged(lo, hi, total) -> bool:
+    """Whether a step diverged: the total v_hat norm is not finite (theta
+    froze under an inf v_hat; 0.0 without v), or theta's least entry lo or
+    greatest hi is NaN or beyond DIVERGE_LIMIT. A float theta is its own lo
+    and hi; an array's are ufunc reductions, which allocate nothing
+    (np.abs(theta) raised a figD8 step's minor page faults from 16 to 156)
+    and skip the Python wrappers of theta.min() and theta.max().
     """
-    lo = hi = theta
-    if not isinstance(theta, float):
-        lo, hi = np.minimum.reduce(theta), np.maximum.reduce(theta)
-    return (bool(norms) and not math.isfinite(norms[0])
-            or not -DIVERGE_LIMIT <= lo <= hi <= DIVERGE_LIMIT)
+    return not (-DIVERGE_LIMIT <= lo <= hi <= DIVERGE_LIMIT and math.isfinite(total))
 
 
 @np.errstate(all="ignore")  # a diverged step raises DivergedRun below, unwarned
@@ -191,9 +190,12 @@ def _step_public(kind, obj, theta: ParamVector, state, hyper, sched=CONSTANT_LR,
         raise ConfigError("state buffers do not match theta dimension")
     _, g = obj.loss_and_gradient(theta.values)
     step_index = state.t
-    theta_new, eta_t, pre = _advance(theta.values, state, hyper, sched, plan, g)
-    norms = () if pre.root is None else _vhat_norms(pre.root, theta.blocks)
-    if _diverged(theta_new, norms):
+    theta_new, eta_t, root, _, _ = _bind(kind, hyper, sched, plan, state.m, state.v)(
+        theta.values, g, step_index)  # m and v are updated in place
+    state.t = step_index + 1
+    norms = () if root is None else _vhat_norms(root, theta.blocks)
+    if _diverged(np.minimum.reduce(theta_new), np.maximum.reduce(theta_new),
+                 norms[0] if norms else 0.0):
         raise DivergedRun(f"non-finite v_hat or theta, or |theta| > {DIVERGE_LIMIT:g}, "
                           f"after step {step_index}")
     return theta.with_values(theta_new), state, StepRecord(
@@ -276,15 +278,17 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     probes. A probe's exception is raised from run ahead of anything a later
     step raised or returned. With an unknown BLAS the probes run inline.
 
-    A run of an objective with param_dim 1 holds theta, g, m and v as Python
-    floats, decided once before its first step, because a float operation
-    costs a small fraction of a ufunc call on a one-element array. The
-    objective evaluates a float point, and each step does the IEEE operations
-    numpy would do on the one element, in the same order, so the bytes are
-    those of one-element arrays. Where numpy returns inf or NaN under this
-    errstate, a float step returns numpy's value instead of raising. A probe
-    step hands compute_probe its floats, which it probes in closed form with
-    the bits its solvers give on a one-element array.
+    The update rule is bound once per run (_bind); each step stores its
+    values straight into the preallocated columns, and only a probed step
+    builds its Preconditioner. With param_dim 1, theta, g, m and v are
+    Python floats, because a float operation costs a small fraction of a
+    ufunc call on a one-element array. The objective evaluates a float point,
+    and each step does the IEEE operations numpy would do on the one element,
+    in the same order, so the bytes are those of one-element arrays. Where
+    numpy returns inf or NaN under this errstate, a float step returns
+    numpy's value instead of raising. A probe step hands compute_probe its
+    floats, which it probes in closed form with the bits its solvers give on
+    a one-element array.
     """
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
@@ -323,37 +327,48 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
 
 
 def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, rows):
-    """run's steps, filling trace's step columns and handing each probe to
-    rows; returns (steps kept, status). A one-parameter run holds theta, g,
-    m and v as Python floats (see run)."""
-    if obj.param_dim == 1:
-        theta, state = float(theta0.values[0]), OptimizerState(kind, 0, 0.0, 0.0)
-    else:
-        theta, state = theta0.values.copy(), OptimizerState.fresh(kind, theta0.dim)
-    warm = ProbeWarmStart()
+    """run's steps, storing each step's values straight into trace's step
+    columns and handing each probe to rows; returns (steps kept, status). A
+    one-parameter run holds theta, g, m and v as Python floats (see run)."""
+    scalar = obj.param_dim == 1
+    theta = float(theta0.values[0]) if scalar else theta0.values.copy()
+    advance = _bind(kind, hyper, sched, plan,
+                    *((0.0, 0.0) if scalar else (np.zeros(theta.size), np.zeros(theta.size))))
+    blocks, every, warm = theta0.blocks, probes.every, ProbeWarmStart()
+    loss, grad_norm, eta_col, vhat = trace.loss, trace.grad_norm, trace.eta_t, trace.vhat
+    one_block = len(blocks) == 1
+    if vhat is not None and one_block:  # a one-block row is (total, total)
+        vhat_total, vhat_block = vhat[:, 0], vhat[:, 1]
     try:
         trace.initial_loss = obj.loss(theta)
         _, g = obj.loss_and_gradient(theta)
     except DivergedEvaluation:
         return 0, "diverged"
     for i in range(n_steps):
-        theta_new, eta_t, pre = _advance(theta, state, hyper, sched, plan, g)
-        trace.grad_norm[i], trace.eta_t[i] = norm(g), eta_t
-        norms = ()
-        if pre.root is not None:
-            trace.vhat[i] = norms = _vhat_norms(pre.root, theta0.blocks)
-        if _diverged(theta_new, norms):
+        theta_new, eta_t, root, eps, scale = advance(theta, g, i)
+        grad_norm[i], eta_col[i] = norm(g), eta_t
+        lo = hi = theta_new  # a float is its own min and max
+        if not scalar:
+            lo, hi = np.minimum.reduce(theta_new), np.maximum.reduce(theta_new)
+        if root is None:
+            total = 0.0
+        elif one_block:
+            vhat_total[i] = vhat_block[i] = total = norm(root)
+        else:
+            vhat[i] = norms = _vhat_norms(root, blocks)
+            total = norms[0]
+        if _diverged(lo, hi, total):
             return i + 1, "diverged"
-        if probes.every and i % probes.every == 0:
-            # theta, g and pre.root are never written after this step
-            rows.take(partial(compute_probe, obj, theta, pre, g, eta_t, i, seed, warm,
-                              max_iters=probes.max_iters, tol=probes.tol))
+        if every and i % every == 0:
+            # theta, g and root are never written after this step
+            rows.take(partial(compute_probe, obj, theta, Preconditioner(root, eps, scale), g,
+                              eta_t, i, seed, warm, max_iters=probes.max_iters, tol=probes.tol))
         theta = theta_new
         try:
             if i + 1 < n_steps:
-                trace.loss[i], g = obj.loss_and_gradient(theta)
+                loss[i], g = obj.loss_and_gradient(theta)
             else:
-                trace.loss[i] = obj.loss(theta)
+                loss[i] = obj.loss(theta)
         except DivergedEvaluation:
             return i + 1, "diverged"
     return n_steps, "completed"

@@ -1,17 +1,18 @@
 """Update rules against hand-computed values, plus run-loop semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, LrSchedule,
-                      MitigationPlan, OptimizerState, ParamVector, ProbePlan,
-                      QuadraticObjective, QuadraticSpec, make_quadratic, run,
-                      step_adafactor, step_adagrad, step_adam, step_gd,
-                      step_heavy_ball, step_rmsprop)
+                      MitigationPlan, OptimizerState, ParamVector, Preconditioner,
+                      ProbePlan, QuadraticObjective, QuadraticSpec, build_scenario,
+                      make_quadratic, optimizers, preset_config, run, step_adafactor,
+                      step_adagrad, step_adam, step_gd, step_heavy_ball, step_rmsprop)
 from spikelab.errors import ConfigError, DivergedRun
-from spikelab.optimizers import OPTIMIZER_KINDS, _advance, _floored, _quotient, _sqrt
+from spikelab.optimizers import OPTIMIZER_KINDS, _bind, _floored, _quotient, _sqrt
 from spikelab.params import CONSTANT_LR
 
 
@@ -185,9 +186,11 @@ def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
     theta = np.array([1.0, -0.5, 0.25])
     state = OptimizerState.fresh(kind, 3)
     h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99, bias_correction=bias_correction)
+    advance = _bind(kind, h, LrSchedule(), PLANS[plan], state.m, state.v)  # in place
     for t in range(1, 4):
         g = obj.gradient(theta)
-        theta_new, _, pre = _advance(theta, state, h, LrSchedule(), PLANS[plan], g)
+        theta_new, _, *fields = advance(theta, g, t - 1)
+        pre = Preconditioner(*fields)
         denom = 1.0 if pre.root is None else pre.root + pre.epsilon  # as pre.diag() divides
         rebuilt = _hand_step(kind, h, t, theta, g, state.m, denom)
         assert np.array_equal(rebuilt, theta_new)
@@ -195,13 +198,21 @@ def test_probed_preconditioner_is_the_applied_one(kind, plan, bias_correction):
         theta = theta_new
 
 
-class _LastLossPoint(QuadraticObjective):
-    """A quadratic that keeps the point of its last loss call: run's last
+class _LastLoss:
+    """An objective that keeps the point of its last loss call: run's last
     call is the loss at its final theta."""
 
     def loss(self, theta):
         self.point = theta
         return super().loss(theta)
+
+
+class _LastLossQuadratic(_LastLoss, QuadraticObjective):
+    pass
+
+
+class _LastLossFnn(_LastLoss, FnnObjective):
+    pass
 
 
 # one setting per plan under the default hyper and schedule, and two that
@@ -210,24 +221,36 @@ SETTINGS = {plan: (True, CONSTANT_LR, PLANS[plan]) for plan in PLANS}
 SETTINGS["no-bias-correction"] = (False, CONSTANT_LR, PLANS["none"])
 SETTINGS["power-decay"] = (True, LrSchedule("power-decay", alpha=0.5), PLANS["none"])
 
+# (objective factory, initial_point args) by test-id suffix: d=3 and d=1
+# quadratics (one block), and a width-3 FNN on 8 samples whose v_hat rows
+# carry four blocks (W1, b1, W2, b2)
+SHAPES = {
+    "": (lambda: _LastLossQuadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 10.0))),
+         ((1.0, -0.5, 0.25),)),
+    "-d1": (lambda: _LastLossQuadratic(QuadraticSpec(eigenvalues=(3.0,))), ((0.7,),)),
+    "-4blocks": (lambda: _LastLossFnn(FnnTaskSpec(input_dim=1, width=3, n_samples=8,
+                                                  target="sine-mix", seed=0)), ()),
+}
 
-@pytest.mark.parametrize("kind,setting,dim", [
-    pytest.param(kind, setting, dim, id=f"{kind}-{setting}" + ("-d1" if dim == 1 else ""))
-    for kind in OPTIMIZER_KINDS for setting in SETTINGS for dim in (3, 1)])
-def test_steps_match_run_columns_bit_for_bit(kind, setting, dim):
-    # step_<kind> and the run loop share _advance, _vhat_norms and the
+
+@pytest.mark.parametrize("kind,setting,shape", [
+    pytest.param(kind, setting, shape, id=f"{kind}-{setting}{shape}")
+    for kind in OPTIMIZER_KINDS for setting in SETTINGS for shape in SHAPES])
+def test_steps_match_run_columns_bit_for_bit(kind, setting, shape):
+    # step_<kind> and the run loop share the binder, _vhat_norms and the
     # divergence rule, so k steps give run(n_steps=k)'s columns exactly. At
     # d=1 run steps Python floats and step_<kind> one-element arrays.
     bias_correction, sched, plan = SETTINGS[setting]
-    eig, point = ((3.0,), (0.7,)) if dim == 1 else ((1.0, 4.0, 10.0), (1.0, -0.5, 0.25))
-    obj = _LastLossPoint(QuadraticSpec(eigenvalues=eig))
-    theta0 = obj.initial_point(point)
+    make, point = SHAPES[shape]
+    obj = make()
+    theta0 = obj.initial_point(*point)
     h = AdamHyper(eta=0.05, beta1=0.9, beta2=0.99, bias_correction=bias_correction)
     k = 6
     trace = run(obj, theta0, kind, h, sched=sched, plan=plan, n_steps=k)
     assert trace.status == "completed"
     final = obj.point
-    assert isinstance(final, float) == (dim == 1)  # the float path is run's at d=1
+    assert isinstance(final, float) == (theta0.dim == 1)  # the float path is run's at d=1
+    assert trace.vhat is None or trace.vhat.shape == (k, 1 + len(theta0.blocks))
     th, st = theta0, OptimizerState.fresh(kind, theta0.dim)
     for i in range(k):
         th, st, rec = STEPS[kind](obj, th, st, h, sched=sched, plan=plan)
@@ -240,6 +263,50 @@ def test_steps_match_run_columns_bit_for_bit(kind, setting, dim):
     # loss_and_gradient, whose order may round apart
     assert rec.loss == trace.loss[-1]
     assert np.array_equal(th.values, np.atleast_1d(final))
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_run_builds_a_preconditioner_per_probe_only(kind, dim, monkeypatch):
+    # a step returns its D_t's fields; run builds the Preconditioner only on
+    # the steps it probes
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return Preconditioner(*fields)
+
+    monkeypatch.setattr(optimizers, "Preconditioner", counted)
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 10.0)[:dim]))
+    for every, taken in ((3, 4), (4, 3), (1, 10), (0, 0)):  # 10 steps
+        built.clear()
+        trace = run(obj, obj.initial_point(0.7), kind, AdamHyper(eta=0.05), n_steps=10,
+                    probes=ProbePlan(every=every))
+        assert trace.status == "completed" and trace.probes.size == taken
+        assert len(built) == taken
+
+
+@pytest.mark.parametrize("preset,n_steps", [("figD9-adagrad", 20_000), ("fig2a", 4_000)])
+def test_run_allocates_its_columns_and_little_more(preset, n_steps):
+    # per-step Python lists or kept row tuples would add tens of bytes a step
+    sc = build_scenario({**preset_config(preset), "n_steps": n_steps})
+
+    def once():
+        return run(sc.objective, sc.theta0, sc.kind, sc.hyper, sched=sc.sched, plan=sc.plan,
+                   n_steps=sc.n_steps, probes=sc.probes, seed=sc.seed, config_echo=sc.flat)
+
+    once()  # first calls load what they load once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = once()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.status == "completed" and len(trace) == n_steps
+    columns = sum(c.nbytes for c in (trace.loss, trace.grad_norm, trace.eta_t, trace.vhat,
+                                     trace.probes) if c is not None)
+    assert peak <= columns + 64 * 1024
 
 
 # === guards =================================================================
@@ -407,7 +474,7 @@ def test_one_parameter_runs_diverge_where_numpy_gives_inf_or_nan(case):
 @pytest.mark.parametrize("x", [-1.0, -math.inf, -0.0, 0.0, 5e-324, 2.0, math.inf, math.nan])
 @pytest.mark.parametrize("floor", [0.0, -0.0, 1.0, math.nan])
 def test_float_calls_give_one_element_array_bits(x, floor):
-    # _advance's array-only calls on a float, against numpy on [x]: sqrt of a
+    # the binder's array-only calls on a float, against numpy on [x]: sqrt of a
     # negative is NaN (math.sqrt raises), a float divided by zero is inf or
     # NaN (/ raises), and the floor keeps numpy's ties and NaNs
     arr = np.array([x])
