@@ -19,8 +19,8 @@ from .optimizers import (OPTIMIZER_KINDS, ProbePlan, run, step_adafactor,
                          step_adagrad, step_adam, step_gd, step_heavy_ball,
                          step_rmsprop)
 from .oracles import (central_fd_hvp, check_descent_lemma, default_fd_step, dense_hessian,
-                      five_stage_certificate, five_stage_simulation, lr_decay_witness,
-                      momentum_boundary, momentum_boundary_check, momentum_stability_classify,
+                      five_stage_certificate, lr_decay_witness, momentum_boundary,
+                      momentum_boundary_check, momentum_stability_classify,
                       real_spectrum_check, spike_iff_certificate, spike_iff_check)
 from .params import (NO_MITIGATION, AdamHyper, LrSchedule, MitigationPlan,
                      OptimizerState, ParamVector)

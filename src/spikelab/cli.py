@@ -107,7 +107,7 @@ def cmd_sweep(args) -> int:
 
 
 def _verify_five_stage(theta0, eta, beta2, max_steps):
-    cert = five_stage_certificate(theta0, eta, beta2, max_steps)
+    cert, _ = five_stage_certificate(theta0, eta, beta2, max_steps)
     if "reason" in cert:
         return cert, f": {cert['reason']}"
     b = cert["boundaries"]

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
                        pre_spike_index, segment_stages, stage_labels)
 from .errors import ConfigError, SpikelabError
-from .oracles import five_stage_simulation, lr_decay_witness
+from .oracles import five_stage_certificate, lr_decay_witness
 from .optimizers import run
 from .scenarios import Scenario, build_scenario
 from .trace import PROBE_DTYPE, RunTrace, write_csv, write_json, write_trace_csv
@@ -114,8 +114,9 @@ def _empty_trace(sc: Scenario) -> RunTrace:
                     block_names=("theta",), initial_loss=0.5 * sc.theta0 * sc.theta0)
 
 
-def _theorem_trace(sc: Scenario, th, v) -> RunTrace:
-    """Trace of the beta1=0 scalar recursion theta, v; probes synthesized exactly.
+def _theorem_trace(sc: Scenario, th, rv) -> RunTrace:
+    """Trace of the beta1=0 scalar recursion's theta and sqrt(v); probes
+    synthesized exactly.
 
     Record i covers theta_i -> theta_{i+1}; the preconditioned curvature at
     step i is 1/sqrt(v_i) because the recursion applies the delayed second
@@ -123,7 +124,6 @@ def _theorem_trace(sc: Scenario, th, v) -> RunTrace:
     """
     eta = sc.hyper.eta
     n = th.size - 1
-    rv = np.sqrt(v)
     lam, yes = 1.0 / rv[:n], np.ones(n, bool)
     probes = np.rec.fromarrays([np.arange(n), np.ones(n), lam, lam, np.full(n, 2.0 / eta),
                                 np.zeros(n), yes, yes], dtype=PROBE_DTYPE)
@@ -139,8 +139,8 @@ def _theorem_trace(sc: Scenario, th, v) -> RunTrace:
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:
-    cert, simulated = five_stage_simulation(sc.theta0, sc.hyper.eta, sc.hyper.beta2,
-                                            sc.n_steps or None)
+    cert, simulated = five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2,
+                                             sc.n_steps or None)
     trace = _empty_trace(sc) if simulated is None else _theorem_trace(sc, *simulated)
     analysis = _analyze(trace, sc)
 

@@ -162,10 +162,7 @@ def _bind(kind, hyper, sched, plan, m, v):
 def _vhat_norms(root, blocks) -> tuple:
     """Norm of sqrt(vhat), then its norm over each block (a tuple fills a
     trace row faster than a list)."""
-    total = norm(root)
-    if len(blocks) == 1:  # blocks tile the vector, so the one block is all of it
-        return total, total
-    return (total, *(norm(root[off:off + length]) for _, off, length in blocks))
+    return (norm(root), *(norm(root[off:off + length]) for _, off, length in blocks))
 
 
 def _diverged(lo, hi, total) -> bool:

@@ -4,12 +4,13 @@ iff spike condition via the averaged Hessian, and decaying-LR instability;
 plus the derivative oracles the tests hold the objectives to: a central
 finite-difference HVP and a dense Hessian capped at small sizes.
 
-The descent, momentum-boundary, real-spectrum, five-stage, spike-iff and
-lr-decay oracles return the body of their certificate.json: the theorem, its
-verdict and the numbers behind it. A caller adds only what the oracle cannot
-know, such as the command-line text it was given. Five-stage and lr-decay
-answer an input outside their hypothesis with a SKIPPED (hypothesis) body
-giving the reason, never a raise.
+The descent, momentum-boundary, real-spectrum, spike-iff and lr-decay
+oracles return the body of their certificate.json: the theorem, its verdict
+and the numbers behind it. The five-stage oracle returns that body beside the
+recursion it judged, so a theorem run simulates once. A caller adds only
+what the oracle cannot know, such as the command-line text it was given.
+Five-stage and lr-decay answer an input outside their hypothesis with a
+SKIPPED (hypothesis) body giving the reason, never a raise.
 
 Theorem-mode recursions here use beta1=0, epsilon=0, no bias correction, and
 the delayed second moment (the step at time t uses v_t, then v updates).
@@ -204,16 +205,11 @@ def theorem_recursion(theta0, eta, beta2, n_steps):
     return th, v
 
 
-def five_stage_certificate(theta0: float, eta: float, beta2: float,
-                           max_steps: int = None) -> dict:
-    """The certificate.json body of five_stage_simulation."""
-    return five_stage_simulation(theta0, eta, beta2, max_steps)[0]
-
-
-def five_stage_simulation(theta0: float, eta: float, beta2: float, max_steps: int = None):
+def five_stage_certificate(theta0: float, eta: float, beta2: float, max_steps: int = None):
     """Simulate the beta1=0 scalar recursion and certify the stage structure:
-    (certificate body, (theta, v) as theorem_recursion returns them), the
-    second None when nothing was simulated.
+    (certificate body, (theta, sqrt(v))), theta as theorem_recursion returns
+    it and sqrt(v) as the checks read it, the second None when nothing was
+    simulated.
 
     The verdict is PASS when every check holds and FAIL when one does not.
     Outside the hypothesis lhs > rhs it is SKIPPED (hypothesis), with no
@@ -317,7 +313,7 @@ def five_stage_simulation(theta0: float, eta: float, beta2: float, max_steps: in
     body.update(verdict="PASS" if all(c["holds"] for c in checks) else "FAIL",
                 q=q, t5_kind=t5_kind, boundaries=boundaries, checks=checks,
                 worst_slack=min(c["worst_slack"] for c in checks))
-    return body, (th, v)
+    return body, (th, rv)
 
 
 # === exact iff condition via the averaged Hessian ===========================

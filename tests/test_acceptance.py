@@ -119,7 +119,7 @@ def test_criterion_05_certificate_grid():
     for theta0 in (6.0, 10.0):
         for eta in (0.08, 0.1, 0.15, 0.2):
             for beta2 in (0.98, 0.985, 0.99):
-                cert = five_stage_certificate(theta0, eta, beta2)
+                cert, _ = five_stage_certificate(theta0, eta, beta2)
                 b = cert["boundaries"]
                 seq = [b.get(k) for k in ("t0", "t1", "t2", "t3", "t4", "t5")]
                 ordered = (all(v is not None for v in seq)

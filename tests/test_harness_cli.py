@@ -606,7 +606,7 @@ def _real_spectrum_body():
 
 def _thmD4_body(sets=None):
     sc = build_scenario(dict(preset_config("thmD4"), **(sets or {})))
-    return five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)
+    return five_stage_certificate(sc.theta0, sc.hyper.eta, sc.hyper.beta2, sc.n_steps or None)[0]
 
 
 def _spike_iff_body(eigenvalues, eta, steps):
@@ -636,7 +636,7 @@ SPIKE_IFF_KEYS = {"theorem", "verdict", "consistent_fraction", "determinate_step
     (["verify", "real-spectrum"], _real_spectrum_body,
      {"theorem", "verdict", "max_imag_ratio", "max_rel_mismatch", "spectral_radius",
       "params"}),
-    (["verify", "five-stage"], lambda: five_stage_certificate(10.0, 0.15, 0.99),
+    (["verify", "five-stage"], lambda: five_stage_certificate(10.0, 0.15, 0.99)[0],
      FIVE_STAGE_KEYS),
     (["verify", "lr-decay"], lambda: lr_decay_witness(1.0, 0.1, 0.5, 0.99, 10 ** 6),
      LR_DECAY_KEYS),
@@ -647,7 +647,7 @@ SPIKE_IFF_KEYS = {"theorem", "verdict", "consistent_fraction", "determinate_step
     (["verify", "momentum-boundary", "--lam", "5.0"],
      lambda: momentum_boundary_check(0.15, 0.9, 0.02, 5.0), MOMENTUM_KEYS | {"query"}),
     (["verify", "five-stage", "--eta", "-0.1"],
-     lambda: five_stage_certificate(10.0, -0.1, 0.99), REFUSED_KEYS),
+     lambda: five_stage_certificate(10.0, -0.1, 0.99)[0], REFUSED_KEYS),
     (["verify", "lr-decay", "--alpha", "1.5"],
      lambda: lr_decay_witness(1.0, 0.1, 1.5, 0.99, 10 ** 6), REFUSED_KEYS),
     (["run", "--scenario", "thmD4", "--set", "optimizer.beta2=1.0"],
@@ -655,7 +655,7 @@ SPIKE_IFF_KEYS = {"theorem", "verdict", "consistent_fraction", "determinate_step
     (["run", "--scenario", "thmD6", "--set", "optimizer.eta=-0.1"],
      lambda: _thmD6_body({"optimizer.eta": -0.1}), REFUSED_KEYS),
     (["verify", "five-stage", "--beta2", "0.5"],
-     lambda: five_stage_certificate(10.0, 0.15, 0.5), FIVE_STAGE_KEYS | {"reason"}),
+     lambda: five_stage_certificate(10.0, 0.15, 0.5)[0], FIVE_STAGE_KEYS | {"reason"}),
     (["run", "--scenario", "thmD4", "--set", "optimizer.beta2=0.5"],
      lambda: _thmD4_body({"optimizer.beta2": 0.5}), FIVE_STAGE_KEYS | {"reason"}),
     (["verify", "spike-iff"], lambda: _spike_iff_body("1.0,5.0,10.0", 0.15, 100),

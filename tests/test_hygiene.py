@@ -2,8 +2,8 @@
 module's private name, every name the benchmarks read exists, the probe and
 optimizer layers add no public function, importing the package loads no
 process or thread pool, the package never writes the environment, only
-optimizers.run sets the BLAS thread count, and only the oracles build a
-certificate body."""
+optimizers.run sets the BLAS thread count, only the oracles build a
+certificate body, and no oracle is a thin wrapper around another."""
 
 import ast
 import importlib
@@ -128,21 +128,39 @@ def test_hot_layers_keep_their_public_functions(layer):
     assert public == PUBLIC_FUNCTIONS[layer]
 
 
+def _spans():
+    spec = importlib.util.spec_from_file_location("spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_benchmark_tracer_installs_and_uninstalls():
     import spikelab
     from spikelab.objectives import FnnObjective
 
-    spec = importlib.util.spec_from_file_location("spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     run, grad = spikelab.run, FnnObjective.loss_and_gradient
-    tracer = spans.Tracer()
+    tracer = _spans().Tracer()
     tracer.install()
     try:
         assert spikelab.run is not run and FnnObjective.loss_and_gradient is not grad
     finally:
         tracer.uninstall()
     assert spikelab.run is run and FnnObjective.loss_and_gradient is grad
+
+
+def test_traced_thmD4_times_the_five_stage_oracle():
+    """A thmD4 run calls the oracle by the name spans.py totals, so its time
+    shows under oracles.five_stage_s, not only in oracles.self_s."""
+    from spikelab import build_scenario, preset_config, run_scenario
+
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        run_scenario(build_scenario(preset_config("thmD4")))
+    finally:
+        tracer.uninstall()
+    assert tracer.report()["oracles.five_stage_s"] > 0
 
 
 def test_import_does_not_load_the_process_pool():
@@ -226,6 +244,43 @@ def test_blas_thread_users_are_found():
             "def f():\n    blas.set_threads(1)\n"
             "def g():\n    def h():\n        stack.callback(set_threads, 2)\n")
     assert sorted(_users(ast.parse(code), "set_threads")) == ["<module>", "f", "h"]
+
+
+# === one entry per oracle ===================================================
+
+
+def _twins(tree):
+    """Public functions whose body, past a docstring, is one `return` of a
+    call to another function of the same module, or of an index into one."""
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if isinstance(value, ast.Subscript):
+            value = value.value
+        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in defined and value.func.id != fn.name):
+            yield fn.name
+
+
+def test_no_oracle_is_a_twin_of_another():
+    """Each oracle has one public entry; a body-only wrapper around another
+    oracle would state its result twice and hide its time from spans.py."""
+    assert not list(_twins(ast.parse((SRC / "oracles.py").read_text())))
+
+
+def test_oracle_twins_are_found():
+    code = ('def full(x):\n    return x, x\n'
+            'def body(x):\n    """Only the first."""\n    return full(x)[0]\n'
+            'def alias(x):\n    return full(x)\n'
+            'def outside(x):\n    return max(x)\n'
+            'def _private(x):\n    return full(x)\n'
+            'def longer(x):\n    y = full(x)\n    return y\n')
+    assert list(_twins(ast.parse(code))) == ["body", "alias"]
 
 
 # === one refusal path per theorem ===========================================

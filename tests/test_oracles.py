@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from spikelab import (AdamHyper, QuadraticSpec, check_descent_lemma,
-                      five_stage_certificate, five_stage_simulation, lr_decay_witness,
-                      make_quadratic, momentum_boundary, momentum_stability_classify,
-                      real_spectrum_check, run, spike_iff_certificate, spike_iff_check)
+                      five_stage_certificate, lr_decay_witness, make_quadratic,
+                      momentum_boundary, momentum_stability_classify, real_spectrum_check,
+                      run, spike_iff_certificate, spike_iff_check)
 from spikelab.errors import (Indeterminate, OracleMisuse, OracleSizeExceeded,
                              PreconditionViolation, ZeroGradient)
 from spikelab.oracles import FIVE_STAGE_HORIZON_CAP, theorem_recursion
@@ -91,7 +91,7 @@ def test_real_spectrum_guards():
 
 
 def test_certificate_frozen_reference_case():
-    cert = five_stage_certificate(10.0, 0.15, 0.99)
+    cert, _ = five_stage_certificate(10.0, 0.15, 0.99)
     assert cert["hypothesis"]["ok"]
     assert cert["hypothesis"]["lhs"] == pytest.approx(99.49916247342153, rel=1e-12)
     assert cert["hypothesis"]["rhs"] == pytest.approx(1.6470748069599828, rel=1e-12)
@@ -107,7 +107,7 @@ def test_certificate_frozen_reference_case():
 
 
 def test_certificate_hypothesis_can_fail():
-    cert = five_stage_certificate(10.0, 0.15, 0.5)
+    cert, _ = five_stage_certificate(10.0, 0.15, 0.5)
     assert not cert["hypothesis"]["ok"]
     assert cert["hypothesis"]["lhs"] == pytest.approx(1.4426950408889634, rel=1e-12)
     assert cert["hypothesis"]["lhs"] < cert["hypothesis"]["rhs"]
@@ -127,11 +127,11 @@ def _assert_refused(body, theorem, match=""):
 
 
 def test_certificate_preconditions():
-    _assert_refused(five_stage_certificate(10.0, -0.1, 0.99), "five-stage")
-    _assert_refused(five_stage_certificate(10.0, 0.15, 1.0), "five-stage")
-    _assert_refused(five_stage_certificate(0.05, 0.15, 0.99), "five-stage")
+    _assert_refused(five_stage_certificate(10.0, -0.1, 0.99)[0], "five-stage")
+    _assert_refused(five_stage_certificate(10.0, 0.15, 1.0)[0], "five-stage")
+    _assert_refused(five_stage_certificate(0.05, 0.15, 0.99)[0], "five-stage")
     for theta0 in (math.inf, -math.inf, math.nan):
-        _assert_refused(five_stage_certificate(theta0, 0.15, 0.99), "five-stage", "finite")
+        _assert_refused(five_stage_certificate(theta0, 0.15, 0.99)[0], "five-stage", "finite")
 
 
 def _numpy_recursion(theta0, eta, beta2, n_steps):
@@ -156,17 +156,16 @@ def test_theorem_recursion_matches_a_numpy_loop_bit_for_bit(n_steps):
 
 
 def test_simulation_returns_the_arrays_its_certificate_read():
-    cert, (th, v) = five_stage_simulation(10.0, 0.15, 0.99, max_steps=1500)
-    assert cert == five_stage_certificate(10.0, 0.15, 0.99, max_steps=1500)
-    want = theorem_recursion(10.0, 0.15, 0.99, 1500)
-    assert th.tobytes() == want[0].tobytes() and v.tobytes() == want[1].tobytes()
+    _, (th, rv) = five_stage_certificate(10.0, 0.15, 0.99, max_steps=1500)
+    want_th, want_v = theorem_recursion(10.0, 0.15, 0.99, 1500)
+    assert th.tobytes() == want_th.tobytes() and rv.tobytes() == np.sqrt(want_v).tobytes()
     for args in ((10.0, 0.15, 0.5), (10.0, -0.1, 0.99)):  # outside, refused
-        assert five_stage_simulation(*args) == (five_stage_certificate(*args), None)
+        assert five_stage_certificate(*args)[1] is None
 
 
 def test_certificate_honors_max_steps():
     # 1500 covers t4 = 1377 but ends before the reviolation at 1959
-    cert = five_stage_certificate(10.0, 0.15, 0.99, max_steps=1500)
+    cert, _ = five_stage_certificate(10.0, 0.15, 0.99, max_steps=1500)
     assert cert["params"]["max_steps"] == 1500
     assert cert["boundaries"]["t4"] == 1377
     assert cert["boundaries"]["t5"] == 1500
@@ -260,15 +259,15 @@ def test_lr_decay_preconditions():
 
 def test_certificate_refuses_a_horizon_above_the_cap():
     # beta2 = 0.99999 implies 8.4e6 steps, which used to take 12 s to simulate
-    _assert_refused(five_stage_certificate(10.0, 0.15, 0.99999), "five-stage",
+    _assert_refused(five_stage_certificate(10.0, 0.15, 0.99999)[0], "five-stage",
                     "horizon of at most 1000000")
     _assert_refused(five_stage_certificate(10.0, 0.15, 0.99,
-                                           max_steps=FIVE_STAGE_HORIZON_CAP + 1),
+                                           max_steps=FIVE_STAGE_HORIZON_CAP + 1)[0],
                     "five-stage", "horizon")
     # |theta0|/eta overflows, so t1 is infinite even with a short horizon
-    _assert_refused(five_stage_certificate(1e150, 1e-200, 0.99, max_steps=100),
+    _assert_refused(five_stage_certificate(1e150, 1e-200, 0.99, max_steps=100)[0],
                     "five-stage", "finite t1")
 
 
 def test_certificate_refuses_theta0_whose_square_overflows():
-    _assert_refused(five_stage_certificate(1e200, 1.0, 0.9), "five-stage", "finite square")
+    _assert_refused(five_stage_certificate(1e200, 1.0, 0.9)[0], "five-stage", "finite square")
