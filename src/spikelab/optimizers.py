@@ -6,7 +6,7 @@ bytes as inline probes. Each run binds its kind's rule once (_bind) into a
 closure that holds m and v; a one-parameter run steps Python floats with
 the bytes of one-element arrays, since the closure is written in operations
 floats and arrays share (*= and += update an array in place and rebind a
-float) and the few calls numpy makes only for arrays have helpers for both.
+float) and the binder picks math's or numpy's square root once per run.
 
 Update-rule conventions: epsilon is added after the square root; the v floor
 clips raw v before bias correction; the epsilon bump replaces epsilon from
@@ -36,12 +36,13 @@ ADAFACTOR_EPS2 = 1e-3
 ADAFACTOR_CLIP = 1.0
 
 # A probed run of at least this many parameters takes each probe on a second
-# thread, beside the steps after it (see run). Below it the two threads mostly
-# wait on each other for the interpreter lock. fig6's 50-input net at 300
-# steps, probed every 5 (5-run medians on 2 cores, overlapped against
-# inline): 0.59 against 0.38 s at 2,601 parameters, a wash at 5,201 (0.56-0.63
-# against 0.47-0.69 s), 0.89-0.94 against 0.98-1.14 s at 10,401; fig5-adam
-# (61 parameters) 1.33 against 0.80 s.
+# thread, beside the steps after it (see run); below it the two threads mostly
+# wait on each other for the interpreter lock, so both paths stay. fig6's
+# 50-input net probed every 5, overlapped against inline on 2 cores (5-run
+# medians at 300 steps): 0.59 against 0.38 s at 2,601 parameters, a wash at
+# 5,201 (0.56-0.63 against 0.47-0.69 s), 0.89-0.94 against 0.98-1.14 s at
+# 10,401; fig5-adam (61 parameters) 1.33 against 0.80 s. At fig6's own 52,001,
+# 560 steps, 4 alternations in one process: 3.11-3.47 against 4.49-5.00 s.
 OVERLAP_MIN_PARAMS = 10_000
 
 
@@ -67,41 +68,12 @@ RULES = {
 OPTIMIZER_KINDS = tuple(RULES)
 
 
-def _rms(x) -> float:
-    """Root mean square of an array, or |x| (as norm takes it) of a float."""
-    return norm(x) if isinstance(x, float) else norm(x) / math.sqrt(x.size)
-
-
-# The binder's calls that numpy makes only for arrays, each taking a Python
-# float too (run's one-parameter state) with the bits of a one-element array.
-# A float never raises where numpy returns inf or NaN under run's errstate.
-
-
-def _sqrt(x):
-    if not isinstance(x, float):
-        return np.sqrt(x)
-    # math.sqrt refuses what is negative; numpy's NaN is returned for it
-    return math.sqrt(x) if x >= 0.0 else float(np.sqrt(x))
-
-
 def _floored(v, floor):
     """np.maximum(v, floor), in place for an array. On a one-element array
     numpy keeps the floor on a tie (so -0.0 against 0.0) and keeps a NaN."""
     if not isinstance(v, float):
         return np.maximum(v, floor, out=v)
     return v if v > floor or v != v else floor
-
-
-def _quotient(a, b):
-    """a / b, written into a when a is an array, so a must be a temporary of
-    the caller's: numpy reuses such a temporary in `x * y / z`, and a fresh
-    quotient cost a figD8 step about 230 minor page faults. A float division
-    by zero gives numpy's inf or NaN, not a raise."""
-    try:
-        a /= b
-    except ZeroDivisionError:
-        return float(np.divide(a, b))
-    return a
 
 
 # === single-step updates ====================================================
@@ -115,7 +87,14 @@ def _bind(kind, hyper, sched, plan, m, v):
     beta * m + (1 - beta) * g (the bits of the allocating form). The last
     three are the fields of the D_t it divided by (root None without v).
     Adafactor's RMS clip, a scalar that can only shrink the step, is left out
-    of D_t, which on clipped steps overstates the step applied."""
+    of D_t, which on clipped steps overstates the step applied.
+
+    Float m and v bind math.sqrt and an RMS divisor of 1.0, arrays np.sqrt
+    and sqrt(size). A float v-hat is never negative (from 0.0 it gains
+    beta*v + (1-beta)*g*g or g*g, is floored at >= -0.0 or NaN and divided by
+    1 - beta2^(t+1) > 0), so math.sqrt never raises; float division raises
+    only on a zero denominator (epsilon 0, v-hat 0), where numpy's inf or
+    NaN is taken."""
     rule = RULES[kind]
     momentum, v_rule, factored = rule.momentum, rule.v, rule.factored
     bias = rule.bias_correction and hyper.bias_correction
@@ -123,6 +102,9 @@ def _bind(kind, hyper, sched, plan, m, v):
     keep1, keep2, m_scale = 1.0 - beta1, 1.0 - beta2, (1.0 - beta1) / (1.0 + beta1)
     epsilon, floor = hyper.epsilon, plan.v_floor
     decays, bumps = sched.kind != "constant", plan.epsilon_bump is not None
+    scalar = isinstance(m, float)
+    sqrt = math.sqrt if scalar else np.sqrt
+    rms_divisor = 1.0 if scalar else math.sqrt(m.size)  # x / 1.0 is x, bit for bit
 
     def advance(theta, g, t):
         nonlocal m, v
@@ -146,15 +128,21 @@ def _bind(kind, hyper, sched, plan, m, v):
             bias1 = 1.0 - beta1 ** (t + 1)
             d, scale = d / bias1, scale / bias1
             vhat = vhat / (1.0 - beta2 ** (t + 1))
-        root = _sqrt(vhat)
+        root = sqrt(vhat)
         if factored:
             u = d / (root + ADAFACTOR_EPS1)
-            u = u / max(1.0, _rms(u) / ADAFACTOR_CLIP)
-            scale = max(ADAFACTOR_EPS2, _rms(theta))
+            u = u / max(1.0, norm(u) / rms_divisor / ADAFACTOR_CLIP)
+            scale = max(ADAFACTOR_EPS2, norm(theta) / rms_divisor)
             return theta - (eta_t * scale) * u, eta_t, root, ADAFACTOR_EPS1, scale
         eps = plan.epsilon_at(t, epsilon) if bumps else epsilon
-        upd = _quotient(eta_t * d, root + eps)  # freed at return: FNN runs peak lower in RSS
-        return theta - upd, eta_t, root, eps, scale
+        # an array is divided in place, into the step's temporary: a fresh
+        # quotient cost a figD8 step about 230 minor page faults
+        upd = eta_t * d
+        try:
+            upd /= root + eps
+        except ZeroDivisionError:
+            upd = float(np.divide(upd, root + eps))
+        return theta - upd, eta_t, root, eps, scale  # freed at return: lower FNN RSS
 
     return advance
 

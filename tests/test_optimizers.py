@@ -12,7 +12,7 @@ from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, LrSchedule,
                       make_quadratic, optimizers, preset_config, run, step_adafactor,
                       step_adagrad, step_adam, step_gd, step_heavy_ball, step_rmsprop)
 from spikelab.errors import ConfigError, DivergedRun
-from spikelab.optimizers import OPTIMIZER_KINDS, _bind, _floored, _quotient, _sqrt
+from spikelab.optimizers import OPTIMIZER_KINDS, RULES, _bind, _floored
 from spikelab.params import CONSTANT_LR
 
 
@@ -474,16 +474,47 @@ def test_one_parameter_runs_diverge_where_numpy_gives_inf_or_nan(case):
 @pytest.mark.parametrize("x", [-1.0, -math.inf, -0.0, 0.0, 5e-324, 2.0, math.inf, math.nan])
 @pytest.mark.parametrize("floor", [0.0, -0.0, 1.0, math.nan])
 def test_float_calls_give_one_element_array_bits(x, floor):
-    # the binder's array-only calls on a float, against numpy on [x]: sqrt of a
-    # negative is NaN (math.sqrt raises), a float divided by zero is inf or
-    # NaN (/ raises), and the floor keeps numpy's ties and NaNs
+    # the v floor on a float, against numpy on [x]: numpy keeps the floor on
+    # a tie and keeps a NaN
     arr = np.array([x])
     with np.errstate(all="ignore"):
-        for got, want in ((_sqrt(x), np.sqrt(arr)), (_quotient(floor, x), floor / arr),
-                          (_floored(x, floor), np.maximum(arr, floor))):
-            assert isinstance(got, float)
-            assert np.array([got]).tobytes() == want.tobytes()
+        got = _floored(x, floor)
+        assert isinstance(got, float)
+        assert np.array([got]).tobytes() == np.maximum(arr, floor).tobytes()
     assert _floored(arr, floor) is arr  # an array is floored in place
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+EDGE_GRADIENTS = (0.0, -0.0, 5e-324, -5e-324, 2.0, -2.0, 1e200, math.inf, -math.inf,
+                  math.nan)
+
+
+@pytest.mark.parametrize("floor", [None, 0.0, -0.0, 1.0, math.nan])
+@pytest.mark.parametrize("kind", [k for k in OPTIMIZER_KINDS if RULES[k].v != "none"])
+def test_binder_steps_floats_with_one_element_array_bits(kind, floor):
+    # a float state binds math.sqrt, float division and an RMS divisor of
+    # 1.0; on edge gradients (zero denominators, overflowing squares, inf and
+    # NaN) none of them may raise or move a bit against one-element arrays,
+    # and v never goes below -0.0, so math.sqrt has nothing to refuse
+    plan = MitigationPlan(v_floor=floor)
+    for epsilon in (1e-8, 0.0):
+        h = AdamHyper(eta=0.1, epsilon=epsilon)
+        for g in EDGE_GRADIENTS:
+            on_float = _bind(kind, h, CONSTANT_LR, plan, 0.0, 0.0)
+            on_array = _bind(kind, h, CONSTANT_LR, plan, np.zeros(1), np.zeros(1))
+            theta, theta_arr = 1.0, np.array([1.0])
+            with np.errstate(all="ignore"):
+                for t in range(3):
+                    got = on_float(theta, g, t)
+                    want = on_array(theta_arr, np.array([g]), t)
+                    assert all(type(x) is float for x in got)  # not numpy scalars
+                    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+                    v = dict(zip(on_float.__code__.co_freevars, on_float.__closure__))["v"]
+                    assert not v.cell_contents < 0.0  # so neither is v / (1 - beta2^(t+1))
+                    theta, theta_arr = got[0], want[0]
 
 
 def test_run_overflowing_start_diverges_at_step_zero():
