@@ -3,7 +3,9 @@
 Detection uses a trailing-median excursion rule: onset fires when the loss
 exceeds rho times the median of the previous `window` losses, and the event
 closes at the first later step whose loss is again below its own trailing
-median. Segmentation assigns the stage boundaries strictly sequentially, so
+median. The detector takes those medians one MEDIAN_BLOCK_ROWS block at a
+time and keeps only the current block, so its temporaries do not grow with
+the series. Segmentation assigns the stage boundaries strictly sequentially, so
 a missing earlier boundary leaves all later ones absent.
 
 detect_spikes_series, fit_decay and segment_stages return the bodies that
@@ -12,6 +14,7 @@ block. stage_labels turns the boundaries into the trace's stage column.
 """
 
 import math
+import numbers
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,7 +28,7 @@ STAGE1_MIN_TAIL = 50  # shortest tail accepted as evidence of Stage-2 decay
 STAGE1_R2 = 0.95
 STAGE1_ALPHA_BAND = 0.05
 STAGE1_SCREEN_MARGIN = 1e-6  # slack of the O(1) window screen, whose rounding measured < 1e-13
-MEDIAN_BLOCK_ROWS = 512  # trailing windows per np.median call; bounds its copy
+MEDIAN_BLOCK_ROWS = 512  # trailing medians per np.median call and per detector scan; bounds both
 BOUNDARIES = ("t0", "t1", "t2", "t3", "t4", "t5")
 
 # === spike detection ========================================================
@@ -33,34 +36,53 @@ BOUNDARIES = ("t0", "t1", "t2", "t3", "t4", "t5")
 
 def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list:
     """Trailing-median excursion detector on a raw loss series: one spike
-    body per event, onset <= peak <= recovery."""
+    body per event, onset <= peak <= recovery.
+
+    The series is walked one MEDIAN_BLOCK_ROWS block of trailing medians at
+    a time; within a block the next onset (loss > rho * median) or recovery
+    (loss < median) is looked up from the current step, and an event's peak
+    is the argmax over its losses once its recovery is known. So the
+    detector holds one block of medians, never a column of the series' length.
+    """
     losses = np.asarray(losses, dtype=float)
     n = losses.size
-    if rho <= 1:
+    if not rho > 1:
         raise ConfigError("rho must be > 1")
+    if not isinstance(window, numbers.Integral) or window < 1:
+        raise ConfigError("window must be an integer >= 1")
     if n <= window:
         raise ConfigError("trace must be longer than the detection window")
-    # baseline[k] is the median of the `window` losses before step window + k
-    rows = sliding_window_view(losses[:-1], window)
-    baseline = np.concatenate([np.median(rows[i:i + MEDIAN_BLOCK_ROWS], axis=1)
-                               for i in range(0, len(rows), MEDIAN_BLOCK_ROWS)])
-    tail = losses[window:]
-    with np.errstate(over="ignore"):  # an overflowing rho * baseline is an inf threshold
-        onsets = np.flatnonzero(tail > rho * baseline) + window
-    recoveries = np.flatnonzero(tail < baseline) + window
-    events = []
-    t = window
-    while (i := np.searchsorted(onsets, t)) < onsets.size:
-        onset = int(onsets[i])
-        j = np.searchsorted(recoveries, onset + 1)
-        at_end = j == recoveries.size
-        rec = n - 1 if at_end else int(recoveries[j])
+
+    def spike(onset, rec, base, at_end):
         peak = onset + int(np.argmax(losses[onset:rec + 1]))
-        base = baseline[onset - window]
         ratio = float(losses[peak] / base) if base > 0 else math.inf
-        events.append({"onset_step": onset, "peak_step": peak, "recovery_step": rec,
-                       "peak_ratio": ratio, "recovery_at_end": bool(at_end)})
-        t = rec + 1
+        return {"onset_step": onset, "peak_step": peak, "recovery_step": rec,
+                "peak_ratio": ratio, "recovery_at_end": at_end}
+
+    rows = sliding_window_view(losses[:-1], window)  # row k trails step window + k
+    events, onset, base, t = [], None, None, window
+    for a in range(0, len(rows), MEDIAN_BLOCK_ROWS):
+        first = window + a  # the block's first step
+        medians = np.median(rows[a:a + MEDIAN_BLOCK_ROWS], axis=1)
+        tail = losses[first:first + medians.size]
+        with np.errstate(over="ignore"):  # an overflowing rho * median is an inf threshold
+            onsets = np.flatnonzero(tail > rho * medians) + first
+        recoveries = np.flatnonzero(tail < medians) + first
+        while True:
+            if onset is None:
+                i = np.searchsorted(onsets, t)
+                if i == onsets.size:
+                    break
+                onset = int(onsets[i])
+                base = medians[onset - first]
+            j = np.searchsorted(recoveries, onset + 1)
+            if j == recoveries.size:
+                break
+            rec = int(recoveries[j])
+            events.append(spike(onset, rec, base, False))
+            onset, t = None, rec + 1
+    if onset is not None:
+        events.append(spike(onset, n - 1, base, True))
     return events
 
 

@@ -134,8 +134,8 @@ def _theorem_trace(sc: Scenario, th, rv) -> RunTrace:
                     initial_loss=float(0.5 * th[0] ** 2),
                     loss=0.5 * np.array([x ** 2 for x in th[1:].tolist()]),
                     grad_norm=np.abs(th[:n]),
-                    eta_t=np.full(n, eta), vhat=np.column_stack([rv[1:], rv[1:]]),
-                    probes=probes)
+                    eta_t=np.broadcast_to(eta, (n,)),
+                    vhat=np.broadcast_to(rv[1:, None], (n, 2)), probes=probes)
 
 
 def _five_stage_mode(sc: Scenario) -> RunResult:

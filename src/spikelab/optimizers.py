@@ -265,7 +265,10 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
 
     The update rule is bound once per run (_bind); each step stores its
     values straight into the preallocated columns, and only a probed step
-    builds its Preconditioner. With param_dim 1, theta, g, m and v are
+    builds its Preconditioner. A constant schedule's eta_t is one cell and a
+    one-block run's two v-hat columns are one, each a read-only view
+    (RunTrace): such a run stores one column each of loss, gradient norm and
+    v-hat norm. With param_dim 1, theta, g, m and v are
     Python floats, because a float operation costs a small fraction of a
     ufunc call on a one-element array. The objective evaluates a float point,
     and each step does the IEEE operations numpy would do on the one element,
@@ -285,12 +288,22 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
     config = dict(config_echo or {})
     config.setdefault("optimizer.kind", kind)
     config.setdefault("objective.kind", obj.kind)
+    # a constant eta is one cell, and a one-block v-hat row (total, total) is
+    # one column seen twice: both read-only views that _steps never writes
+    eta_t = (np.empty(n_steps) if sched.kind != "constant"
+             else np.broadcast_to(float(hyper.eta), (n_steps,)))
+    vhat = vhat_total = None
+    if RULES[kind].v != "none":
+        if len(theta0.blocks) == 1:
+            vhat_total = np.empty(n_steps)
+            vhat = np.broadcast_to(vhat_total[:, None], (n_steps, 2))
+        else:
+            vhat = np.empty((n_steps, 1 + len(theta0.blocks)))
     # columns written by index; a loss left at inf marks the step that diverged
     trace = RunTrace(
         config, "completed", tuple(name for name, _, _ in theta0.blocks),
         math.inf, loss=np.full(n_steps, np.inf), grad_norm=np.empty(n_steps),
-        eta_t=np.empty(n_steps),
-        vhat=np.empty((n_steps, 1 + len(theta0.blocks))) if RULES[kind].v != "none" else None,
+        eta_t=eta_t, vhat=vhat,
         probes=np.empty(len(range(0, n_steps, probes.every)) if probes.every else 0, PROBE_DTYPE))
 
     with contextlib.ExitStack() as stack:
@@ -305,25 +318,26 @@ def run(obj, theta0: ParamVector, kind: str, hyper: AdamHyper,
         rows = _ProbeRows(trace, pool)
         try:
             kept, status = _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes,
-                                  seed, trace, rows)
+                                  seed, trace, rows, vhat_total)
         finally:
             rows.settle()
     return trace.end(kept, rows.taken, status)
 
 
-def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, rows):
+def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, rows,
+           vhat_total):
     """run's steps, storing each step's values straight into trace's step
     columns and handing each probe to rows; returns (steps kept, status). A
-    one-parameter run holds theta, g, m and v as Python floats (see run)."""
+    one-parameter run holds theta, g, m and v as Python floats (see run). A
+    one-block run writes its v-hat norm to vhat_total, the one column behind
+    both of trace.vhat's; a constant schedule's eta_t column is never written."""
     scalar = obj.param_dim == 1
     theta = float(theta0.values[0]) if scalar else theta0.values.copy()
     advance = _bind(kind, hyper, sched, plan,
                     *((0.0, 0.0) if scalar else (np.zeros(theta.size), np.zeros(theta.size))))
     blocks, every, warm = theta0.blocks, probes.every, ProbeWarmStart()
-    loss, grad_norm, eta_col, vhat = trace.loss, trace.grad_norm, trace.eta_t, trace.vhat
-    one_block = len(blocks) == 1
-    if vhat is not None and one_block:  # a one-block row is (total, total)
-        vhat_total, vhat_block = vhat[:, 0], vhat[:, 1]
+    loss, grad_norm, vhat = trace.loss, trace.grad_norm, trace.vhat
+    eta_col = trace.eta_t if sched.kind != "constant" else None
     try:
         trace.initial_loss = obj.loss(theta)
         _, g = obj.loss_and_gradient(theta)
@@ -331,14 +345,16 @@ def _steps(obj, theta0, kind, hyper, sched, plan, n_steps, probes, seed, trace, 
         return 0, "diverged"
     for i in range(n_steps):
         theta_new, eta_t, root, eps, scale = advance(theta, g, i)
-        grad_norm[i], eta_col[i] = norm(g), eta_t
+        grad_norm[i] = norm(g)
+        if eta_col is not None:
+            eta_col[i] = eta_t
         lo = hi = theta_new  # a float is its own min and max
         if not scalar:
             lo, hi = np.minimum.reduce(theta_new), np.maximum.reduce(theta_new)
         if root is None:
             total = 0.0
-        elif one_block:
-            vhat_total[i] = vhat_block[i] = total = norm(root)
+        elif vhat_total is not None:
+            vhat_total[i] = total = norm(root)
         else:
             vhat[i] = norms = _vhat_norms(root, blocks)
             total = norms[0]

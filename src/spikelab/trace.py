@@ -61,6 +61,12 @@ class RunTrace:
     steps, and stage is None until segmented. A missing cell is absent from
     an index or masked, never NaN. A diverged run ends at the step that
     diverged, whose loss is inf.
+
+    eta_t and vhat may be read-only views that store a value once: a
+    constant eta_t is one cell broadcast over the steps (stride 0), and a
+    one-block vhat is one column broadcast to (total, block). The run
+    loop's and thmD4's traces build them so; readers index them as arrays
+    and never write them.
     """
 
     config: dict

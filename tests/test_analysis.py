@@ -3,11 +3,13 @@
 import math
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
                       build_scenario, crossing_summary, detect_spikes_series,
@@ -48,6 +50,22 @@ def test_detector_validation():
         detect_spikes_series([1.0] * 10, rho=1.0, window=2)
     with pytest.raises(ConfigError):
         detect_spikes_series([1.0, 2.0], rho=3.0, window=5)
+
+
+@pytest.mark.parametrize("rho,window", [(math.nan, 2), (0.5, 2), (-math.inf, 2),
+                                        (3.0, 0), (3.0, -3), (3.0, 2.5), (3.0, 2.0)],
+                         ids=["rho-nan", "rho-below-1", "rho-minus-inf", "window-0",
+                              "window-negative", "window-fraction", "window-float"])
+def test_detector_refuses_bad_rho_and_window(rho, window):
+    # AnalysisPlan refuses these on the config path; a direct call used to
+    # return [] (rho NaN, window 0) or raise numpy's or Python's own errors
+    with pytest.raises(ConfigError):
+        detect_spikes_series(np.ones(20), rho=rho, window=window)
+
+
+def test_detector_takes_numpy_integer_windows():
+    losses = [1.0, 1.0, 1.0, 10.0, 1.0, 1.0]
+    assert detect_spikes_series(losses, 3.0, np.int64(2)) == detect_spikes_series(losses, 3.0, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,6 +157,110 @@ def test_detector_matches_reference_across_median_blocks():
     want = _outcome(_reference_detector, losses, 3.0, 50)
     assert len(want) > 10
     assert _outcome(detect_spikes_series, losses, 3.0, 50) == want
+
+
+def _vectorized_detector(losses, rho, window):
+    """The detector that held whole-series columns: every trailing median,
+    the onset and recovery steps, then a walk over them."""
+    losses = np.asarray(losses, dtype=float)
+    n = losses.size
+    rows = sliding_window_view(losses[:-1], window)
+    baseline = np.concatenate([np.median(rows[i:i + analysis.MEDIAN_BLOCK_ROWS], axis=1)
+                               for i in range(0, len(rows), analysis.MEDIAN_BLOCK_ROWS)])
+    tail = losses[window:]
+    with np.errstate(over="ignore"):
+        onsets = np.flatnonzero(tail > rho * baseline) + window
+    recoveries = np.flatnonzero(tail < baseline) + window
+    events = []
+    t = window
+    while (i := np.searchsorted(onsets, t)) < onsets.size:
+        onset = int(onsets[i])
+        j = np.searchsorted(recoveries, onset + 1)
+        at_end = j == recoveries.size
+        rec = n - 1 if at_end else int(recoveries[j])
+        peak = onset + int(np.argmax(losses[onset:rec + 1]))
+        base = baseline[onset - window]
+        ratio = float(losses[peak] / base) if base > 0 else math.inf
+        events.append({"onset_step": onset, "peak_step": peak, "recovery_step": rec,
+                       "peak_ratio": ratio, "recovery_at_end": bool(at_end)})
+        t = rec + 1
+    return events
+
+
+def _quiet_outcome(detector, losses, rho, window):
+    """_outcome with numpy's warnings off, so a NaN or inf median is compared,
+    not just the warning it raises."""
+    with np.errstate(all="ignore"):
+        return _outcome(detector, losses, rho, window)
+
+
+def _block_edge_series(rng, window, blocks):
+    """Log-normal noise over `blocks` median blocks, with excursions that
+    start, peak and end on the steps either side of each block edge."""
+    n = window + blocks * analysis.MEDIAN_BLOCK_ROWS + int(rng.integers(0, 40))
+    losses = np.exp(0.1 * rng.normal(size=n))
+    for k in range(1, blocks + 1):
+        edge = window + k * analysis.MEDIAN_BLOCK_ROWS  # first step of block k
+        start = edge + int(rng.integers(-2, 2))
+        losses[start:start + int(rng.integers(1, 4))] *= 50.0
+    return losses
+
+
+def test_streaming_detector_matches_the_vectorized_one_on_block_edges():
+    # onsets, peaks and recoveries one step either side of every median-block
+    # edge, then a last event that recovers on the final step and one that
+    # never does
+    rng = np.random.default_rng(7)
+    for window in (1, 2, 5, 50):
+        losses = _block_edge_series(rng, window, 4)
+        recovers_last = losses.copy()
+        recovers_last[-3:-1], recovers_last[-1] = 80.0, 0.5
+        open_end = losses.copy()
+        open_end[-4:] = 90.0
+        for series in (losses, recovers_last, open_end):
+            want = _quiet_outcome(_vectorized_detector, series, 3.0, window)
+            assert len(want) >= 4
+            assert _quiet_outcome(detect_spikes_series, series, 3.0, window) == want
+        *_, last = _quiet_outcome(detect_spikes_series, recovers_last, 3.0, window)
+        assert last[2] == recovers_last.size - 1 and last[4] is False
+        *_, last = _quiet_outcome(detect_spikes_series, open_end, 3.0, window)
+        assert last[2] == open_end.size - 1 and last[4] is True
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_streaming_detector_matches_the_vectorized_one_on_hard_values(seed):
+    # several median blocks long, with NaN, +-inf and 1e308 losses (a
+    # 1e308 median times rho overflows to an inf threshold) and negative runs
+    rng = np.random.default_rng(seed)
+    window = int(rng.integers(1, 51))
+    losses = _block_edge_series(rng, window, int(rng.integers(2, 6)))
+    hard = rng.choice(losses.size, size=int(rng.integers(1, 30)), replace=False)
+    losses[hard] = rng.choice([math.nan, math.inf, -math.inf, 1e308, 0.0], size=hard.size)
+    start = int(rng.integers(window, losses.size - 2 * window - 9))
+    if seed % 3 == 0:  # a run of 1e308 longer than the window
+        losses[start:start + window + 3] = 1e308
+    elif seed % 3 == 1:  # negative medians, under which one step can be onset and recovery
+        losses[start:start + 2 * window + 9] = -rng.random(2 * window + 9) * 1e3
+    rho = float(rng.choice([1.5, 3.0, 10.0]))
+    want = _quiet_outcome(_vectorized_detector, losses, rho, window)
+    assert _quiet_outcome(detect_spikes_series, losses, rho, window) == want
+
+
+def test_detector_holds_one_block_of_medians():
+    # the vectorized detector held the series' trailing medians, its onset
+    # threshold and the comparison masks: 3.3 MB at 2e5 samples
+    rng = np.random.default_rng(0)
+    losses = np.exp(0.1 * rng.normal(size=200_000))
+    losses[::997] *= 40.0
+    detect_spikes_series(losses[:2000], 3.0, 50)  # first calls load what they load once
+    tracemalloc.start()
+    try:
+        events = detect_spikes_series(losses, 3.0, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 150
+    assert peak < 500_000
 
 
 # === decay fit ==============================================================

@@ -304,9 +304,59 @@ def test_run_allocates_its_columns_and_little_more(preset, n_steps):
     finally:
         tracemalloc.stop()
     assert trace.status == "completed" and len(trace) == n_steps
-    columns = sum(c.nbytes for c in (trace.loss, trace.grad_norm, trace.eta_t, trace.vhat,
-                                     trace.probes) if c is not None)
+    columns = sum(_stored_bytes(c) for c in (trace.loss, trace.grad_norm, trace.eta_t,
+                                             trace.vhat, trace.probes) if c is not None)
     assert peak <= columns + 64 * 1024
+
+
+def _stored_bytes(column):
+    """Bytes a column stores: a zero-stride axis of a broadcast view stores
+    one entry, not one per index."""
+    return column[tuple(slice(0, 1) if s == 0 else slice(None) for s in column.strides)].nbytes
+
+
+def _quad_run(dim, sched=CONSTANT_LR, n_steps=50, kind="adam"):
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0, 4.0, 10.0)[:dim]))
+    return run(obj, obj.initial_point(0.7), kind, AdamHyper(eta=0.05), sched=sched,
+               n_steps=n_steps)
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+def test_constant_eta_is_one_read_only_cell(dim):
+    trace = _quad_run(dim)
+    assert trace.eta_t.strides == (0,) and not trace.eta_t.flags.writeable
+    assert trace.eta_t.shape == (50,) and np.all(trace.eta_t == 0.05)
+    with pytest.raises(ValueError):
+        trace.eta_t[0] = 1.0
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+def test_power_decay_keeps_a_per_step_eta_column(dim):
+    sched = LrSchedule("power-decay", 0.5)
+    trace = _quad_run(dim, sched)
+    assert trace.eta_t.strides == (8,) and trace.eta_t.flags.writeable
+    assert trace.eta_t.tolist() == [sched.eta_at(0.05, t) for t in range(50)]
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+def test_one_block_vhat_columns_share_one_column(dim):
+    # one block: the total and the block norm are one stored column
+    trace = _quad_run(dim)
+    total, block = trace.vhat.T
+    assert np.shares_memory(total, block) and trace.vhat.strides == (8, 0)
+    assert _stored_bytes(trace.vhat) == 50 * 8 and _stored_bytes(trace.eta_t) == 8
+    assert not trace.vhat.flags.writeable
+
+
+def test_block_vhat_columns_and_diverged_views_keep_their_rows():
+    fnn = build_scenario(preset_config("fig5-adam"))
+    trace = run(fnn.objective, fnn.theta0, "adam", fnn.hyper, n_steps=5)
+    assert trace.vhat.shape == (5, 1 + len(fnn.theta0.blocks)) and trace.vhat.flags.writeable
+    # a run that diverges ends its views at the diverged step
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1e100,)))
+    trace = run(obj, obj.initial_point(1e60), "rmsprop", AdamHyper(eta=0.1), n_steps=5)
+    assert trace.status == "diverged" and trace.eta_t.shape == (1,) and trace.vhat.shape == (1, 2)
+    assert trace.eta_t.strides == (0,) and np.shares_memory(trace.vhat[:, 0], trace.vhat[:, 1])
 
 
 # === guards =================================================================

@@ -220,6 +220,19 @@ def test_writing_a_trace_probed_every_step_copies_only_probe_fields(tmp_path):
     assert peak < 7_000_000
 
 
+@pytest.mark.parametrize("preset,n_steps", [("figD9-adagrad", 3_000), ("thmD4", 0)])
+def test_view_backed_columns_write_the_bytes_of_materialized_ones(tmp_path, preset, n_steps):
+    # a constant eta_t and a one-block vhat are broadcast views in the run
+    # loop's and thmD4's traces; copies of them must write the same file
+    trace = run_scenario(build_scenario({**preset_config(preset), "n_steps": n_steps})).trace
+    assert trace.eta_t.strides == (0,) and trace.vhat.strides == (8, 0)
+    write_trace_csv(trace, tmp_path / "views.csv")
+    trace.eta_t, trace.vhat = np.array(trace.eta_t), np.array(trace.vhat)
+    assert trace.eta_t.flags.writeable and trace.vhat.strides == (16, 8)
+    write_trace_csv(trace, tmp_path / "copies.csv")
+    assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
+
+
 def test_records_view_matches_columns():
     trace = _small_trace()
     trace.stage = [None] * 8 + ["1"]
