@@ -6,7 +6,7 @@ segment loss spikes, and certify the supporting theory numerically.
 """
 
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
-                       fit_decay, pre_spike_index, segment_stages, stage_labels)
+                       fit_decay, pre_spike_index, segment_stages)
 from .errors import (ConfigError, DivergedEvaluation, DivergedRun,
                      Indeterminate, InvalidDirection, InvalidSeries,
                      OracleMisuse, OracleSizeExceeded, PreconditionViolation,

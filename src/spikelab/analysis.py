@@ -10,7 +10,7 @@ a missing earlier boundary leaves all later ones absent.
 
 detect_spikes_series, fit_decay and segment_stages return the bodies that
 analysis.json records: the spike list, the decay fit and the segmentation
-block. stage_labels turns the boundaries into the trace's stage column.
+block; the trace keeps the boundaries as its stage column.
 """
 
 import math
@@ -118,18 +118,6 @@ def fit_decay(v_series, window) -> dict:
 # === stage segmentation =====================================================
 
 
-def stage_labels(boundaries, n: int) -> list:
-    """Per-step labels '1'..'5' from boundaries t0..t5; empty outside detected stages."""
-    labels = [None] * n
-    b = [boundaries[k] for k in BOUNDARIES]
-    for k in range(5):
-        if b[k] is None:
-            break
-        stop = n if b[k + 1] is None else min(b[k + 1], n)
-        labels[b[k]:stop] = [str(k + 1)] * (stop - b[k])
-    return labels
-
-
 def _first(steps, mask, after=-1):
     """First of `steps` strictly after `after` where `mask` holds, else None."""
     hits = steps[mask & (steps > after)]
@@ -231,7 +219,7 @@ def segment_stages(trace, hyper) -> dict:
 def fill_sustained(trace) -> None:
     """Sustained column: min of each interior lambda_grad sample and its neighbours."""
     steps, vals = trace.probe_series("lambda_grad_Hhat")
-    trace.sustained = steps[1:-1], np.minimum.reduce([vals[:-2], vals[1:-1], vals[2:]])
+    trace.sustained = steps[1:-1], np.minimum(np.minimum(vals[:-2], vals[1:-1]), vals[2:])
 
 
 # === pre-spike index ========================================================

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (crossing_summary, detect_spikes_series, fill_sustained,
-                       pre_spike_index, segment_stages, stage_labels)
+                       pre_spike_index, segment_stages)
 from .errors import ConfigError, SpikelabError
 from .oracles import five_stage_certificate, lr_decay_witness
 from .optimizers import run
@@ -68,10 +68,8 @@ def _analyze(trace: RunTrace, sc: Scenario) -> dict:
         spikes = detect_spikes_series(trace.losses(), rho=sc.analysis.rho,
                                       window=sc.analysis.window)
 
-    seg = None
-    if sc.analysis.segment and n:
-        seg = segment_stages(trace, sc.hyper)
-        trace.stage = stage_labels(seg["boundaries"], n)
+    seg = segment_stages(trace, sc.hyper) if sc.analysis.segment and n else None
+    trace.stage = seg and seg["boundaries"]
 
     final_loss = float(trace.loss[-1]) if n else trace.initial_loss
     return {

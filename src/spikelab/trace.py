@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import BOUNDARIES
 from .probes import ProbeRecord
 
 SCHEMA_VERSION = 1
@@ -58,9 +59,9 @@ class RunTrace:
     Row i is StepRecord i. vhat holds the total v-hat norm, then one per
     block, or is None without a second moment. probes holds PROBE_DTYPE rows
     at the sampled steps, sustained is (steps, values), both with increasing
-    steps, and stage is None until segmented. A missing cell is absent from
-    an index or masked, never NaN. A diverged run ends at the step that
-    diverged, whose loss is inf.
+    steps, and stage is the segmentation's boundaries, or None if unsegmented.
+    A missing cell is absent from an index or masked, never NaN. A diverged
+    run ends at the step that diverged, whose loss is inf.
 
     eta_t and vhat may be read-only views that store a value once: a
     constant eta_t is one cell broadcast over the steps (stride 0), and a
@@ -79,7 +80,7 @@ class RunTrace:
     vhat: np.ndarray = None
     probes: np.ndarray = field(default_factory=lambda: np.empty(0, PROBE_DTYPE))
     sustained: tuple = field(default_factory=lambda: (np.empty(0, int), np.empty(0)))
-    stage: list = None
+    stage: dict = None
 
     def put_probe(self, j, rec: ProbeRecord) -> None:
         lg = rec.lambda_grad_Hhat  # a None is stored as 0.0 and masked out
@@ -111,12 +112,13 @@ class RunTrace:
         return np.full(len(self), np.nan) if self.vhat is None else self.vhat[:, 0]
 
     def probe_series(self, name: str):
-        """(steps, values) for one ProbeRecord field over sampled steps."""
+        """(steps, values) for one ProbeRecord field over sampled steps, as floats;
+        a float field's values are a view of the probe table: never write them."""
         p = self.probes
         steps, values = p["step"], p[name]
         if name == "lambda_grad_Hhat":  # only where present; masks two fields, not rows
             steps, values = steps[p["has_lambda_grad"]], values[p["has_lambda_grad"]]
-        return steps, values.astype(float)
+        return steps, values.astype(float, copy=False)
 
 
 def _position(steps, i):
@@ -144,10 +146,10 @@ class _Rows(Sequence):
             *p, has_lg = t.probes[j].item()
             probe = ProbeRecord(*p[:3], p[3] if has_lg else None, *p[4:])
         k = _position(t.sustained[0], i)
+        stage = None if t.stage is None else _stage_cells(t.stage, i, i + 1)[0] or None
         return StepRecord(i, float(t.loss[i]), float(t.grad_norm[i]),
                           v[0] if v else None, v[1:], float(t.eta_t[i]), probe,
-                          None if k is None else float(t.sustained[1][k]),
-                          None if t.stage is None else t.stage[i])
+                          None if k is None else float(t.sustained[1][k]), stage)
 
 
 # === CSV ====================================================================
@@ -157,9 +159,7 @@ def _cell(x) -> str:
     """One CSV cell: empty for None, text as is, exact ints, float reprs."""
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, (str, int)):
         return str(x)
     return repr(float(x))
 
@@ -190,6 +190,20 @@ def _sparse_cells(steps, values, a, b):
     cells = [""] * (b - a)
     for i, x in zip(steps[lo:hi].tolist(), values[lo:hi].tolist()):
         cells[i - a] = repr(x)
+    return cells
+
+
+def _stage_cells(boundaries, a, b):
+    """Stage cells of rows a..b-1: stage k+1 runs from t_k to t_{k+1}, or to the
+    end if t_{k+1} is absent, until the first absent t_k; "" outside the stages."""
+    cells = [""] * (b - a)
+    t = [boundaries[k] for k in BOUNDARIES]
+    for k, (lo, hi) in enumerate(zip(t, t[1:])):
+        if lo is None:
+            break
+        lo, hi = max(lo, a), b if hi is None else min(hi, b)
+        if lo < hi:  # a stage outside the rows writes nothing; a negative end would delete cells
+            cells[lo - a:hi - a] = [str(k + 1)] * (hi - lo)
     return cells
 
 
@@ -227,7 +241,7 @@ def write_trace_csv(trace: RunTrace, path):
             cells = zip(
                 map(str, range(a, b)), loss, grad_norm, *vhat, *[missing] * no_vhat, eta_t,
                 *(_sparse_cells(steps, values, a, b) for steps, values in sparse),
-                missing if trace.stage is None else map(_cell, trace.stage[a:b]))
+                missing if trace.stage is None else _stage_cells(trace.stage, a, b))
             fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 

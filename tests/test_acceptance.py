@@ -6,7 +6,9 @@ upper bounds, generous on purpose so only real regressions trip them.
 """
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -234,6 +236,11 @@ def test_criterion_09_sustained_crossings_live_inside_spikes(fig6_run):
 # === 10: mitigations kill the spikes ========================================
 
 
+def _analysis_of(flat):
+    """One run's analysis; at module level, so a spawned worker can run it."""
+    return run_scenario(build_scenario(flat)).analysis
+
+
 def test_criterion_10_mitigations(fig6_run):
     base_result, _ = fig6_run
     onset = base_result.analysis["spikes"][0]["onset_step"]
@@ -242,19 +249,19 @@ def test_criterion_10_mitigations(fig6_run):
     bump_cfg = preset_config("fig6-fnn50d")
     bump_cfg["probes.every"] = 0
     bump_cfg["plan.epsilon_bump_step"] = onset
-    bump = run_scenario(build_scenario(bump_cfg))
-    bump_post = [e for e in bump.analysis["spikes"]
-                 if e["onset_step"] >= onset]
-
-    floor = run_scenario(build_scenario(preset_config("figD8-mitigations")))
+    # the two runs are independent, so they take one core each
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        bump, floor = pool.map(_analysis_of, [bump_cfg, preset_config("figD8-mitigations")])
+    bump_post = [e for e in bump["spikes"] if e["onset_step"] >= onset]
     dt = time.monotonic() - t0
 
-    ok = (not bump_post and not floor.analysis["spikes"]
-          and bump.status == "completed" and floor.status == "completed"
+    ok = (not bump_post and not floor["spikes"]
+          and bump["status"] == "completed" and floor["status"] == "completed"
           and dt < 600.0)
     _gate(10, ok, f"epsilon bump at {onset}: {len(bump_post)} post-bump events "
-                  f"(final {bump.analysis['final_loss']:.2e}); v-floor: "
-                  f"{len(floor.analysis['spikes'])} events, {dt:.0f}s")
+                  f"(final {bump['final_loss']:.2e}); v-floor: "
+                  f"{len(floor['spikes'])} events, {dt:.0f}s")
 
 
 # === 11: optimizer family controls ==========================================

@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
                       build_scenario, crossing_summary, detect_spikes_series,
                       fill_sustained, fit_decay, make_quadratic, pre_spike_index,
-                      preset_config, run, run_scenario, segment_stages, stage_labels)
+                      preset_config, run, run_scenario, segment_stages)
 from spikelab import analysis
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
@@ -302,19 +302,6 @@ def test_walkback_clamps_at_zero():
     assert pre_spike_index(losses, 0) == 0
 
 
-# === segmentation helpers ===================================================
-
-
-def test_stage_labels_extend_last_open_stage():
-    boundaries = {"t0": 0, "t1": 2, "t2": 4, "t3": None, "t4": None, "t5": None}
-    assert stage_labels(boundaries, 6) == ["1", "1", "2", "2", "3", "3"]
-
-
-def test_stage_labels_empty_when_t1_missing():
-    boundaries = {"t0": 0, "t1": None, "t2": None, "t3": None, "t4": None, "t5": None}
-    assert stage_labels(boundaries, 4) == ["1", "1", "1", "1"]
-
-
 # === the t1 scan ============================================================
 
 
@@ -476,6 +463,24 @@ def _grad_samples(steps, vals, present=None):
 def test_fill_sustained_is_min_of_three():
     assert _grad_samples([0, 2, 4, 6, 8], [5.0, 1.0, 4.0, 2.0, 9.0]) == [
         [2, 4, 6], [1.0, 1.0, 2.0]]
+
+
+def test_fill_sustained_matches_the_stacked_minimum_bit_for_bit():
+    # reference: np.minimum.reduce over a stacked (3, n) copy; the pairwise
+    # minimum must keep its bits, NaN, signed zeros and infs included
+    hard = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                     1e308, -1e308, 1.0, -2.5])
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        vals = rng.choice(hard, size=int(rng.integers(0, 12)))
+        steps = np.arange(vals.size)
+        table = np.zeros(vals.size, PROBE_DTYPE)
+        table["step"], table["lambda_grad_Hhat"], table["has_lambda_grad"] = steps, vals, True
+        trace = RunTrace(config={}, status="completed", block_names=("theta",),
+                         initial_loss=1.0, probes=table)
+        fill_sustained(trace)
+        stacked = np.minimum.reduce([vals[:-2], vals[1:-1], vals[2:]])
+        assert trace.sustained[1].tobytes() == stacked.tobytes()
 
 
 def test_fill_sustained_skips_edge_samples():

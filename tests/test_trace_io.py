@@ -8,11 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikelab import (AdamHyper, ProbePlan, ProbeRecord, QuadraticSpec,
                       RunTrace, build_scenario, make_quadratic, preset_config, run,
                       run_scenario, trace_columns, write_trace_csv)
-from spikelab.trace import CSV_CHUNK_ROWS, PROBE_DTYPE, write_csv, write_json
+from spikelab.analysis import BOUNDARIES
+from spikelab.trace import CSV_CHUNK_ROWS, PROBE_DTYPE, _stage_cells, write_csv, write_json
 
 # === columns ================================================================
 
@@ -143,7 +146,9 @@ def _shaped_trace(shape, n):
         steps = np.arange(1, n - 1, 3)
         trace.sustained = (steps, rng.standard_normal(steps.size))
     if shape == "stage":
-        trace.stage = [None if i % 5 == 0 else str(1 + i % 4) for i in range(n)]
+        # stages that end on, before and after chunk edges, and an open last one
+        c = CSV_CHUNK_ROWS
+        trace.stage = dict(zip(BOUNDARIES, (0, 3, c - 1, c, c + 1, None)))
     return trace
 
 
@@ -167,7 +172,7 @@ def test_segmented_preset_cells_need_no_quoting(tmp_path):
     # holding a delimiter, quote or line break would silently break the file
     result = run_scenario(build_scenario(preset_config("fig3-spike")))
     trace = result.trace
-    assert set(trace.stage) == {None, "1", "2", "3", "4", "5"}
+    assert None not in trace.stage.values()
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     text = path.read_bytes().decode()
@@ -179,6 +184,76 @@ def test_segmented_preset_cells_need_no_quoting(tmp_path):
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == cells
     assert {len(row) for row in cells} == {len(trace_columns(trace.block_names))}
+    assert {row[-1] for row in cells[1:]} == {"", "1", "2", "3", "4", "5"}
+
+
+@pytest.mark.parametrize("preset", ["fig3-spike", "fig3-oscillation", "thmD4"])
+def test_segmented_trace_stores_the_boundaries_once(preset):
+    # the stage column is the analysis' own boundaries, not a per-step copy
+    result = run_scenario(build_scenario(preset_config(preset)))
+    assert result.trace.stage is result.analysis["segmentation"]["boundaries"]
+
+
+# === stage cells ============================================================
+
+
+def _stage_labels(boundaries, n):
+    """Reference: per-step labels '1'..'5' from boundaries t0..t5, None
+    outside the stages, as one n-long list."""
+    labels = [None] * n
+    b = [boundaries[k] for k in BOUNDARIES]
+    for k in range(5):
+        if b[k] is None:
+            break
+        stop = n if b[k + 1] is None else min(b[k + 1], n)
+        labels[b[k]:stop] = [str(k + 1)] * (stop - b[k])
+    return labels
+
+
+@pytest.mark.parametrize("boundaries,n,labels", [
+    ((0, 2, 4), 6, ["1", "1", "2", "2", "3", "3"]),
+    ((0,), 4, ["1", "1", "1", "1"]),
+    ((0, 1, 2, 3, 4, 5), 7, ["1", "2", "3", "4", "5", None, None]),
+    ((0, 2, 9), 4, ["1", "1", "2", "2"]),
+], ids=["last-open-stage-extends", "t1-missing", "after-t5", "beyond-n"])
+def test_stage_cells_on_hand_built_boundaries(boundaries, n, labels):
+    bounds = dict(zip(BOUNDARIES, boundaries + (None,) * (6 - len(boundaries))))
+    assert _stage_labels(bounds, n) == labels
+    assert _stage_cells(bounds, 0, n) == [x or "" for x in labels]
+
+
+def _chunk_edges(stop):
+    """Rows on CSV_CHUNK_ROWS edges and one either side of them, in 0..stop."""
+    return sorted({k * CSV_CHUNK_ROWS + d for k in range(stop // CSV_CHUNK_ROWS + 2)
+                   for d in (-1, 0, 1)} & set(range(stop + 1)))
+
+
+_EDGE = st.sampled_from(_chunk_edges(4 * CSV_CHUNK_ROWS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(_EDGE, st.integers(0, 4 * CSV_CHUNK_ROWS)),
+       present=st.lists(st.one_of(_EDGE, st.integers(0, 4 * CSV_CHUNK_ROWS)), max_size=6),
+       ordered=st.booleans())
+@example(3 * CSV_CHUNK_ROWS, [0, 5, CSV_CHUNK_ROWS + 1], True)  # stage ends before a window
+@example(2 * CSV_CHUNK_ROWS, [0, 1, 2, 3, 9, CSV_CHUNK_ROWS + 7], True)  # t5 inside a chunk
+@example(3 * CSV_CHUNK_ROWS, [0, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS - 1], True)  # open end
+@example(CSV_CHUNK_ROWS + 1, [0], True)  # t1 missing
+@example(CSV_CHUNK_ROWS + 1, [0, 5, 4 * CSV_CHUNK_ROWS], True)  # beyond n
+def test_stage_cells_match_the_per_step_labels(n, present, ordered):
+    # present boundaries are a prefix t0, t1, ...; windows start and end on
+    # chunk edges and one row either side of them, as the writer's chunks
+    # and the records' single rows do
+    present = sorted(present) if ordered else present
+    bounds = dict(zip(BOUNDARIES, present + [None] * (6 - len(present))))
+    labels = [x or "" for x in _stage_labels(bounds, n)]
+    edges = sorted(set(_chunk_edges(n)) | {n})
+    for a in edges:
+        for b in edges:
+            if a <= b:
+                assert _stage_cells(bounds, a, b) == labels[a:b], (a, b)
+    for i in range(n):
+        assert _stage_cells(bounds, i, i + 1) == labels[i:i + 1]
 
 
 def test_writing_a_long_trace_holds_one_chunk_of_cells(tmp_path):
@@ -235,10 +310,11 @@ def test_view_backed_columns_write_the_bytes_of_materialized_ones(tmp_path, pres
 
 def test_records_view_matches_columns():
     trace = _small_trace()
-    trace.stage = [None] * 8 + ["1"]
+    trace.stage = dict(zip(BOUNDARIES, (0, 2, 4, 5, 6, 8)))
     trace.sustained = (np.array([3]), np.array([7.5]))
     rows = trace.records
-    assert len(rows) == 9 and rows[-1].step == 8 and rows[-1].stage == "1"
+    assert len(rows) == 9 and rows[-1].step == 8
+    assert [r.stage for r in rows] == ["1", "1", "2", "2", "3", "4", "5", "5", None]
     for i, rec in enumerate(rows):
         assert rec.step == i and type(rec.step) is int
         assert rec.loss == trace.loss[i] and rec.eta_t == trace.eta_t[i]
@@ -311,6 +387,10 @@ def test_series_helpers():
     assert steps.tolist() == [0, 3, 6]
     assert all(v > 0 for v in vals)
     assert trace.eta_t.tolist() == [0.05] * 9
+    # a float field is a view of the probe table; others come back as floats
+    assert np.shares_memory(vals, trace.probes)
+    _, converged = trace.probe_series("converged")
+    assert converged.dtype == float and converged.tolist() == [1.0, 1.0, 1.0]
 
 
 # === json ===================================================================
