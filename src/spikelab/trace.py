@@ -159,7 +159,9 @@ def _cell(x) -> str:
     """One CSV cell: empty for None, text as is, exact ints, float reprs."""
     if x is None:
         return ""
-    if isinstance(x, (str, int)):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int):
         return str(x)
     return repr(float(x))
 

@@ -8,6 +8,7 @@ upper bounds, generous on purpose so only real regressions trip them.
 import math
 import multiprocessing
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -237,8 +238,14 @@ def test_criterion_09_sustained_crossings_live_inside_spikes(fig6_run):
 
 
 def _analysis_of(flat):
-    """One run's analysis; at module level, so a spawned worker can run it."""
-    return run_scenario(build_scenario(flat)).analysis
+    """One run's analysis; at module level, so a spawned worker can run it.
+
+    A spawned worker starts with Python's default warning filters, not the
+    suite's, so a RuntimeWarning is made an error here as it is in the suite.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return run_scenario(build_scenario(flat)).analysis
 
 
 def test_criterion_10_mitigations(fig6_run):

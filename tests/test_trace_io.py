@@ -146,7 +146,9 @@ def _shaped_trace(shape, n):
         steps = np.arange(1, n - 1, 3)
         trace.sustained = (steps, rng.standard_normal(steps.size))
     if shape == "stage":
-        # stages that end on, before and after chunk edges, and an open last one
+        # boundaries on and beside chunk edges, and an open last stage; this
+        # shape reaches the writer's stage plumbing, and the test below checks
+        # the column against the per-step labels
         c = CSV_CHUNK_ROWS
         trace.stage = dict(zip(BOUNDARIES, (0, 3, c - 1, c, c + 1, None)))
     return trace
@@ -165,6 +167,9 @@ def test_chunked_writer_matches_rowwise_reference(tmp_path, shape, n):
     text = (tmp_path / "chunked.csv").read_bytes()
     assert text == (tmp_path / "rowwise.csv").read_bytes()
     assert text.count(b"\r\n") == n + 1
+    if shape == "stage":  # the reference reads its stage through the same helper
+        assert [row["stage"] for row in _rows(tmp_path / "chunked.csv")] == [
+            x or "" for x in _stage_labels(trace.stage, n)]
 
 
 def test_segmented_preset_cells_need_no_quoting(tmp_path):
