@@ -120,8 +120,8 @@ def fit_decay(v_series, window) -> dict:
 
 def _first(steps, mask, after=-1):
     """First of `steps` strictly after `after` where `mask` holds, else None."""
-    hits = steps[mask & (steps > after)]
-    return int(hits[0]) if hits.size else None
+    hits = mask & (steps > after)
+    return int(steps[hits.argmax()]) if hits.any() else None
 
 
 def _stage1_start(v_sq, anchor, target):
@@ -170,10 +170,8 @@ def segment_stages(trace, hyper) -> dict:
     n = len(trace)
     losses = trace.losses()
     vnorm = trace.vhat_norms()
-    eta = trace.eta_t
-    lm_steps, lm_vals = trace.probe_series("lambda_max_Hhat")
-    lg_steps, lg_vals = trace.probe_series("lambda_grad_Hhat")
-    lm_thr = 2.0 / eta[lm_steps]
+    lm_steps, lm_vals, lm_thr = trace.probe_series("lambda_max_Hhat", "threshold")
+    lg_steps, lg_vals, lg_thr = trace.probe_series("lambda_grad_Hhat", "threshold")
 
     bounds = dict.fromkeys(BOUNDARIES)
     bounds["t0"] = 0 if n else None
@@ -184,7 +182,7 @@ def segment_stages(trace, hyper) -> dict:
     anchor = t2 if t2 is not None else n
 
     target = math.sqrt(hyper.beta2)
-    t1, fit = _stage1_start(vnorm ** 2, anchor, target)
+    t1, fit = _stage1_start(vnorm[:anchor] ** 2, anchor, target)
     verdicts.append({
         "name": "stage2-decay-fit",
         "holds": t1 is not None,
@@ -194,7 +192,7 @@ def segment_stages(trace, hyper) -> dict:
 
     if t1 is not None and t2 is not None:
         bounds["t2"] = t2
-        t3 = _first(lg_steps, lg_vals > 2.0 / eta[lg_steps], after=t2)
+        t3 = _first(lg_steps, lg_vals > lg_thr, after=t2)
         bounds["t3"] = t3
         if t3 is not None:
             v_up = (np.isfinite(vnorm[1:]) & np.isfinite(vnorm[:-1])
@@ -217,9 +215,10 @@ def segment_stages(trace, hyper) -> dict:
 
 
 def fill_sustained(trace) -> None:
-    """Sustained column: min of each interior lambda_grad sample and its neighbours."""
+    """Sustained series on lambda_grad's interior present rows: the min with both neighbours."""
     steps, vals = trace.probe_series("lambda_grad_Hhat")
-    trace.sustained = steps[1:-1], np.minimum(np.minimum(vals[:-2], vals[1:-1]), vals[2:])
+    low = np.minimum(vals[:-2], vals[1:-1])
+    trace.sustained = steps[1:-1], np.minimum(low, vals[2:], out=low)
 
 
 # === pre-spike index ========================================================
@@ -243,13 +242,14 @@ def pre_spike_index(losses, onset_step: int) -> int:
 
 
 def crossing_summary(trace) -> dict:
-    """First-crossing steps and crossing counts for the probe columns."""
-    eta = trace.eta_t
+    """First crossings and their counts, each sample against the threshold of its probe row."""
+    lm_steps, lm_vals, lm_thr = trace.probe_series("lambda_max_Hhat", "threshold")
+    lg_steps, lg_vals, lg_thr = trace.probe_series("lambda_grad_Hhat", "threshold")
+    s_steps, s_vals = trace.sustained
     out = {}
-    for key, (steps, vals) in (("lambda_max", trace.probe_series("lambda_max_Hhat")),
-                               ("lambda_grad", trace.probe_series("lambda_grad_Hhat")),
-                               ("sustained", trace.sustained)):
-        mask = vals > 2.0 / eta[steps]
+    for key, steps, mask in (("lambda_max", lm_steps, lm_vals > lm_thr),
+                             ("lambda_grad", lg_steps, lg_vals > lg_thr),
+                             ("sustained", s_steps, s_vals > lg_thr[1:1 + s_vals.size])):
         out[f"first_{key}_crossing"] = _first(steps, mask)
         out[f"{key}_crossing_steps"] = int(mask.sum())
     return out

@@ -58,16 +58,16 @@ class RunTrace:
 
     Row i is StepRecord i. vhat holds the total v-hat norm, then one per
     block, or is None without a second moment. probes holds PROBE_DTYPE rows
-    at the sampled steps, sustained is (steps, values), both with increasing
-    steps, and stage is the segmentation's boundaries, or None if unsegmented.
-    A missing cell is absent from an index or masked, never NaN. A diverged
-    run ends at the step that diverged, whose loss is inf.
+    at the sampled steps, sustained is (steps, values) on lambda_grad's interior
+    present rows, both with increasing steps, and stage is the segmentation's
+    boundaries or None. A missing cell is absent from an index or masked, never
+    NaN. A diverged run ends at the step that diverged, whose loss is inf.
 
     eta_t and vhat may be read-only views that store a value once: a
     constant eta_t is one cell broadcast over the steps (stride 0), and a
     one-block vhat is one column broadcast to (total, block). The run
     loop's and thmD4's traces build them so; readers index them as arrays
-    and never write them.
+    and never write them, nor the views probe_series returns.
     """
 
     config: dict
@@ -111,14 +111,14 @@ class RunTrace:
         """Total v-hat norm per step; NaN throughout without a second moment."""
         return np.full(len(self), np.nan) if self.vhat is None else self.vhat[:, 0]
 
-    def probe_series(self, name: str):
-        """(steps, values) for one ProbeRecord field over sampled steps, as floats;
-        a float field's values are a view of the probe table: never write them."""
+    def probe_series(self, *names):
+        """(steps, *fields as floats) at the sampled steps; naming lambda_grad_Hhat drops
+        its missing rows from all. Views unless a row drops or a field is not float."""
         p = self.probes
-        steps, values = p["step"], p[name]
-        if name == "lambda_grad_Hhat":  # only where present; masks two fields, not rows
-            steps, values = steps[p["has_lambda_grad"]], values[p["has_lambda_grad"]]
-        return steps, values.astype(float, copy=False)
+        cols = [p["step"], *(p[name] for name in names)]
+        if "lambda_grad_Hhat" in names and not p["has_lambda_grad"].all():
+            cols = [c[p["has_lambda_grad"]] for c in cols]  # masks the fields, not whole rows
+        return cols[0], *(c.astype(float, copy=False) for c in cols[1:])
 
 
 def _position(steps, i):

@@ -15,7 +15,7 @@ from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
                       build_scenario, crossing_summary, detect_spikes_series,
                       fill_sustained, fit_decay, make_quadratic, pre_spike_index,
                       preset_config, run, run_scenario, segment_stages)
-from spikelab import analysis
+from spikelab import analysis, harness
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
@@ -400,18 +400,19 @@ ETA = 0.5  # threshold 2/eta = 4.0 exactly
 N_HAND = 80
 
 
-def _hand_trace(probes=True):
+def _hand_trace(probes=True, sustained=True):
     """Hand-built trace whose stage boundaries and crossings are known.
 
     sqrt(v) decays as 0.99^(t/2) and jumps up at step 70. lambda_max sits
     exactly at 4.0 at steps 58 and 72 and crosses above at 60 and below at
     73/74; lambda_grad crosses at 60, sits at 4.0 at 61, is None at 62 and
-    crosses again at 63. The loss falls at 70, 72 and 74 only, so each
-    boundary has a candidate at its predecessor's step.
+    crosses again at 63, 64 and 65. fill_sustained skips the missing 62, so
+    the sustained series sits at 4.0 at 61 and 63 (min over 60, 61, 63 and
+    over 61, 63, 64) and crosses at 64 only. The loss falls at 70, 72 and 74
+    only, so each boundary has a candidate at its predecessor's step.
     """
     lm = {58: 4.0, 60: 5.0, 72: 4.0, 73: 3.0, 74: 3.0}
-    lg = {60: 5.0, 61: 4.0, 62: None, 63: 5.0}
-    sustained = {40: 4.0, 63: 4.5, 64: 4.5}
+    lg = {60: 5.0, 61: 4.0, 62: None, 63: 5.0, 64: 5.0, 65: 5.0}
     losses = np.ones(N_HAND)
     losses[[70, 72, 74]] = 0.5
     steps = np.arange(N_HAND)
@@ -430,7 +431,8 @@ def _hand_trace(probes=True):
         table["power_iters_used"] = 1
         table["converged"] = True
         trace.probes = table
-        trace.sustained = (np.array(list(sustained)), np.array(list(sustained.values())))
+        if sustained:
+            fill_sustained(trace)
     return trace
 
 
@@ -498,8 +500,95 @@ def test_first_crossings_on_hand_built_trace():
                                  "t5": 74}
     assert crossing_summary(trace) == {
         "first_lambda_max_crossing": 60, "lambda_max_crossing_steps": 1,
-        "first_lambda_grad_crossing": 60, "lambda_grad_crossing_steps": 2,
-        "first_sustained_crossing": 63, "sustained_crossing_steps": 2}
+        "first_lambda_grad_crossing": 60, "lambda_grad_crossing_steps": 4,
+        "first_sustained_crossing": 64, "sustained_crossing_steps": 1}
+
+
+def test_unfilled_sustained_series_never_crosses():
+    # a probed trace whose sustained series was never filled keeps the empty
+    # default: it reports no sustained crossing, and the probe series still cross
+    filled = crossing_summary(_hand_trace())
+    assert crossing_summary(_hand_trace(sustained=False)) == dict(
+        filled, first_sustained_crossing=None, sustained_crossing_steps=0)
+
+
+def test_probe_series_drops_missing_lambda_grad_rows_from_every_field():
+    trace = _hand_trace()
+    steps, lg, thr = trace.probe_series("lambda_grad_Hhat", "threshold")
+    assert steps.tolist() == [i for i in range(N_HAND) if i != 62]
+    assert lg.size == thr.size == N_HAND - 1 and np.all(thr == 2 / ETA)
+    assert lg[60:64].tolist() == [5.0, 4.0, 5.0, 5.0]  # steps 60, 61, 63 and 64
+    # GD at eta = 1 on lambda = 1 lands on the minimum in one step, so only
+    # step 0's probe sees a gradient
+    obj = make_quadratic(QuadraticSpec(eigenvalues=(1.0,)))
+    trace = run(obj, obj.initial_point(1.0), "gd", AdamHyper(eta=1.0), n_steps=80,
+                probes=ProbePlan(every=1))
+    p = trace.probes
+    assert p.size == 80 and int(p["has_lambda_grad"].sum()) == 1
+    steps, lg, thr, conv = trace.probe_series("lambda_grad_Hhat", "threshold", "converged")
+    assert steps.tolist() == [0] and thr.tolist() == [2.0] and conv.tolist() == [1.0]
+    assert lg.tolist() == p["lambda_grad_Hhat"][:1].tolist()
+    # a call that does not name lambda_grad keeps every row, as views
+    steps, thr = trace.probe_series("threshold")
+    assert steps.size == thr.size == 80 and np.shares_memory(thr, trace.probes)
+
+
+THRESHOLD_RUNS = {name: (name, {}) for name in (
+    "fig2a", "fig3-spike", "fig3-oscillation", "fig5-gd", "figD10-rmsprop",
+    "figD11-adafactor", "figD12-gd-delay", "thmD4")}
+THRESHOLD_RUNS.update({
+    "fig5-adam-600": ("fig5-adam", {"n_steps": 600}),
+    "power-decay": ("figD10-rmsprop", {"schedule.kind": "power-decay", "schedule.alpha": 0.1}),
+    "diverged": ("fig2a", {"optimizer.kind": "gd", "optimizer.eta": 3.0, "n_steps": 800}),
+})
+
+
+def _crossings_from_eta(trace):
+    """crossing_summary with each series' threshold taken as 2.0 / eta_t at its steps."""
+    out = {}
+    for key, (steps, vals) in (("lambda_max", trace.probe_series("lambda_max_Hhat")),
+                               ("lambda_grad", trace.probe_series("lambda_grad_Hhat")),
+                               ("sustained", trace.sustained)):
+        over = steps[vals > 2.0 / trace.eta_t[steps]]
+        out[f"first_{key}_crossing"] = int(over[0]) if over.size else None
+        out[f"{key}_crossing_steps"] = int(over.size)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(THRESHOLD_RUNS))
+def test_each_probe_stores_the_threshold_of_its_step(case):
+    # the crossings compare each probe with its row's threshold, standing in
+    # for 2.0 / eta_t[step]: the two must be the same bits on every kind of run
+    name, extra = THRESHOLD_RUNS[case]
+    result = run_scenario(build_scenario({**preset_config(name), **extra}))
+    trace, crossings = result.trace, result.analysis["crossings"]
+    p = trace.probes
+    assert p.size and p["threshold"].tobytes() == (2.0 / trace.eta_t[p["step"]]).tobytes()
+    assert crossings == _crossings_from_eta(trace)
+    if case == "power-decay":
+        # every threshold differs, so a sustained sample compared with a
+        # neighbour's row would count differently (1,248 or 1,070 crossings)
+        assert np.unique(p["threshold"]).size == p.size
+        assert crossings["sustained_crossing_steps"] == 1126
+    if case == "diverged":
+        assert trace.status == "diverged"
+
+
+def test_analysis_copies_no_probe_field():
+    # the crossings read the steps, lambda_grad and thresholds as views of the
+    # probe table (5.0 MB here). Re-deriving 2/eta_t and copying lambda_grad's
+    # rows peaked at 4.9 MB at 1e5 probed steps; the views peak at 1.3 MB, of
+    # which 0.8 MB is the sustained series the trace keeps
+    sc = build_scenario({**preset_config("fig3-oscillation"), "n_steps": 100_000})
+    trace = run_scenario(sc).trace  # first calls load what they load once
+    tracemalloc.start()
+    try:
+        harness._analyze(trace, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.probes.size == 100_000
+    assert peak < 3_500_000, peak
 
 
 def test_first_crossings_without_probes():

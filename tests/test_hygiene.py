@@ -3,7 +3,8 @@ module's private name, every name the benchmarks read exists, the probe and
 optimizer layers add no public function, importing the package loads no
 process or thread pool, the package never writes the environment, only
 optimizers.run sets the BLAS thread count, only the oracles build a
-certificate body, and no oracle is a thin wrapper around another."""
+certificate body, no oracle is a thin wrapper around another, and the
+analysis never reads eta_t."""
 
 import ast
 import importlib
@@ -244,6 +245,26 @@ def test_blas_thread_users_are_found():
             "def f():\n    blas.set_threads(1)\n"
             "def g():\n    def h():\n        stack.callback(set_threads, 2)\n")
     assert sorted(_users(ast.parse(code), "set_threads")) == ["<module>", "f", "h"]
+
+
+def _eta_t_reads(tree):
+    """Lines that read a name or an attribute called eta_t."""
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "eta_t"
+            or isinstance(n, ast.Name) and n.id == "eta_t"]
+
+
+def test_analysis_never_reads_eta_t():
+    """Each probe row stores its 2/eta_t as threshold, so every crossing
+    compares with that and the threshold is stated once, by the probe."""
+    assert not _eta_t_reads(ast.parse((SRC / "analysis.py").read_text()))
+
+
+def test_eta_t_reads_are_found():
+    code = ("thr = 2.0 / trace.eta_t[steps]\n"
+            "eta = eta_t\n"
+            "fine = (trace.eta, trace.threshold, 'eta_t')\n")
+    assert sorted(_eta_t_reads(ast.parse(code))) == [1, 2]
 
 
 # === one entry per oracle ===================================================

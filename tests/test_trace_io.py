@@ -392,10 +392,14 @@ def test_series_helpers():
     assert steps.tolist() == [0, 3, 6]
     assert all(v > 0 for v in vals)
     assert trace.eta_t.tolist() == [0.05] * 9
-    # a float field is a view of the probe table; others come back as floats
+    # with every lambda_grad present, the steps and float fields are views of
+    # the probe table; other fields come back as floats
     assert np.shares_memory(vals, trace.probes)
-    _, converged = trace.probe_series("converged")
+    steps, lg, thr, converged = trace.probe_series("lambda_grad_Hhat", "threshold",
+                                                   "converged")
+    assert all(np.shares_memory(a, trace.probes) for a in (steps, lg, thr))
     assert converged.dtype == float and converged.tolist() == [1.0, 1.0, 1.0]
+    assert trace.probe_series("converged")[1].dtype == float
 
 
 # === json ===================================================================
