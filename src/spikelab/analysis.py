@@ -5,8 +5,11 @@ exceeds rho times the median of the previous `window` losses, and the event
 closes at the first later step whose loss is again below its own trailing
 median. The detector takes those medians one MEDIAN_BLOCK_ROWS block at a
 time and keeps only the current block, so its temporaries do not grow with
-the series. Segmentation assigns the stage boundaries strictly sequentially, so
-a missing earlier boundary leaves all later ones absent.
+the series. _trailing_medians computes them with np.median's own calls, bit
+for bit, but not through np.median, whose NaN check loads numpy.ma: a run's
+analysis loads no numpy subpackage its numbers do not need. Segmentation
+assigns the stage boundaries strictly sequentially, so a missing earlier
+boundary leaves all later ones absent.
 
 detect_spikes_series, fit_decay and segment_stages return the bodies that
 analysis.json records: the spike list, the decay fit and the segmentation
@@ -28,10 +31,25 @@ STAGE1_MIN_TAIL = 50  # shortest tail accepted as evidence of Stage-2 decay
 STAGE1_R2 = 0.95
 STAGE1_ALPHA_BAND = 0.05
 STAGE1_SCREEN_MARGIN = 1e-6  # slack of the O(1) window screen, whose rounding measured < 1e-13
-MEDIAN_BLOCK_ROWS = 512  # trailing medians per np.median call and per detector scan; bounds both
+MEDIAN_BLOCK_ROWS = 512  # trailing medians per _trailing_medians call and per detector scan; bounds both
 BOUNDARIES = ("t0", "t1", "t2", "t3", "t4", "t5")
 
 # === spike detection ========================================================
+
+
+def _trailing_medians(rows):
+    """np.median(rows, axis=1), bit for bit, from np.median's own calls:
+    partition at the middle one or two columns and at -1 (a NaN sorts last),
+    add.reduce the middle and divide by its width, and NaN wherever the last
+    partitioned entry is NaN. np.median's NaN check would load numpy.ma."""
+    w = rows.shape[1]
+    lo, hi = (w - 1) // 2, w // 2 + 1  # the middle column, or the middle two
+    part = np.partition(rows, [*range(lo, hi), -1], axis=1)
+    medians = np.add.reduce(part[:, lo:hi], axis=1)
+    medians /= hi - lo
+    last = part[:, -1]
+    np.copyto(medians, last, where=np.isnan(last))
+    return medians
 
 
 def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list:
@@ -63,7 +81,7 @@ def detect_spikes_series(losses, rho=DEFAULT_RHO, window=DEFAULT_WINDOW) -> list
     events, onset, base, t = [], None, None, window
     for a in range(0, len(rows), MEDIAN_BLOCK_ROWS):
         first = window + a  # the block's first step
-        medians = np.median(rows[a:a + MEDIAN_BLOCK_ROWS], axis=1)
+        medians = _trailing_medians(rows[a:a + MEDIAN_BLOCK_ROWS])
         tail = losses[first:first + medians.size]
         with np.errstate(over="ignore"):  # an overflowing rho * median is an inf threshold
             onsets = np.flatnonzero(tail > rho * medians) + first

@@ -263,6 +263,30 @@ def test_detector_holds_one_block_of_medians():
     assert peak < 500_000
 
 
+def test_trailing_medians_are_np_median_bit_for_bit():
+    # the detector's medians make np.median's own calls, without its NaN
+    # check, which loads numpy.ma; a hand-written middle copy or (a + b) / 2
+    # differs from np.median on -0.0. Windows 1-100, each over two blocks cut
+    # at MEDIAN_BLOCK_ROWS, on normal noise, on signed zeros with some +-1
+    # and +-inf, and on the same with NaN
+    rng = np.random.default_rng(3)
+    cells = np.array([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+    mixes = ([.4, .4, .05, .05, .05, .05, 0.0], [.3, .3, .1, .1, .05, .05, .1])
+    blocks = 0
+    for window in range(1, 101):
+        n = window + analysis.MEDIAN_BLOCK_ROWS + int(rng.integers(2, 300))
+        for losses in (rng.standard_normal(n), *(rng.choice(cells, n, p=p) for p in mixes)):
+            rows = sliding_window_view(losses[:-1], window)
+            for a in range(0, len(rows), analysis.MEDIAN_BLOCK_ROWS):
+                block = rows[a:a + analysis.MEDIAN_BLOCK_ROWS]
+                with np.errstate(invalid="ignore"):  # inf - inf in a middle pair
+                    want = np.median(block, axis=1)
+                    got = analysis._trailing_medians(block)
+                assert got.tobytes() == want.tobytes(), (window, a)
+                blocks += 1
+    assert blocks == 600
+
+
 # === decay fit ==============================================================
 
 

@@ -1,10 +1,11 @@
 """Source hygiene: every imported name is used, no module imports another
 module's private name, every name the benchmarks read exists, the probe and
 optimizer layers add no public function, importing the package loads no
-process or thread pool, the package never writes the environment, only
-optimizers.run sets the BLAS thread count, only the oracles build a
-certificate body, no oracle is a thin wrapper around another, and the
-analysis never reads eta_t."""
+process or thread pool, a run that draws nothing loads neither numpy.random
+nor numpy.ma, the package never calls np.median, the package never writes
+the environment, only optimizers.run sets the BLAS thread count, only the
+oracles build a certificate body, no oracle is a thin wrapper around
+another, and the analysis never reads eta_t."""
 
 import ast
 import importlib
@@ -174,6 +175,49 @@ def test_import_does_not_load_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert out.stdout.strip() == "[]"
+
+
+def test_a_run_loads_only_the_numpy_it_uses(tmp_path):
+    """numpy.random loads on the first random stream and numpy.ma with
+    np.median, so a figD9 run written to disk, which draws nothing and
+    takes its medians by analysis._trailing_medians, loads neither. Building
+    an FNN draws its dataset and initial point, so it loads numpy.random."""
+    code = ("import sys, spikelab as sl\n"
+            "def loaded():\n"
+            "    return sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules)\n"
+            "sc = sl.build_scenario({**sl.preset_config('figD9-adagrad'), 'n_steps': 300})\n"
+            "result = sl.run_scenario(sc)\n"
+            "sl.write_run_dir(result, sys.argv[1])\n"
+            "print(result.analysis['n_steps'] > sc.analysis.window, loaded())\n"
+            "sl.build_scenario(sl.preset_config('fig6-fnn50d'))\n"
+            "print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout.splitlines() == ["True []", "['numpy.random']"]
+    assert list(tmp_path.glob("*/*/trace.csv"))
+
+
+def _median_calls(tree):
+    """Lines that call np.median or np.nanmedian."""
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("median", "nanmedian")
+            and ast.unparse(n.func.value) in ("np", "numpy")]
+
+
+def test_package_never_calls_np_median():
+    """np.median's NaN check loads numpy.ma; the detector's medians come from
+    analysis._trailing_medians, bit for bit the same."""
+    calls = [f"{p.name}:{line}" for p in MODULES + [SRC / "__init__.py"]
+             for line in _median_calls(ast.parse(p.read_text()))]
+    assert not calls, calls
+
+
+def test_median_calls_are_found():
+    code = ("m = np.median(rows, axis=1)\n"
+            "n = numpy.nanmedian(x)\n"
+            "fine = (statistics.median(x), np.partition(rows, 2), 'np.median')\n")
+    assert _median_calls(ast.parse(code)) == [1, 2]
 
 
 ENV_WRITERS = {"putenv", "unsetenv", "__setitem__", "__delitem__", "update", "setdefault",
