@@ -155,7 +155,10 @@ def main(argv=None):
     body = {
         "machine": machine,
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "script": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        "script": (f"python3 tools/bench_pairs.py --parent {args.parent} --change {args.change} "
+                   f"--pairs {args.pairs} --seed {args.seed} --workloads {' '.join(workloads)}"
+                   + (f" --claim {args.claim}" if args.claim else "")
+                   + f" --out {Path(args.out).name}"),
         "parent": revs["parent"],
         "change": revs["change"],
         "note": (f"{args.pairs} alternating pairs per workload, the parent first in odd pairs "
