@@ -225,14 +225,15 @@ def write_trace_csv(trace: RunTrace, path):
     no_vhat = 1 + len(trace.block_names) if trace.vhat is None else 0
     # One contiguous copy of the probe steps, as searchsorted copies a strided
     # field view per call. lambda_grad's steps are that copy unless a row drops,
-    # when probe_series has already copied them, and the sustained series sits
-    # on their interior (a series of another length keeps its own steps).
+    # when probe_series has already copied them. The sustained series reuses
+    # their interior only where its stored steps equal it (fill_sustained's
+    # layout); any other series keeps its own steps.
     steps, lam_h, lam_hhat = trace.probe_series("lambda_max_H", "lambda_max_Hhat")
     steps = np.ascontiguousarray(steps)
     lg_steps, lam_grad = trace.probe_series("lambda_grad_Hhat")
     lg_steps = steps if lg_steps.size == steps.size else lg_steps
     s_steps, s_values = trace.sustained
-    s_steps = (lg_steps[1:-1] if s_steps.size and s_steps.size == lg_steps.size - 2
+    s_steps = (lg_steps[1:-1] if np.array_equal(s_steps, lg_steps[1:-1])
                else np.ascontiguousarray(s_steps))
     sparse = [(steps, lam_h), (steps, lam_hhat), (lg_steps, lam_grad), (s_steps, s_values)]
     block = np.empty((CSV_CHUNK_ROWS, len(dense)))

@@ -145,6 +145,11 @@ def _shaped_trace(shape, n):
     if shape.endswith("+sustained"):
         # the writer takes these steps from lambda_grad's, not from the series
         fill_sustained(trace)
+    if shape.endswith("+moved_sustained"):
+        # as many values as lambda_grad's interior, on other steps: the writer
+        # must write them where the series stores them
+        steps, _ = trace.probe_series("lambda_grad_Hhat")
+        trace.sustained = (steps[:-2].copy(), rng.standard_normal(max(steps.size - 2, 0)))
     if shape == "sustained":
         steps = np.arange(1, n - 1, 3)
         trace.sustained = (steps, rng.standard_normal(steps.size))
@@ -158,7 +163,8 @@ def _shaped_trace(shape, n):
 
 
 SHAPES = ["gd", "dense", "probes", "missing_lambda_grad", "sustained", "stage",
-          "aliased", "probes+sustained", "missing_lambda_grad+sustained"]
+          "aliased", "probes+sustained", "missing_lambda_grad+sustained",
+          "probes+moved_sustained"]
 
 
 @pytest.mark.parametrize("n", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])

@@ -1,11 +1,12 @@
 """Alternating parent/change pairs of the benchmark, written as one BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent <rev> --change <rev> --pairs 10 \
-        --seed 601 --claim long-trace:peak_rss_mb --out BENCH_<label>.json
+    python3 tools/bench_pairs.py --parent <rev> --change <rev> --seed 601 \
+        --claim long-trace:peak_rss_mb --out BENCH_<label>.json
 
-Each run is `benchmarks/run.py --trace 0` in the committed tree of its
-revision, exported with `git archive` into a fresh directory for every run:
-<workdir>/parent/tree or <workdir>/change/tree, two paths of the same length
+Every workload of BENCHMARK.json runs PAIRS pairs, each run for its
+run_seconds. Each run is `benchmarks/run.py --trace 0` in the committed tree
+of its revision, exported with `git archive` into a fresh directory for every
+run: <tmp>/parent/tree or <tmp>/change/tree, two paths of the same length
 whose last part has the same name, since peak_rss_mb depends on the checkout
 directory's name and on its state (a filled __pycache__). Pair i runs the
 parent first when i is odd and the change first when it is even, with the
@@ -29,6 +30,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def _git(*args):
@@ -109,28 +111,23 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="revision of the change side")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True,
                     help="first seed; workload k, pair i uses seed + 20 k + i - 1")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="--seconds per run (default: BENCHMARK.json's run_seconds)")
-    ap.add_argument("--workloads", nargs="*", default=None)
     ap.add_argument("--claim", default=None, help="workload:metric the change claims")
-    ap.add_argument("--workdir", default=None, help="where the trees go (default: a temp dir)")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: work / side / "tree" for side in SIDES}
 
     pairs = []
     try:
         for k, workload in enumerate(workloads):
-            for i in range(1, args.pairs + 1):
+            for i in range(1, PAIRS + 1):
                 seed = args.seed + 20 * k + i - 1
                 order = SIDES if i % 2 else SIDES[::-1]
                 pair = {"workload": workload, "pair": i, "seed": seed, "first": order[0]}
@@ -143,8 +140,7 @@ def main(argv=None):
                     f"wall_s={pair[side]['metrics']['wall_s']['value']:.3f}" for side in SIDES),
                     flush=True)
     finally:
-        shutil.rmtree(work if args.workdir is None else trees["parent"], ignore_errors=True)
-        shutil.rmtree(trees["change"], ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     summary = {w: summarize([p for p in pairs if p["workload"] == w], spec["end_to_end"])
                for w in workloads}
@@ -156,12 +152,11 @@ def main(argv=None):
         "machine": machine,
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "script": (f"python3 tools/bench_pairs.py --parent {args.parent} --change {args.change} "
-                   f"--pairs {args.pairs} --seed {args.seed} --workloads {' '.join(workloads)}"
-                   + (f" --claim {args.claim}" if args.claim else "")
+                   f"--seed {args.seed}" + (f" --claim {args.claim}" if args.claim else "")
                    + f" --out {Path(args.out).name}"),
         "parent": revs["parent"],
         "change": revs["change"],
-        "note": (f"{args.pairs} alternating pairs per workload, the parent first in odd pairs "
+        "note": (f"{PAIRS} alternating pairs per workload, the parent first in odd pairs "
                  "and the change first in even ones, the same seed on both sides. Every run "
                  "starts from a fresh `git archive` of its revision in a directory named "
                  "tree at the same depth. change_better_pairs counts the pairs where the "
