@@ -233,10 +233,10 @@ def segment_stages(trace, hyper) -> dict:
 
 
 def fill_sustained(trace) -> None:
-    """Sustained series on lambda_grad's interior present rows: the min with both neighbours."""
-    steps, vals = trace.probe_series("lambda_grad_Hhat")
+    """Sustained values: each interior present lambda_grad sample's min with both neighbours."""
+    vals = trace.probe_series("lambda_grad_Hhat")[1]
     low = np.minimum(vals[:-2], vals[1:-1])
-    trace.sustained = steps[1:-1], np.minimum(low, vals[2:], out=low)
+    trace.sustained = np.minimum(low, vals[2:], out=low)
 
 
 # === pre-spike index ========================================================
@@ -263,11 +263,11 @@ def crossing_summary(trace) -> dict:
     """First crossings and their counts, each sample against the threshold of its probe row."""
     lm_steps, lm_vals, lm_thr = trace.probe_series("lambda_max_Hhat", "threshold")
     lg_steps, lg_vals, lg_thr = trace.probe_series("lambda_grad_Hhat", "threshold")
-    s_steps, s_vals = trace.sustained
+    s = trace.sustained_rows()
     out = {}
     for key, steps, mask in (("lambda_max", lm_steps, lm_vals > lm_thr),
                              ("lambda_grad", lg_steps, lg_vals > lg_thr),
-                             ("sustained", s_steps, s_vals > lg_thr[1:1 + s_vals.size])):
+                             ("sustained", lg_steps[s], trace.sustained > lg_thr[s])):
         out[f"first_{key}_crossing"] = _first(steps, mask)
         out[f"{key}_crossing_steps"] = int(mask.sum())
     return out

@@ -58,10 +58,10 @@ class RunTrace:
 
     Row i is StepRecord i. vhat holds the total v-hat norm, then one per
     block, or is None without a second moment. probes holds PROBE_DTYPE rows
-    at the sampled steps, sustained is (steps, values) on lambda_grad's interior
-    present rows, both with increasing steps, and stage is the segmentation's
-    boundaries or None. A missing cell is absent from an index or masked, never
-    NaN. A diverged run ends at the step that diverged, whose loss is inf.
+    at the sampled steps in increasing order, sustained the sustained series' values
+    (empty until filled) on lambda_grad's sustained_rows, and stage the segmentation's
+    boundaries or None. A missing cell is absent from an index or masked, never NaN.
+    A diverged run ends at the step that diverged, whose loss is inf.
 
     eta_t and vhat may be read-only views that store a value once: a
     constant eta_t is one cell broadcast over the steps (stride 0), and a
@@ -79,7 +79,7 @@ class RunTrace:
     eta_t: np.ndarray = field(default_factory=lambda: np.empty(0))
     vhat: np.ndarray = None
     probes: np.ndarray = field(default_factory=lambda: np.empty(0, PROBE_DTYPE))
-    sustained: tuple = field(default_factory=lambda: (np.empty(0, int), np.empty(0)))
+    sustained: np.ndarray = field(default_factory=lambda: np.empty(0))
     stage: dict = None
 
     def put_probe(self, j, rec: ProbeRecord) -> None:
@@ -120,6 +120,10 @@ class RunTrace:
             cols = [c[p["has_lambda_grad"]] for c in cols]  # masks the fields, not whole rows
         return cols[0], *(c.astype(float, copy=False) for c in cols[1:])
 
+    def sustained_rows(self) -> slice:
+        """Rows of probe_series("lambda_grad_Hhat") holding the sustained values, k on k + 1."""
+        return slice(1, 1 + self.sustained.size)
+
 
 def _position(steps, i):
     """Index of step i in the increasing array steps, or None if absent.
@@ -134,6 +138,7 @@ def _position(steps, i):
 class _Rows(Sequence):
     def __init__(self, trace):
         self._trace = trace
+        self._sustained_steps = trace.probe_series("lambda_grad_Hhat")[0][trace.sustained_rows()]
 
     def __len__(self):
         return len(self._trace)
@@ -145,11 +150,11 @@ class _Rows(Sequence):
         if j is not None:
             *p, has_lg = t.probes[j].item()
             probe = ProbeRecord(*p[:3], p[3] if has_lg else None, *p[4:])
-        k = _position(t.sustained[0], i)
+        k = _position(self._sustained_steps, i)
         stage = None if t.stage is None else _stage_cells(t.stage, i, i + 1)[0] or None
         return StepRecord(i, float(t.loss[i]), float(t.grad_norm[i]),
                           v[0] if v else None, v[1:], float(t.eta_t[i]), probe,
-                          None if k is None else float(t.sustained[1][k]), stage)
+                          None if k is None else float(t.sustained[k]), stage)
 
 
 # === CSV ====================================================================
@@ -225,17 +230,13 @@ def write_trace_csv(trace: RunTrace, path):
     no_vhat = 1 + len(trace.block_names) if trace.vhat is None else 0
     # One contiguous copy of the probe steps, as searchsorted copies a strided
     # field view per call. lambda_grad's steps are that copy unless a row drops,
-    # when probe_series has already copied them. The sustained series reuses
-    # their interior only where its stored steps equal it (fill_sustained's
-    # layout); any other series keeps its own steps.
+    # when probe_series has already copied them.
     steps, lam_h, lam_hhat = trace.probe_series("lambda_max_H", "lambda_max_Hhat")
     steps = np.ascontiguousarray(steps)
     lg_steps, lam_grad = trace.probe_series("lambda_grad_Hhat")
     lg_steps = steps if lg_steps.size == steps.size else lg_steps
-    s_steps, s_values = trace.sustained
-    s_steps = (lg_steps[1:-1] if np.array_equal(s_steps, lg_steps[1:-1])
-               else np.ascontiguousarray(s_steps))
-    sparse = [(steps, lam_h), (steps, lam_hhat), (lg_steps, lam_grad), (s_steps, s_values)]
+    sparse = [(steps, lam_h), (steps, lam_hhat), (lg_steps, lam_grad),
+              (lg_steps[trace.sustained_rows()], trace.sustained)]
     block = np.empty((CSV_CHUNK_ROWS, len(dense)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(trace_columns(trace.block_names)) + "\r\n")

@@ -213,8 +213,8 @@ def test_criterion_09_sustained_crossings_live_inside_spikes(fig6_run):
             if e["recovery_step"] - e["onset_step"] >= 2 * every]
 
     eta = trace.eta_t
-    s_steps, s_vals = trace.sustained
-    sus_steps = s_steps[s_vals > 2.0 / eta[s_steps]]
+    s_steps = trace.probe_series("lambda_grad_Hhat")[0][trace.sustained_rows()]
+    sus_steps = s_steps[trace.sustained > 2.0 / eta[s_steps]]
     raw_total = result.analysis["crossings"]["lambda_grad_crossing_steps"]
 
     def contains(e):

@@ -466,13 +466,12 @@ def test_sustained_column_matches_per_sample_reference():
                 n_steps=60, probes=ProbePlan(every=2))
     steps, vals = trace.probe_series("lambda_grad_Hhat")
     fill_sustained(trace)
-    s_steps, s_vals = trace.sustained
-    assert s_steps.tolist() == steps[1:-1].tolist()
-    assert s_vals.tolist() == [min(vals[j - 1:j + 2]) for j in range(1, len(vals) - 1)]
+    assert steps[trace.sustained_rows()].tolist() == steps[1:-1].tolist()
+    assert trace.sustained.tolist() == [min(vals[j - 1:j + 2]) for j in range(1, len(vals) - 1)]
     # fewer than three samples leave no interior sample
     trace.probes = trace.probes[:2]
     fill_sustained(trace)
-    assert [a.size for a in trace.sustained] == [0, 0]
+    assert trace.sustained.size == 0 and steps[trace.sustained_rows()].size == 0
 
 
 def _grad_samples(steps, vals, present=None):
@@ -483,7 +482,8 @@ def _grad_samples(steps, vals, present=None):
     trace = RunTrace(config={}, status="completed", block_names=("theta",),
                      initial_loss=1.0, probes=table)
     fill_sustained(trace)
-    return [a.tolist() for a in trace.sustained]
+    steps = trace.probe_series("lambda_grad_Hhat")[0]
+    return [steps[trace.sustained_rows()].tolist(), trace.sustained.tolist()]
 
 
 def test_fill_sustained_is_min_of_three():
@@ -506,7 +506,7 @@ def test_fill_sustained_matches_the_stacked_minimum_bit_for_bit():
                          initial_loss=1.0, probes=table)
         fill_sustained(trace)
         stacked = np.minimum.reduce([vals[:-2], vals[1:-1], vals[2:]])
-        assert trace.sustained[1].tobytes() == stacked.tobytes()
+        assert trace.sustained.tobytes() == stacked.tobytes()
 
 
 def test_fill_sustained_skips_edge_samples():
@@ -569,10 +569,12 @@ THRESHOLD_RUNS.update({
 
 def _crossings_from_eta(trace):
     """crossing_summary with each series' threshold taken as 2.0 / eta_t at its steps."""
+    lg_steps, lg = trace.probe_series("lambda_grad_Hhat")
     out = {}
     for key, (steps, vals) in (("lambda_max", trace.probe_series("lambda_max_Hhat")),
-                               ("lambda_grad", trace.probe_series("lambda_grad_Hhat")),
-                               ("sustained", trace.sustained)):
+                               ("lambda_grad", (lg_steps, lg)),
+                               ("sustained", (lg_steps[trace.sustained_rows()],
+                                              trace.sustained))):
         over = steps[vals > 2.0 / trace.eta_t[steps]]
         out[f"first_{key}_crossing"] = int(over[0]) if over.size else None
         out[f"{key}_crossing_steps"] = int(over.size)

@@ -3,17 +3,21 @@ flat configs through build_scenario -> run_scenario -> write_run_dir.
 
 Every outcome must be a usage error (argparse's SystemExit(1)), a refusal
 (exit 1 with an `error:` line, or a SpikelabError from the library), or a
-result (exit 0 or 2) whose JSON files parse strictly. Examples stay small:
+result (exit 0 or 2) whose JSON files parse strictly; a run directory's
+trace.csv also holds each sustained cell on its lambda_grad row, with the
+minimum of that row and its two present neighbours. Examples stay small:
 n_steps <= 200, dims <= 20, fnn width <= 8, --steps <= 50, --nodes <= 64,
 --dim <= 260, and five-stage and lr-decay always get --max-steps <= 10**4.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +154,13 @@ def flat_configs(draw):
 @example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.noise_std": 1e308})
 @example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.init_scale": -1})
 @example(flat={"objective.kind": "fnn", "n_steps": 1, "objective.init_scale": -0.0})
+# the gradient vanishes after step 0 under GD, and on every fourth step under
+# heavy-ball at beta1 = 0.5, so lambda_grad rows drop around the sustained ones
+@example(flat={"objective.kind": "quadratic", "objective.eigenvalues": "1.0", "n_steps": 20,
+               "optimizer.kind": "gd", "optimizer.eta": 1.0, "probes.every": 1})
+@example(flat={"objective.kind": "quadratic", "objective.eigenvalues": "1.0", "n_steps": 20,
+               "optimizer.kind": "heavy-ball", "optimizer.beta1": 0.5, "optimizer.eta": 1.0,
+               "probes.every": 1})
 def test_flat_config_fuzz(flat, tmp_path):
     try:
         result = run_scenario(build_scenario(flat))
@@ -160,3 +171,18 @@ def test_flat_config_fuzz(flat, tmp_path):
     assert {"config.json", "trace.csv", "analysis.json"} <= names
     for name in names - {"trace.csv"}:
         _strict_json(d / name)
+    _check_sustained_cells(d / "trace.csv")
+
+
+def _check_sustained_cells(path):
+    """trace.csv's sustained cells sit on lambda_grad's present rows but the first
+    and last, each the repr of the min over its own and both present neighbours'."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    present = [i for i, row in enumerate(rows) if row["lambda_grad_Hhat"]]
+    filled = [i for i, row in enumerate(rows) if row["lambda_grad_sustained"]]
+    assert filled == present[1:-1]
+    lg = [float(rows[i]["lambda_grad_Hhat"]) for i in present]
+    for k, i in enumerate(filled, 1):
+        expected = repr(float(np.minimum.reduce(lg[k - 1:k + 2])))
+        assert rows[i]["lambda_grad_sustained"] == expected, (i, lg[k - 1:k + 2])

@@ -5,7 +5,8 @@ process or thread pool, a run that draws nothing loads neither numpy.random
 nor numpy.ma, the package never calls np.median, the package never writes
 the environment, only optimizers.run sets the BLAS thread count, only the
 oracles build a certificate body, no oracle is a thin wrapper around
-another, and the analysis never reads eta_t."""
+another, the analysis never reads eta_t, and only analysis.fill_sustained
+stores the sustained series."""
 
 import ast
 import importlib
@@ -262,18 +263,32 @@ def test_environment_reads_are_not_writes():
     assert not list(_environ_writes(ast.parse(code)))
 
 
-def _users(tree, name):
-    """The innermost function (or <module>) around each use of `name`, as a
-    bare name, an attribute or an imported name."""
+def _functions_around(tree, match):
+    """The innermost function (or <module>) around each node that `match` accepts."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and node.name == name):
+        if not match(node):
             continue
         while node in parents and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             node = parents[node]
         yield getattr(node, "name", "<module>")
+
+
+def _users(tree, name):
+    """The innermost function (or <module>) around each use of `name`, as a
+    bare name, an attribute or an imported name."""
+    return _functions_around(tree, lambda node: (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name))
+
+
+def _attribute_writers(tree, attr):
+    """The innermost function (or <module>) around each assignment to, or
+    deletion of, an attribute named `attr`."""
+    return _functions_around(tree, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == attr
+        and not isinstance(node.ctx, ast.Load)))
 
 
 def test_only_run_sets_the_blas_threads():
@@ -309,6 +324,25 @@ def test_eta_t_reads_are_found():
             "eta = eta_t\n"
             "fine = (trace.eta, trace.threshold, 'eta_t')\n")
     assert sorted(_eta_t_reads(ast.parse(code))) == [1, 2]
+
+
+def test_only_fill_sustained_stores_the_sustained_series():
+    """RunTrace.sustained holds values whose rows RunTrace.sustained_rows
+    states, so only the one function that lays them out that way stores them."""
+    writers = {f"{p.stem}.{w}" for p in MODULES + [SRC / "__init__.py"]
+               for w in _attribute_writers(ast.parse(p.read_text()), "sustained")}
+    assert writers == {"analysis.fill_sustained"}
+
+
+def test_sustained_writers_are_found():
+    code = ("trace.sustained = vals\n"
+            "def f(t):\n    t.stage, t.sustained = a, b\n"
+            "def g(t):\n    t.sustained += 1\n"
+            "def h(t):\n    del t.sustained\n"
+            "def reads(t, sustained):\n    return t.sustained[1:], sustained\n"
+            "class T:\n    sustained: tuple = ()\n")
+    assert sorted(_attribute_writers(ast.parse(code), "sustained")) == [
+        "<module>", "f", "g", "h"]
 
 
 # === one entry per oracle ===================================================

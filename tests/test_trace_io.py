@@ -143,16 +143,8 @@ def _shaped_trace(shape, n):
             lg = None if shape.startswith("missing_lambda_grad") and j % 2 else rng.standard_normal()
             trace.put_probe(j, ProbeRecord(s, rng.random(), -rng.random(), lg, 20.0, 5, True))
     if shape.endswith("+sustained"):
-        # the writer takes these steps from lambda_grad's, not from the series
+        # the writer places the values on lambda_grad's sustained_rows
         fill_sustained(trace)
-    if shape.endswith("+moved_sustained"):
-        # as many values as lambda_grad's interior, on other steps: the writer
-        # must write them where the series stores them
-        steps, _ = trace.probe_series("lambda_grad_Hhat")
-        trace.sustained = (steps[:-2].copy(), rng.standard_normal(max(steps.size - 2, 0)))
-    if shape == "sustained":
-        steps = np.arange(1, n - 1, 3)
-        trace.sustained = (steps, rng.standard_normal(steps.size))
     if shape == "stage":
         # boundaries on and beside chunk edges, and an open last stage; this
         # shape reaches the writer's stage plumbing, and the test below checks
@@ -162,9 +154,8 @@ def _shaped_trace(shape, n):
     return trace
 
 
-SHAPES = ["gd", "dense", "probes", "missing_lambda_grad", "sustained", "stage",
-          "aliased", "probes+sustained", "missing_lambda_grad+sustained",
-          "probes+moved_sustained"]
+SHAPES = ["gd", "dense", "probes", "missing_lambda_grad", "stage", "aliased",
+          "probes+sustained", "missing_lambda_grad+sustained"]
 
 
 @pytest.mark.parametrize("n", [0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
@@ -333,7 +324,11 @@ def test_view_backed_columns_write_the_bytes_of_materialized_ones(tmp_path, pres
 def test_records_view_matches_columns():
     trace = _small_trace()
     trace.stage = dict(zip(BOUNDARIES, (0, 2, 4, 5, 6, 8)))
-    trace.sustained = (np.array([3]), np.array([7.5]))
+    fill_sustained(trace)
+    # probes on steps 0, 3 and 6 leave one sustained value, on step 3
+    lg_steps, lg = trace.probe_series("lambda_grad_Hhat")
+    assert lg_steps[trace.sustained_rows()].tolist() == [3]
+    assert trace.sustained.tolist() == [min(lg)]
     rows = trace.records
     assert len(rows) == 9 and rows[-1].step == 8
     assert [r.stage for r in rows] == ["1", "1", "2", "2", "3", "4", "5", "5", None]
@@ -342,7 +337,7 @@ def test_records_view_matches_columns():
         assert rec.loss == trace.loss[i] and rec.eta_t == trace.eta_t[i]
         assert (rec.vhat_norm_total,) + rec.vhat_norm_blocks == tuple(trace.vhat[i])
         assert (rec.probe is not None) == (i % 3 == 0)
-        assert rec.lambda_grad_sustained == (7.5 if i == 3 else None)
+        assert rec.lambda_grad_sustained == (min(lg) if i == 3 else None)
     steps, vals = trace.probe_series("lambda_max_Hhat")
     assert [rows[i].probe.lambda_max_Hhat for i in steps] == vals.tolist()
     with pytest.raises(IndexError):
@@ -351,8 +346,9 @@ def test_records_view_matches_columns():
         rows.append(rows[0])
 
 
-def _probed_trace(n, probe_steps, sustained):
-    """A synthetic n-step trace with probes and sustained values at given steps."""
+def _probed_trace(n, probe_steps):
+    """A synthetic n-step trace probed at the given steps, lambda_grad missing on
+    multiples of 4, with its sustained series filled as a run fills it."""
     trace = RunTrace(config={}, status="completed", block_names=("all",),
                      initial_loss=1.0, loss=np.arange(n, dtype=float),
                      grad_norm=np.ones(n), eta_t=np.full(n, 0.1),
@@ -360,14 +356,16 @@ def _probed_trace(n, probe_steps, sustained):
     for j, s in enumerate(probe_steps):
         lg = None if s % 4 == 0 else 3.0 * s
         trace.put_probe(j, ProbeRecord(int(s), float(s), 2.0 * s, lg, 20.0, j + 1, True))
-    trace.sustained = (np.asarray(sustained[0]), np.asarray(sustained[1], float))
+    fill_sustained(trace)
     return trace
 
 
 def test_records_find_irregular_probe_steps():
+    # lambda_grad is present at 1, 5 and 11 (3.0, 15.0, 33.0): one sustained
+    # value, their min, on step 5
     n, probe_steps = 12, [0, 1, 4, 5, 11]
-    sustained = {1: 0.5, 4: 4.5, 10: 9.5}
-    trace = _probed_trace(n, probe_steps, (list(sustained), list(sustained.values())))
+    sustained = {5: 3.0}
+    trace = _probed_trace(n, probe_steps)
     rows = trace.records
     for i in range(-n, n):
         rec, step = rows[i], i % n
@@ -385,11 +383,12 @@ def test_records_find_irregular_probe_steps():
 
 
 def test_record_access_does_not_scale_with_trace_length():
-    # the same 2,000 rows read from a short and a 32x longer trace, probed
-    # and sustained on every step: a scan of the probe and sustained steps
-    # on each read makes a read of the long trace about 10x dearer
+    # the same 2,000 rows read from a short and a 32x longer trace, probed on
+    # every step and sustained on three in four: a scan of the probe steps, or
+    # lambda_grad's present steps re-derived, on each read makes a read of the
+    # long trace about 10x dearer
     def per_read(n):
-        trace = _probed_trace(n, np.arange(n), (np.arange(1, n - 1), np.ones(n - 2)))
+        trace = _probed_trace(n, np.arange(n))
         rows, picks = trace.records, range(0, n, n // 2000)
         best = math.inf
         for _ in range(5):
