@@ -8,9 +8,10 @@ the bits of the one-element array. hvp_at(theta) returns an HVP closure at
 one point, and hvp(theta, vec) is that closure called once. The FNN closure
 keeps the factors that depend only on theta, 1 - H^2 among them, so many
 products at one point (a probe's eigensolves, a dense Hessian's columns) pay
-for one forward pass and one tanh derivative. An FNN objective owns two n x m work
-buffers and one row-block scratch that its loss and gradient calls fill in
-place, and each FNN closure owns the buffers its products fill, so a closure
+for one forward pass and one tanh derivative. An FNN objective owns one n x m work
+buffer and one row-block scratch that its loss and gradient calls fill in
+place: dZ overwrites H once dW2 has read it, as a closure's R(dZ) overwrites
+R(H). Each FNN closure owns the buffers its products fill, so a closure
 may run on one thread beside its objective's loss and gradient calls on
 another. Every elementwise chain between two matrix products runs one block
 of rows at a time, so a block's intermediates stay in cache for the whole
@@ -120,6 +121,7 @@ class QuadraticObjective:
         self.lam = np.array(spec.eigenvalues, dtype=float)
         self.off = np.array(spec.offset, dtype=float)
         self.param_dim = self.lam.size
+        self._lambda_max = float(self.lam.max())  # read by every closed-form probe
         # lam and offset as Python floats, for a float point (param_dim 1)
         self._scalar = (*spec.eigenvalues, *spec.offset) if self.param_dim == 1 else None
         self.blocks = (("theta", 0, self.param_dim),)
@@ -168,7 +170,7 @@ class QuadraticObjective:
         return lambda vec: lam * vec
 
     def lambda_max(self) -> float:
-        return float(self.lam.max())
+        return self._lambda_max
 
     def initial_point(self, theta0) -> ParamVector:
         arr = np.atleast_1d(np.asarray(theta0, dtype=float))
@@ -200,13 +202,13 @@ class FnnObjective:
         )
         self.X, self.y = _make_dataset(spec)
         self.dataset = (self.X, self.y)
-        # n x m work buffers that every loss and gradient call fills in place,
-        # so no call allocates (and page-faults in) fresh large arrays, and
-        # the row blocks each elementwise chain walks, each with its view of
-        # one block-sized scratch. They make one objective's loss and
-        # gradient unsafe to call from two threads at once.
+        # one n x m work buffer that every loss and gradient call fills in
+        # place (H, then dZ over it), so no call allocates (and page-faults
+        # in) a fresh large array, and the row blocks each elementwise chain
+        # walks, each with its view of one block-sized scratch. They make one
+        # objective's loss and gradient unsafe to call from two threads at once.
         n = spec.n_samples
-        self._work = tuple(np.empty((n, m)) for _ in range(2))
+        self._work = np.empty((n, m))
         self._blocks = _row_blocks(n, m, 1)
 
     # --- forward / derivatives ---
@@ -232,14 +234,14 @@ class FnnObjective:
         return W2, e
 
     def loss(self, theta) -> float:
-        _, e = self._forward(theta, self._work[0])
+        _, e = self._forward(theta, self._work)
         val = 0.5 * float(e @ e) / e.size
         if not math.isfinite(val):
             raise DivergedEvaluation("fnn loss is non-finite")
         return val
 
     def loss_and_gradient(self, theta):
-        H, dZ = self._work
+        H = self._work
         W2, e = self._forward(theta, H)
         n, m = H.shape
         md = m * self.X.shape[1]
@@ -248,13 +250,16 @@ class FnnObjective:
         g = np.empty(self.param_dim)
         np.matmul(H.T, r, out=g[md + m : md + 2 * m])  # dW2
         g[-1] = r.sum()  # db2
-        # dZ = (r W2) * (1 - H^2), in this operand order
+        # dZ = (r W2) * (1 - H^2), in this operand order; nothing reads H
+        # after dW2, so each block of dZ replaces H's rows once T holds 1 - h^2
+        dZ = H
         with np.errstate():
             np.setbufsize(OUTER_BUFSIZE)
             for s, T in self._blocks:
-                dz, h = dZ[s], H[s]
+                dz = dZ[s]
+                _one_minus_square(dz, T)
                 np.multiply(r[s, None], W2[None, :], out=dz)
-                np.multiply(dz, _one_minus_square(h, T), out=dz)
+                np.multiply(dz, T, out=dz)
         np.matmul(dZ.T, self.X, out=g[:md].reshape(m, -1))  # dW1
         np.sum(dZ, axis=0, out=g[md : md + m])  # db1
         if not math.isfinite(val) or not np.isfinite(g).all():
@@ -282,7 +287,7 @@ class FnnObjective:
         returns a fresh vector.
         """
         X = self.X
-        n, m = self._work[0].shape
+        n, m = self._work.shape
         md = m * X.shape[1]
         H, A2, S, RH = (np.empty((n, m)) for _ in range(4))
         blocks = _row_blocks(n, m, 2)

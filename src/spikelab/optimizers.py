@@ -129,20 +129,23 @@ def _bind(kind, hyper, sched, plan, m, v):
             d, scale = d / bias1, scale / bias1
             vhat = vhat / (1.0 - beta2 ** (t + 1))
         root = sqrt(vhat)
+        del vhat  # each temporary is freed at its last use: lower wide-run RSS
         if factored:
             u = d / (root + ADAFACTOR_EPS1)
             u = u / max(1.0, norm(u) / rms_divisor / ADAFACTOR_CLIP)
             scale = max(ADAFACTOR_EPS2, norm(theta) / rms_divisor)
             return theta - (eta_t * scale) * u, eta_t, root, ADAFACTOR_EPS1, scale
         eps = plan.epsilon_at(t, epsilon) if bumps else epsilon
-        # an array is divided in place, into the step's temporary: a fresh
-        # quotient cost a figD8 step about 230 minor page faults
-        upd = eta_t * d
+        # the step is formed in the name d, so the bias-corrected d is freed
+        # as eta_t * d replaces it; an array is divided in place, into the
+        # step's temporary: a fresh quotient cost a figD8 step about 230
+        # minor page faults
+        d = eta_t * d
         try:
-            upd /= root + eps
+            d /= root + eps
         except ZeroDivisionError:
-            upd = float(np.divide(upd, root + eps))
-        return theta - upd, eta_t, root, eps, scale  # freed at return: lower FNN RSS
+            d = float(np.divide(d, root + eps))
+        return theta - d, eta_t, root, eps, scale
 
     return advance
 

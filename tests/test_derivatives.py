@@ -6,15 +6,16 @@ import resource
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spikelab import (AdamHyper, FnnObjective, FnnTaskSpec, MitigationPlan, ParamVector,
-                      QuadraticSpec, blas, central_fd_hvp, default_fd_step, dense_hessian,
-                      make_quadratic, run)
+                      QuadraticSpec, blas, build_scenario, central_fd_hvp, default_fd_step,
+                      dense_hessian, make_quadratic, preset_config, run)
 from spikelab.errors import DivergedEvaluation, InvalidDirection, OracleSizeExceeded
-from spikelab.objectives import BLOCK_ENTRIES
+from spikelab.objectives import BLOCK_ENTRIES, OUTER_BUFSIZE, _one_minus_square, _row_blocks
 
 
 def test_gradient_refuses_nonfinite_point(quad3):
@@ -164,6 +165,58 @@ def test_fnn_row_blocks_match_allocating_reference_bit_for_bit(n, d, m, n_blocks
     _assert_matches_allocating_reference(obj, np.random.default_rng(14))
 
 
+def _two_buffer_loss_and_gradient(obj, theta):
+    """loss_and_gradient as it ran with dZ in an n x m buffer beside H's."""
+    n, m = obj.spec.n_samples, obj.spec.width
+    H, dZ = np.empty((n, m)), np.empty((n, m))
+    W2, e = obj._forward(theta, H)
+    md = m * obj.X.shape[1]
+    r = e / n
+    val = 0.5 * float(e @ e) / n
+    g = np.empty(obj.param_dim)
+    np.matmul(H.T, r, out=g[md + m : md + 2 * m])
+    g[-1] = r.sum()
+    with np.errstate():
+        np.setbufsize(OUTER_BUFSIZE)
+        for s, T in _row_blocks(n, m, 1):
+            dz, h = dZ[s], H[s]
+            np.multiply(r[s, None], W2[None, :], out=dz)
+            np.multiply(dz, _one_minus_square(h, T), out=dz)
+    np.matmul(dZ.T, obj.X, out=g[:md].reshape(m, -1))
+    np.sum(dZ, axis=0, out=g[md : md + m])
+    return val, g
+
+
+@pytest.mark.parametrize("shape,rows", [
+    ("fig6", [16] * 12 + [8]),  # 52k parameters; a ragged last block
+    ("fig5", [200]),  # 61 parameters in one block
+    ("ragged", [442, 442, 116]),  # 1000 rows, BLOCK_ENTRIES // 37 = 442 to a block
+])
+def test_one_buffer_gradient_matches_the_two_buffer_one_byte_for_byte(shape, rows, fig6_fnn):
+    # dZ overwrites H once dW2 has read it: the same operations on the same
+    # operands, so every bit of the loss and gradient stays
+    obj = {"fig6": fig6_fnn,
+           "fig5": FnnObjective(FnnTaskSpec(input_dim=1, width=20, n_samples=200,
+                                            target="sine-mix")),
+           "ragged": FnnObjective(FnnTaskSpec(input_dim=3, width=37, n_samples=1000,
+                                              target="linear-plus-diag-quadratic")),
+           }[shape]
+    assert [T.shape[0] for _, T in obj._blocks] == rows
+    rng = np.random.default_rng(17)
+    points = [obj.initial_point().values] + [rng.normal(0.0, sc, obj.param_dim)
+                                             for sc in (0.03, 0.3, 3.0)]
+    threads = blas.set_threads(1)  # as run holds it, so no BLAS split moves a bit
+    try:
+        for th in points:
+            val, g = obj.loss_and_gradient(th)
+            want_val, want_g = _two_buffer_loss_and_gradient(obj, th)
+            assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+            assert g.tobytes() == want_g.tobytes()
+    finally:
+        if threads is not None:
+            blas.set_threads(threads)
+
+
 def test_fnn_calls_restore_the_callers_ufunc_buffer(fig6_fnn):
     # the chains with outer products shrink numpy's ufunc buffer; the caller's
     # setting comes back on return
@@ -262,6 +315,36 @@ def test_fnn_steps_do_not_fault_in_fresh_arrays(fig6_fnn):
         lambda: run(obj, theta0, "adam", hyper, plan=plan, n_steps=k), calls=2, warmup=1)
         for k in (5, 65)}
     assert (faults[65] - faults[5]) / 60 < 2.0
+
+
+def test_a_wide_run_holds_one_work_buffer_and_few_parameter_vectors():
+    # figD8 (Adam with a v floor on fig6's net). The objective holds one
+    # n x m work buffer. A step holds theta, g, m, v and the last step's
+    # root, and the update rule at most three parameter-sized temporaries
+    # at once (d / bias1, v-hat, then its root): 8.0 vectors above the built
+    # scenario. With dZ in a second buffer, and v-hat and the bias-corrected d
+    # kept to the rule's return, the build held two buffers and the run
+    # peaked at 10.0 vectors above it (8.0 MB in all, against 5.6 MB)
+    cfg = {**preset_config("figD8-mitigations"), "n_steps": 20}
+
+    def once():
+        sc = build_scenario(cfg)
+        built = tracemalloc.get_traced_memory()[0]
+        trace = run(sc.objective, sc.theta0, sc.kind, sc.hyper, sched=sc.sched,
+                    plan=sc.plan, n_steps=sc.n_steps, probes=sc.probes, seed=sc.seed)
+        return sc.objective, trace, built
+
+    once()  # first calls load what they load once
+    tracemalloc.start()
+    try:
+        obj, trace, built = once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.status == "completed" and len(trace) == 20
+    buffer, vector = obj.spec.n_samples * obj.spec.width * 8, obj.param_dim * 8
+    assert built < buffer + 2 * vector, built
+    assert peak - built < 9 * vector, (peak - built) / vector
 
 
 def test_dense_hessian_of_quadratic_is_exact(quad3):
