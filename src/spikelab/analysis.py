@@ -31,7 +31,6 @@ STAGE1_MIN_TAIL = 50  # shortest tail accepted as evidence of Stage-2 decay
 STAGE1_R2 = 0.95
 STAGE1_ALPHA_BAND = 0.05
 STAGE1_SCREEN_MARGIN = 1e-6  # slack of the O(1) window screen, whose rounding measured < 1e-13
-STAGE1_BLOCK = 4096  # tail samples per block of the t1 screen; bounds its temporaries
 MEDIAN_BLOCK_ROWS = 512  # trailing medians per _trailing_medians call and per detector scan; bounds both
 BOUNDARIES = ("t0", "t1", "t2", "t3", "t4", "t5")
 
@@ -154,58 +153,18 @@ def _stage1_start(v_sq, anchor, target):
     t1 and its fit are those of fitting every tail in turn. Each tail that
     passes the screen but not the fit, so sits within the margin of a
     threshold, costs one fit.
-
-    The screen walks the tail in STAGE1_BLOCK blocks from the anchor back to
-    the last sample that is not positive finite, carrying the four sums from
-    block to block, and keeps only the carried sums of each block that holds
-    a candidate. Those blocks are screened again from the earliest, so the
-    fits run earliest first, and the scan holds one block's temporaries.
     """
-    last = anchor - STAGE1_MIN_TAIL  # the latest start with a long enough tail
-    end = v_sq[anchor - 1] if anchor else math.nan
-    if last < 1 or not (math.isfinite(end) and end > 0):
+    seg = v_sq[:anchor]
+    bad = np.flatnonzero(~np.isfinite(seg) | (seg <= 0))
+    lo = max(1, int(bad[-1]) + 1 if bad.size else 0)
+    if lo > anchor - STAGE1_MIN_TAIL:
         return None, None
-    y_end = 0.5 * np.log(v_sq[anchor - 1:anchor])  # windows share this end
-    # cap: the latest start whose tail moves (a constant tail is no decay)
-    sums, held, cap, b = (0.0,) * 4, [], None, anchor
-    while b > 1:
-        a = max(1, b - STAGE1_BLOCK)
-        bad = np.flatnonzero(~np.isfinite(v_sq[a:b]) | (v_sq[a:b] <= 0))
-        a += int(bad[-1]) + 1 if bad.size else 0  # a tail starts after its last bad sample
-        if a == b:
-            break
-        if cap is None:
-            moving = np.flatnonzero(v_sq[a:b] != end)
-            cap = min(last, a + int(moving[-1])) if moving.size else None
-        carry = sums
-        starts, sums = _stage1_screen(v_sq, a, b, anchor, y_end, target, sums)
-        if cap is not None and starts.size and starts[0] <= cap:
-            held.append((a, b, carry))
-        if bad.size:
-            break
-        b = a
-    for a, b, carry in reversed(held):
-        starts = _stage1_screen(v_sq, a, b, anchor, y_end, target, carry)[0]
-        for i in starts[starts <= cap]:
-            fit = fit_decay(v_sq, (int(i), anchor))
-            if (fit["r_squared"] > STAGE1_R2
-                    and abs(fit["alpha_hat"] - target) <= STAGE1_ALPHA_BAND * target):
-                return int(i), fit
-    return None, None
-
-
-def _stage1_screen(v_sq, a, b, anchor, y_end, target, sums):
-    """The starts in [a, b) that pass _stage1_start's screen, and the sums of
-    t, y, t*y and y^2 over [a, anchor), given sums over [b, anchor). Each sum
-    adds the block's terms to the carried one in the order a cumsum over the
-    whole tail adds them."""
-    y = 0.5 * np.log(v_sq[a:b])
-    y -= y_end  # small sums lose less to rounding
-    t = np.arange(a - anchor + 1.0, b - anchor + 1.0)  # step minus the last step, <= 0
-    k = np.arange(anchor - a, anchor - b, -1.0)  # samples in window [i, anchor)
-    st, sy, sty, syy = (np.cumsum(np.concatenate(((c,), x[::-1])))[:0:-1]
-                        for c, x in zip(sums, (t, y, t * y, y * y)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf fails the band
+    y = 0.5 * np.log(seg[lo:])
+    y -= y[-1]  # windows share this end; small sums lose less to rounding
+    t = np.arange(lo - anchor + 1.0, 1.0)  # step minus the last step, <= 0
+    k = np.arange(anchor - lo, 0, -1.0)  # samples in window [lo + j, anchor)
+    st, sy, sty, syy = (np.cumsum(x[::-1])[::-1] for x in (t, y, t * y, y * y))
+    with np.errstate(divide="ignore", invalid="ignore"):
         ctt = k * (k * k - 1.0) / 12.0  # sum of (t - mean t)^2 over k consecutive steps
         cty = sty - st * sy / k
         slope = cty / ctt
@@ -213,7 +172,14 @@ def _stage1_screen(v_sq, a, b, anchor, y_end, target, sums):
         maybe = ~(r2 <= STAGE1_R2 - STAGE1_SCREEN_MARGIN) & ~(
             np.abs(np.exp(slope) - target)
             > STAGE1_ALPHA_BAND * target + STAGE1_SCREEN_MARGIN)
-    return np.flatnonzero(maybe) + a, (st[0], sy[0], sty[0], syy[0])
+    moving = np.flatnonzero(seg[lo:] != seg[-1])
+    maybe[moving[-1] + 1 if moving.size else 0:] = False  # a constant tail is no decay
+    for i in np.flatnonzero(maybe[:anchor - STAGE1_MIN_TAIL - lo + 1]) + lo:
+        fit = fit_decay(v_sq, (int(i), anchor))
+        if (fit["r_squared"] > STAGE1_R2
+                and abs(fit["alpha_hat"] - target) <= STAGE1_ALPHA_BAND * target):
+            return int(i), fit
+    return None, None
 
 
 def segment_stages(trace, hyper) -> dict:

@@ -121,7 +121,6 @@ class QuadraticObjective:
         self.lam = np.array(spec.eigenvalues, dtype=float)
         self.off = np.array(spec.offset, dtype=float)
         self.param_dim = self.lam.size
-        self._lambda_max = float(self.lam.max())  # read by every closed-form probe
         # lam and offset as Python floats, for a float point (param_dim 1)
         self._scalar = (*spec.eigenvalues, *spec.offset) if self.param_dim == 1 else None
         self.blocks = (("theta", 0, self.param_dim),)
@@ -170,7 +169,7 @@ class QuadraticObjective:
         return lambda vec: lam * vec
 
     def lambda_max(self) -> float:
-        return self._lambda_max
+        return float(self.lam.max())
 
     def initial_point(self, theta0) -> ParamVector:
         arr = np.atleast_1d(np.asarray(theta0, dtype=float))

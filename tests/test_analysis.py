@@ -4,7 +4,6 @@ import math
 import struct
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from spikelab import (AdamHyper, ProbePlan, QuadraticSpec, RunTrace,
                       fill_sustained, fit_decay, make_quadratic, pre_spike_index,
                       preset_config, run, run_scenario, segment_stages)
 from spikelab import analysis, harness
-from spikelab.analysis import (STAGE1_ALPHA_BAND, STAGE1_MIN_TAIL, STAGE1_R2,
-                               STAGE1_SCREEN_MARGIN)
 from spikelab.errors import ConfigError, InvalidSeries
 from spikelab.trace import PROBE_DTYPE
 
@@ -419,113 +416,6 @@ def test_t1_scan_is_linear_on_a_long_run(monkeypatch):
     (long_s, long_fits), (short_s, short_fits) = segment_s(segmented), segment_s(short)
     assert long_fits == short_fits == [526, 527]
     assert long_s < 3.0 * short_s
-
-
-def _one_pass_stage1_start(v_sq, anchor, target):
-    """The t1 scan that held the suffix sums of the whole tail at once."""
-    seg = v_sq[:anchor]
-    bad = np.flatnonzero(~np.isfinite(seg) | (seg <= 0))
-    lo = max(1, int(bad[-1]) + 1 if bad.size else 0)
-    if lo > anchor - STAGE1_MIN_TAIL:
-        return None, None
-    y = 0.5 * np.log(seg[lo:])
-    y -= y[-1]
-    t = np.arange(lo - anchor + 1.0, 1.0)
-    k = np.arange(anchor - lo, 0, -1.0)
-    st_, sy, sty, syy = (np.cumsum(x[::-1])[::-1] for x in (t, y, t * y, y * y))
-    with np.errstate(all="ignore"):
-        ctt = k * (k * k - 1.0) / 12.0
-        cty = sty - st_ * sy / k
-        slope = cty / ctt
-        r2 = cty * cty / (ctt * np.maximum(syy - sy * sy / k, 0.0))
-        maybe = ~(r2 <= STAGE1_R2 - STAGE1_SCREEN_MARGIN) & ~(
-            np.abs(np.exp(slope) - target)
-            > STAGE1_ALPHA_BAND * target + STAGE1_SCREEN_MARGIN)
-    moving = np.flatnonzero(seg[lo:] != seg[-1])
-    maybe[moving[-1] + 1 if moving.size else 0:] = False
-    for i in np.flatnonzero(maybe[:anchor - STAGE1_MIN_TAIL - lo + 1]) + lo:
-        fit = fit_decay(v_sq, (int(i), anchor))
-        if (fit["r_squared"] > STAGE1_R2
-                and abs(fit["alpha_hat"] - target) <= STAGE1_ALPHA_BAND * target):
-            return int(i), fit
-    return None, None
-
-
-def _blockwise(v_sq, anchor, target, block):
-    with mock.patch.object(analysis, "STAGE1_BLOCK", block):
-        return analysis._stage1_start(v_sq, anchor, target)
-
-
-@pytest.mark.parametrize("case", ["fig3-spike", "fig3-oscillation", "thmD4"])
-def test_blockwise_t1_scan_matches_the_one_pass_scan_on_presets(case, monkeypatch):
-    calls = []
-    scan = analysis._stage1_start
-    monkeypatch.setattr(analysis, "_stage1_start",
-                        lambda *a: calls.append((a, scan(*a))) or calls[-1][1])
-    run_scenario(build_scenario(preset_config(case)))
-    monkeypatch.undo()
-    assert calls
-    for (v_sq, anchor, target), got in calls:
-        want = _one_pass_stage1_start(v_sq, anchor, target)
-        assert got == want
-        for block in (1, 7, 64):  # these tails fit in one default block
-            assert _blockwise(v_sq, anchor, target, block) == want
-    if case == "fig3-spike":
-        assert calls[0][1][0] is not None  # a t1 is found
-
-
-_V_SAMPLE = st.one_of(st.floats(min_value=1e-300, max_value=1e300),
-                      st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]))
-
-
-@st.composite
-def _stage1_tails(draw):
-    """(v, anchor, target, block): a noisy decay near, on or past the edge of
-    the sqrt(beta2) band with a raised head, bad samples and a constant tail
-    spliced in, or arbitrary samples; any anchor, so tails shorter than
-    STAGE1_MIN_TAIL too."""
-    beta2 = draw(st.sampled_from([0.5, 0.9, 0.99, 0.999]))
-    if draw(st.booleans()):
-        v = np.array(draw(st.lists(_V_SAMPLE, max_size=200)))
-    else:
-        n = draw(st.integers(0, 400))
-        alpha = math.sqrt(beta2) * (1.0 + draw(st.sampled_from([0.0, 0.04, 0.06, -0.05])))
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        noise = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
-        v = alpha ** (2.0 * np.arange(n)) * np.exp(rng.normal(0.0, noise, n))
-        v[:draw(st.integers(0, n))] *= draw(st.sampled_from([1.0, 5.0, 100.0]))
-        if n:
-            for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), _V_SAMPLE), max_size=3)):
-                v[i] = x
-        if draw(st.booleans()):
-            v[draw(st.integers(0, n)):] = draw(st.sampled_from([3.0, 1e-3]))
-    anchor = draw(st.integers(0, v.size))
-    block = draw(st.sampled_from([1, 2, 7, 64, analysis.STAGE1_BLOCK]))
-    return v, anchor, math.sqrt(beta2), block
-
-
-@settings(max_examples=400, deadline=None)
-@given(_stage1_tails())
-def test_blockwise_t1_scan_matches_the_one_pass_scan(tail):
-    v, anchor, target, block = tail
-    assert _blockwise(v, anchor, target, block) == _one_pass_stage1_start(v, anchor, target)
-
-
-def test_t1_scan_holds_one_block_of_sums():
-    # a segmented run with no lambda_max(D H) crossing scans its whole tail:
-    # the suffix sums over 1e6 samples held about fifteen tail-long arrays,
-    # 105 MB; in blocks the scan peaks at about 0.5 MB
-    v_sq = np.random.default_rng(3).lognormal(0.0, 1.0, 10 ** 6)
-    target = math.sqrt(0.999)
-    analysis._stage1_start(v_sq[:1000], 1000, target)  # first calls load what they load once
-    tracemalloc.start()
-    try:
-        got = analysis._stage1_start(v_sq, v_sq.size, target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == (None, None)
-    assert peak < 32 * analysis.STAGE1_BLOCK * 8, peak
 
 
 # === first crossings ========================================================
